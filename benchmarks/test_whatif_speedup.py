@@ -12,7 +12,7 @@ asp/optimized:
   only makes it slower, which keeps the assertion conservative);
 - **evaluation**: 42 ``Evaluator.evaluate`` calls on one prepared
   recording (best of three rounds, the same jitter discipline as
-  ``test_obs_overhead.py``).
+  ``test_zero_cost_when_off.py``).
 
 Both sides run the same physics in the same process on the same
 hardware, so machine speed cancels in the ratio; the spot-check at the

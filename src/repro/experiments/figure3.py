@@ -66,8 +66,9 @@ def main(argv: Optional[list] = None) -> None:
                              "repro.critpath)")
     args = parser.parse_args(argv)
 
-    backend = "replay" if args.replay else None
-    sweeper = Sweeper(scale=args.scale, seed=args.seed, predict=args.predict,
+    backend = "replay" if args.replay else \
+        "predict" if args.predict else "simulate"
+    sweeper = Sweeper(scale=args.scale, seed=args.seed,
                       workers=args.workers, backend=backend)
     for app in args.apps:
         variants = [args.variant] if args.variant else ["unoptimized", "optimized"]
@@ -76,14 +77,13 @@ def main(argv: Optional[list] = None) -> None:
         for variant in variants:
             grid = sweeper.speedup_grid(app, variant)
             print(render_panel(grid))
-            if args.predict and grid.validation is not None:
+            if args.predict:
                 print(f"[whatif] {grid.validation.summary()}")
             if args.replay:
                 print(f"[replay] backend={grid.backend}")
                 if grid.replay is not None:
                     print(f"[replay] {grid.replay.summary()}")
-                if grid.validation is not None:
-                    print(f"[replay] {grid.validation.summary()}")
+                print(f"[replay] {grid.validation.summary()}")
             if args.blame:
                 from ..critpath.blame import blame_grid, render_blame_panel
 

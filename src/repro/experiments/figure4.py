@@ -65,9 +65,9 @@ def main(argv: Optional[list] = None) -> None:
                              "(vectorized; needs numpy; see docs/replay.md)")
     args = parser.parse_args(argv)
 
-    backend = "replay" if args.replay else None
-    sweeper = Sweeper(scale=args.scale, seed=args.seed, predict=args.predict,
-                      backend=backend)
+    backend = "replay" if args.replay else \
+        "predict" if args.predict else "simulate"
+    sweeper = Sweeper(scale=args.scale, seed=args.seed, backend=backend)
     bw_labels = [f"{bw:g}" for bw in sorted(grids.BANDWIDTHS_MBYTE_S, reverse=True)]
     _print_panel(
         bandwidth_panel(sweeper), bw_labels,

@@ -7,33 +7,19 @@ Baseline runs are cached per (app, variant, scale, ranks, seed).
 
 Three orthogonal accelerators (all off by default):
 
-``predict=True`` (equivalently ``backend="predict"``)
-    Record the application's communication DAG once (see
-    :mod:`repro.whatif`), validate predictions against full simulations
-    at the grid corners, then fill the rest of the grid analytically —
-    orders of magnitude faster than simulating every point.  Apps whose
-    recordings are timing-sensitive (TSP's work stealing, Awari's
-    arrival-order MARK protocol) or whose validation error exceeds
-    ``tolerance_pp`` fall back to full simulation automatically.
-
-``backend="replay"``
-    Compile the recorded DAG into a flat vectorized event program (see
-    :mod:`repro.replay`) and price the whole grid in one numpy pass —
-    another order of magnitude over the predict path.  The fallback
-    ladder is automatic, one rung per failure mode: DAGs whose frozen
-    contention orders drift at the grid corners (the probe) try the
-    **vectorized-adaptive** rung first — a fixed-point engine that
-    re-sorts every contended queue per grid point (see
-    :mod:`repro.replay.adaptive`) and keeps the grid batched when its
-    corner convergence check passes (fft); programs whose iteration
-    does not converge (water's deep value feedback) downgrade to the
-    per-point predict evaluator, and individual unconverged points of
-    an otherwise-adaptive grid downgrade the same way, point by point;
-    timing-sensitive recordings, active fault plans, and
-    corner-validation failures fall all the way back to full
-    simulation.  The four grid-corner points of a replayed grid are
-    always the *simulated* ground truth (they were computed for
-    validation anyway), so spot-checking a replayed grid against a full
+``backend="predict"`` / ``backend="replay"``
+    Fill the grid analytically from one recorded run instead of
+    simulating every point: ``"predict"`` re-prices the recorded
+    communication DAG with the interpreted evaluator
+    (:mod:`repro.whatif`), ``"replay"`` first tries the compiled
+    vectorized programs (:mod:`repro.replay`; needs numpy).  The name is
+    where the sweep *enters* the fallback ladder; which rung actually
+    prices an application — or whether it is simulated after all — is
+    decided by :mod:`repro.replay.ladder` (table in ``docs/replay.md``)
+    and reported as :attr:`SpeedupGrid.backend` and
+    :meth:`Sweeper.decision`.  The four grid-corner points of an
+    analytic grid are always the *simulated* ground truth (they were
+    computed for validation anyway), so spot-checking it against a full
     sweep at the corners compares identical floats.
 
 ``workers=N``
@@ -51,10 +37,10 @@ Three orthogonal accelerators (all off by default):
     Inject the plan's WAN faults into every *multi-cluster* run (the
     all-Myrinet baseline stays clean — relative speedups then read as
     "degraded WAN vs. ideal LAN", mirroring the paper's T_L / T_M).  A
-    fault-bearing sweep disables all three accelerators for the faulty
-    runs: the what-if predictor falls back (recorded DAGs do not model
-    loss or retransmission), the on-disk cache is bypassed (its key does
-    not include the plan), and grid points run serially.
+    fault-bearing sweep disables the other accelerators for the faulty
+    runs: the ladder refuses (recorded DAGs do not model loss or
+    retransmission), the on-disk cache is bypassed (its key does not
+    include the plan), and grid points run serially.
 """
 
 from __future__ import annotations
@@ -86,9 +72,6 @@ class SpeedupGrid:
     variant: str
     baseline_runtime: float
     points: Dict[Tuple[float, float], GridPoint] = field(default_factory=dict)
-    #: True when the points were produced by the what-if evaluator
-    #: rather than full simulation.
-    predicted: bool = False
     #: the :class:`repro.whatif.validate.ValidationReport` backing a
     #: predicted grid (or explaining why prediction fell back), if any.
     validation: Optional[object] = None
@@ -104,6 +87,12 @@ class SpeedupGrid:
     #: (bw, lat) points of a "vectorized-adaptive" grid that did not
     #: converge and were re-priced by the interpreted evaluator.
     downgraded_points: List[Tuple[float, float]] = field(default_factory=list)
+
+    @property
+    def predicted(self) -> bool:
+        """True when an analytic rung, not full simulation, produced
+        the points."""
+        return self.backend != "simulate"
 
     def series(self, latency_ms: float) -> List[GridPoint]:
         """One Figure-3 curve: points of a latency series, by bandwidth."""
@@ -121,31 +110,6 @@ class SpeedupGrid:
                 f"latency={latency_ms:g} ms series; available latencies: "
                 f"{available} ms")
         return [self.points[(bw, latency_ms)] for bw in bws]
-
-
-@dataclass
-class _ReplayDecision:
-    """Memoized outcome of the replay fallback ladder for one app.
-
-    ``mode`` is the rung that will produce the grid ("replay",
-    "vectorized-adaptive", "predict", or "simulate"); ``backend`` the
-    :class:`~repro.replay.backend.ReplayBackend` (None when faults
-    short-circuited before recording); ``predict_fn`` the per-point
-    evaluator closure — the grid producer on the "predict" rung, the
-    per-point downgrade target for unconverged points on the
-    "vectorized-adaptive" rung; ``report`` the ground-truth
-    :class:`~repro.whatif.validate.ValidationReport`; ``probe`` the
-    frozen-order :class:`~repro.replay.backend.ProbeReport` when one
-    was measured; ``convergence`` the adaptive-rung
-    :class:`~repro.replay.backend.ConvergenceReport` when one was run.
-    """
-
-    mode: str
-    backend: Optional[object]
-    predict_fn: Optional[object]
-    report: Optional[object]
-    probe: Optional[object]
-    convergence: Optional[object] = None
 
 
 def point_key(app: str, variant: str, scale: str, seed: int,
@@ -199,14 +163,11 @@ class Sweeper:
 
     def __init__(self, scale: str = "bench", seed: int = 0,
                  reporter: Optional[RunReporter] = None,
-                 predict: bool = False,
                  workers: Optional[int] = None,
                  cache: Optional[SimCache] = None,
                  tolerance_pp: float = 5.0,
                  faults=None,
-                 backend: Optional[str] = None) -> None:
-        if backend is None:
-            backend = "predict" if predict else "simulate"
+                 backend: str = "simulate") -> None:
         if backend not in ("simulate", "predict", "replay"):
             raise ValueError(
                 f"unknown sweep backend {backend!r}: expected 'simulate', "
@@ -215,17 +176,14 @@ class Sweeper:
         self.seed = seed
         self.reporter = reporter
         self.backend = backend
-        self.predict = backend == "predict"
         self.workers = workers
         self.cache = cache
         self.tolerance_pp = tolerance_pp
         self.faults = faults
         self._baseline_cache: Dict[Tuple[str, str, int], float] = {}
-        #: (app, variant, clusters, cluster_size, wan_shape) ->
-        #: (predictor-or-None, ValidationReport-or-None)
-        self._predictors: Dict[tuple, tuple] = {}
-        #: same key -> memoized :class:`_ReplayDecision`
-        self._replays: Dict[tuple, _ReplayDecision] = {}
+        #: (app, variant, clusters, cluster_size, wan_shape) -> memoized
+        #: :class:`repro.replay.ladder.Decision`
+        self._decisions: Dict[tuple, object] = {}
 
     @property
     def _active_faults(self):
@@ -274,209 +232,42 @@ class Sweeper:
         return self._baseline_cache[key]
 
     # ------------------------------------------------------------------
-    # What-if prediction machinery
-    # ------------------------------------------------------------------
-    def _predictor(self, app: str, variant: str,
-                   clusters: int = grids.NUM_CLUSTERS,
-                   cluster_size: int = grids.CLUSTER_SIZE,
-                   wan_shape: str = "full"):
-        """Record-once predictor for (app, variant), or None on fallback.
+    def decision(self, app: str, variant: str,
+                 clusters: int = grids.NUM_CLUSTERS,
+                 cluster_size: int = grids.CLUSTER_SIZE,
+                 wan_shape: str = "full"):
+        """The fallback ladder's verdict for (app, variant, shape).
 
-        Returns ``(predict_fn, report)``: ``predict_fn(bw, lat) ->
-        runtime`` backed by a validated :class:`~repro.whatif.evaluate.
-        Evaluator`, or ``None`` when the app must be fully simulated
-        (timing-sensitive recording or validation error above
-        ``tolerance_pp``).  The decision is memoized per shape.
+        A :class:`repro.replay.ladder.Decision` — rung, evidence
+        reports, ground-truth validation report, backend, pricer —
+        walked once and memoized; ``None`` for ``backend="simulate"``,
+        which never consults the ladder.
         """
-        from ..whatif.evaluate import Evaluator
-        from ..whatif.record import record_app
-        from ..whatif.validate import ValidationReport, corner_points, validate
-
+        if self.backend == "simulate":
+            return None
         memo_key = (app, variant, clusters, cluster_size, wan_shape)
-        if memo_key in self._predictors:
-            return self._predictors[memo_key]
+        if memo_key not in self._decisions:
+            from ..replay import ladder
 
-        if self._active_faults is not None:
-            report = ValidationReport(
-                app=app, variant=variant, tolerance_pp=self.tolerance_pp,
-                fallback=True,
-                reason="fault injection active: recorded DAGs do not model "
-                       "loss, outages, or retransmission; simulating every "
-                       "grid point")
-            self._predictors[memo_key] = (None, report)
-            return self._predictors[memo_key]
+            def topology_for(bw: float, lat: float) -> Topology:
+                return grids.multi_cluster(bw, lat, clusters, cluster_size,
+                                           wan_shape)
 
-        def topology_for(bw: float, lat: float) -> Topology:
-            return grids.multi_cluster(bw, lat, clusters, cluster_size,
-                                       wan_shape)
-
-        recording = record_app(app, variant, scale=self.scale, seed=self.seed)
-        if recording.timing_sensitive:
-            report = validate(recording, 1.0, lambda bw, lat: 1.0, [],
-                              tolerance_pp=self.tolerance_pp)
-            self._predictors[memo_key] = (None, report)
-            return self._predictors[memo_key]
-
-        evaluator = Evaluator(recording.dag)
-        baseline = self.baseline_runtime(app, variant,
-                                         clusters * cluster_size)
-        report = validate(
-            recording,
-            baseline_runtime=baseline,
-            simulate=lambda bw, lat: self._sim_runtime(
-                app, variant, topology_for(bw, lat)),
-            points=corner_points(grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS),
-            tolerance_pp=self.tolerance_pp,
-            evaluator=evaluator,
-            topology_for=topology_for,
-        )
-        if report.fallback:
-            self._predictors[memo_key] = (None, report)
-        else:
-            self._predictors[memo_key] = (
-                lambda bw, lat: evaluator.evaluate(topology_for(bw, lat)),
-                report)
-        return self._predictors[memo_key]
-
-    # ------------------------------------------------------------------
-    # Replay machinery (vectorized compiled-DAG pricing)
-    # ------------------------------------------------------------------
-    def _replay(self, app: str, variant: str,
-                clusters: int = grids.NUM_CLUSTERS,
-                cluster_size: int = grids.CLUSTER_SIZE,
-                wan_shape: str = "full") -> _ReplayDecision:
-        """Walk the replay fallback ladder once per (app, variant, shape).
-
-        Raises :class:`~repro.replay.ReplayUnavailable` when numpy is
-        missing — asking for the vectorized backend without its one
-        dependency is a setup error, not a fallback condition.
-        """
-        from ..replay.backend import (ReplayBackend, _AdaptiveEvaluator,
-                                      _ProgramEvaluator)
-        from ..replay.compile import CompileError
-        from ..whatif.validate import ValidationReport, corner_points, validate
-
-        memo_key = (app, variant, clusters, cluster_size, wan_shape)
-        if memo_key in self._replays:
-            return self._replays[memo_key]
-
-        def decide(decision: _ReplayDecision) -> _ReplayDecision:
-            self._replays[memo_key] = decision
-            self._emit_replay_record(app, variant, decision)
-            return decision
-
-        if self._active_faults is not None:
-            report = ValidationReport(
-                app=app, variant=variant, tolerance_pp=self.tolerance_pp,
-                fallback=True,
-                reason="fault injection active: compiled replay programs "
-                       "model loss only as an expected-value delay, not the "
-                       "plan's seeded faults; simulating every grid point")
-            return decide(_ReplayDecision("simulate", None, None, report, None))
-
-        def topology_for(bw: float, lat: float) -> Topology:
-            return grids.multi_cluster(bw, lat, clusters, cluster_size,
-                                       wan_shape)
-
-        backend = ReplayBackend.for_app(app, variant, scale=self.scale,
-                                        seed=self.seed, cache=self.cache)
-        recording = backend.recording
-        if recording.timing_sensitive:
-            report = validate(recording, 1.0, lambda bw, lat: 1.0, [],
-                              tolerance_pp=self.tolerance_pp)
-            return decide(
-                _ReplayDecision("simulate", backend, None, report, None))
-
-        try:
-            backend.prepare()
-        except CompileError as err:
-            report = ValidationReport(
-                app=app, variant=variant, tolerance_pp=self.tolerance_pp,
-                fallback=True,
-                reason=f"replay compilation failed: {err}")
-            return decide(
-                _ReplayDecision("simulate", backend, None, report, None))
-
-        probe = backend.probe()
-        baseline = self.baseline_runtime(app, variant,
-                                         clusters * cluster_size)
-        corners = corner_points(grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS)
-
-        def sim(bw: float, lat: float) -> float:
-            return self._sim_runtime(app, variant, topology_for(bw, lat))
-
-        if probe.stable:
-            # Ground-truth corner validation of the *program* itself,
-            # sharing validate() verbatim with the predict path.
-            report = validate(
-                recording, baseline_runtime=baseline, simulate=sim,
-                points=corners, tolerance_pp=self.tolerance_pp,
-                evaluator=_ProgramEvaluator(backend.program),
+            decision = ladder.walk(
+                self.backend, app, variant, scale=self.scale, seed=self.seed,
+                cache=self.cache, faulty=self._active_faults is not None,
+                tolerance_pp=self.tolerance_pp,
+                baseline=lambda: self.baseline_runtime(
+                    app, variant, clusters * cluster_size),
+                simulate=lambda bw, lat: self._sim_runtime(
+                    app, variant, topology_for(bw, lat)),
                 topology_for=topology_for)
-            mode = "simulate" if report.fallback else "replay"
-            return decide(_ReplayDecision(mode, backend, None, report, probe))
-
-        # Order-unstable program: try the vectorized-adaptive rung
-        # before giving up the batched grid — the fixed-point engine
-        # re-sorts every contended queue per grid point and proves
-        # itself at the corners first.
-        evaluator = backend.evaluator
-        predict_fn = lambda bw, lat: evaluator.evaluate(topology_for(bw, lat))
-        convergence = backend.convergence_check()
-        if convergence.converged:
-            # Ground-truth corner validation of the *adaptive engine*
-            # itself, sharing validate() verbatim with the other rungs.
-            report = validate(
-                recording, baseline_runtime=baseline, simulate=sim,
-                points=corners, tolerance_pp=self.tolerance_pp,
-                evaluator=_AdaptiveEvaluator(backend.prepare_adaptive()),
-                topology_for=topology_for)
-            # A converged engine that fails ground truth means the
-            # recording itself is wrong at the corners — the evaluator
-            # prices the same schedule, so the predict rung would fail
-            # identically; go straight to simulation.
-            mode = "simulate" if report.fallback else "vectorized-adaptive"
-            return decide(_ReplayDecision(
-                mode, backend, None if report.fallback else predict_fn,
-                report, probe, convergence))
-
-        # Unconverged at the corners (deep value feedback like water's
-        # daemon scheduling): downgrade to the interpreted per-point
-        # evaluator, which re-resolves contention at every grid point.
-        report = validate(
-            recording, baseline_runtime=baseline, simulate=sim,
-            points=corners, tolerance_pp=self.tolerance_pp,
-            evaluator=evaluator, topology_for=topology_for)
-        if report.fallback:
-            return decide(_ReplayDecision("simulate", backend, None, report,
-                                          probe, convergence))
-        return decide(_ReplayDecision("predict", backend, predict_fn,
-                                      report, probe, convergence))
-
-    def _emit_replay_record(self, app: str, variant: str,
-                            decision: _ReplayDecision) -> None:
-        if self.reporter is None:
-            return
-        from ..replay.backend import replay_record
-
-        backend = decision.backend
-        program = getattr(backend, "program", None)
-        self.reporter.emit(replay_record(
-            app=app, variant=variant, scale=self.scale, seed=self.seed,
-            mode=decision.mode,
-            program_stats=program.stats() if program is not None else None,
-            timings=backend.timings if backend is not None else None,
-            from_cache=backend.from_cache if backend is not None else False,
-            probe_summary=(decision.probe.summary()
-                           if decision.probe is not None else None),
-            validation_summary=(decision.report.summary()
-                                if decision.report is not None else None),
-            static_hint=(backend.static_hint
-                         if backend is not None else None),
-            convergence_summary=(decision.convergence.summary()
-                                 if decision.convergence is not None
-                                 else None),
-            meta={"harness": "sweeper"}))
+            self._decisions[memo_key] = decision
+            if self.reporter is not None:
+                self.reporter.emit(ladder.replay_record(
+                    decision, app, variant, self.scale, self.seed,
+                    meta={"harness": "sweeper"}))
+        return self._decisions[memo_key]
 
     # ------------------------------------------------------------------
     def speedup_at(self, app: str, variant: str, bandwidth: float,
@@ -484,33 +275,22 @@ class Sweeper:
                    cluster_size: int = grids.CLUSTER_SIZE,
                    wan_shape: str = "full") -> GridPoint:
         base = self.baseline_runtime(app, variant, clusters * cluster_size)
-        runtime = None
-        if self.backend == "replay":
-            decision = self._replay(app, variant, clusters, cluster_size,
-                                    wan_shape)
-            if decision.mode == "replay":
-                runtime = decision.backend.price(bandwidth, latency_ms)
-            elif decision.mode == "vectorized-adaptive":
-                topo = grids.multi_cluster(bandwidth, latency_ms, clusters,
-                                           cluster_size, wan_shape)
-                rt, converged, _iters = \
-                    decision.backend.prepare_adaptive().price_adaptive(topo)
-                # An unconverged point downgrades to the interpreted
-                # evaluator — never a silently-wrong adaptive price.
-                runtime = rt if converged else \
-                    decision.predict_fn(bandwidth, latency_ms)
-            elif decision.mode == "predict":
-                runtime = decision.predict_fn(bandwidth, latency_ms)
-        elif self.predict:
-            predict_fn, _report = self._predictor(app, variant, clusters,
-                                                  cluster_size, wan_shape)
-            if predict_fn is not None:
-                runtime = predict_fn(bandwidth, latency_ms)
-        if runtime is None:
-            topo = grids.multi_cluster(bandwidth, latency_ms, clusters,
-                                       cluster_size, wan_shape)
+        topo = grids.multi_cluster(bandwidth, latency_ms, clusters,
+                                   cluster_size, wan_shape)
+        decision = self.decision(app, variant, clusters, cluster_size,
+                                 wan_shape)
+        if decision is None or decision.pricer is None:
             runtime = self._sim_runtime(app, variant, topo,
                                         faults=self._active_faults)
+        else:
+            from ..whatif.evaluate import EvaluationError
+
+            try:
+                runtime = decision.pricer.point(topo)
+            except EvaluationError:
+                # No trustworthy price on this rung here (an unconverged
+                # adaptive point): the interpreted evaluator prices it.
+                runtime = decision.backend.evaluator.evaluate(topo)
         return GridPoint(
             bandwidth_mbyte_s=bandwidth,
             latency_ms=latency_ms,
@@ -569,79 +349,43 @@ class Sweeper:
         base = self.baseline_runtime(app, variant)
         grid = SpeedupGrid(app=app, variant=variant, baseline_runtime=base)
 
-        if self.backend == "replay":
-            decision = self._replay(app, variant)
-            grid.validation = decision.report
-            grid.backend = decision.mode
-            grid.replay = decision.probe
-            grid.convergence = decision.convergence
-            if decision.mode in ("replay", "vectorized-adaptive", "predict"):
-                grid.predicted = True
-                if decision.mode == "replay":
-                    priced = decision.backend.price_grid(bandwidths, latencies)
-                    runtime_at = lambda i, j: float(priced[i][j])
-                elif decision.mode == "vectorized-adaptive":
-                    result = decision.backend.price_grid_adaptive(
-                        bandwidths, latencies)
+        def put(bw: float, lat: float, runtime: float) -> None:
+            grid.points[(bw, lat)] = GridPoint(
+                bandwidth_mbyte_s=bw, latency_ms=lat, runtime=runtime,
+                relative_speedup_pct=100.0 * base / runtime)
 
-                    def runtime_at(i, j, _r=result):
-                        # Per-point downgrade: a point the iteration
-                        # could not fix is re-priced by the interpreted
-                        # evaluator instead of trusting a capped value.
-                        if bool(_r.converged[i][j]):
-                            return float(_r.runtimes[i][j])
-                        grid.downgraded_points.append(
-                            (bandwidths[j], latencies[i]))
-                        return decision.predict_fn(bandwidths[j],
-                                                   latencies[i])
-                else:
-                    runtime_at = lambda i, j: decision.predict_fn(
-                        bandwidths[j], latencies[i])
-                for i, lat in enumerate(latencies):
-                    for j, bw in enumerate(bandwidths):
-                        runtime = runtime_at(i, j)
-                        grid.points[(bw, lat)] = GridPoint(
-                            bandwidth_mbyte_s=bw, latency_ms=lat,
-                            runtime=runtime,
-                            relative_speedup_pct=100.0 * base / runtime)
-                # The validation corners were simulated anyway — splice
-                # the ground truth in so analytic grids agree with full
-                # sweeps bit-for-bit at the spot-check points.
-                for vp in decision.report.points:
-                    key = (vp.bandwidth_mbyte_s, vp.latency_ms)
-                    if key in grid.points:
-                        grid.points[key] = GridPoint(
-                            bandwidth_mbyte_s=vp.bandwidth_mbyte_s,
-                            latency_ms=vp.latency_ms,
-                            runtime=vp.simulated_runtime,
-                            relative_speedup_pct=(
-                                100.0 * base / vp.simulated_runtime))
-                return grid
-            # fall through: full simulation for timing-dependent apps
-
-        elif self.predict:
-            predict_fn, report = self._predictor(app, variant)
-            grid.validation = report
-            if predict_fn is not None:
-                grid.predicted = True
-                grid.backend = "predict"
-                for lat in latencies:
-                    for bw in bandwidths:
-                        runtime = predict_fn(bw, lat)
-                        grid.points[(bw, lat)] = GridPoint(
-                            bandwidth_mbyte_s=bw, latency_ms=lat,
-                            runtime=runtime,
-                            relative_speedup_pct=100.0 * base / runtime)
-                return grid
-            # fall through: ground truth for timing-dependent apps
+        decision = self.decision(app, variant)
+        if decision is not None:
+            grid.validation = decision.validation
+            grid.backend = decision.rung
+            grid.replay = decision.evidence.get("probe")
+            grid.convergence = decision.evidence.get("convergence")
+        if decision is not None and decision.pricer is not None:
+            rows = decision.pricer.grid(bandwidths, latencies)
+            for i, lat in enumerate(latencies):
+                for j, bw in enumerate(bandwidths):
+                    runtime = rows[i][j]
+                    if runtime is None:
+                        # Per-point downgrade: a point the rung could not
+                        # price is re-priced by the interpreted evaluator
+                        # instead of trusting a capped value.
+                        grid.downgraded_points.append((bw, lat))
+                        runtime = decision.backend.evaluator.evaluate(
+                            grids.multi_cluster(bw, lat))
+                    put(bw, lat, float(runtime))
+            # The validation corners were simulated anyway — splice the
+            # ground truth in so analytic grids agree with full sweeps
+            # bit-for-bit at the spot-check points.
+            for vp in decision.validation.points:
+                if (vp.bandwidth_mbyte_s, vp.latency_ms) in grid.points:
+                    put(vp.bandwidth_mbyte_s, vp.latency_ms,
+                        vp.simulated_runtime)
+            return grid
 
         ordered = [(bw, lat) for lat in latencies for bw in bandwidths]
         runtimes = self._simulate_grid(app, variant, ordered)
         for bw, lat in ordered:
-            runtime = runtimes[(bw, lat)]
-            grid.points[(bw, lat)] = GridPoint(
-                bandwidth_mbyte_s=bw, latency_ms=lat, runtime=runtime,
-                relative_speedup_pct=100.0 * base / runtime)
+            put(bw, lat, runtimes[(bw, lat)])
         return grid
 
     # ------------------------------------------------------------------

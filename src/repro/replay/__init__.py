@@ -17,12 +17,10 @@ The pipeline::
       -> compile_dag(dag)      # repro.replay.compile: max-plus program
       -> ReplayProgram.price_grid(bandwidths, latencies[, loss_rates])
 
-Fallback policy is the whatif policy, verbatim: a timing-sensitive
-recording (tsp's work stealing, awari's MARK protocol), a fault-bearing
-sweep (the :class:`~repro.whatif.validate.ValidationReport` a lossy plan
-produces), or a corner-validation error above tolerance each send the
-caller back to full simulation.  :class:`~repro.experiments.runner.
-Sweeper` wires this in as ``backend="replay"``.
+Which applications may be priced this way, and where the rest land, is
+the fallback ladder's decision (:mod:`repro.replay.ladder`; table in
+``docs/replay.md``).  :class:`~repro.experiments.runner.Sweeper` enters
+it at the top as ``backend="replay"``.
 
 numpy is required only here: every pure-simulation path in the package
 stays stdlib-only, and requesting the replay backend without numpy
@@ -48,8 +46,8 @@ def require_numpy():
         raise ReplayUnavailable(
             "the replay backend needs numpy (the vectorized grid sweep is "
             "built on it); install it with `pip install numpy` or use the "
-            "stdlib-only paths: Sweeper(predict=True) / --predict, or full "
-            "simulation") from exc
+            "stdlib-only paths: Sweeper(backend=\"predict\") / --predict, or "
+            "full simulation") from exc
     return numpy
 
 
@@ -63,7 +61,7 @@ _LAZY = {
     "compile_recording": "compile",
     "ReplayProgram": "program",
     "ReplayBackend": "backend",
-    "replay_record": "backend",
+    "replay_record": "ladder",
     "ADAPTIVE_FORMAT": "adaptive",
     "AdaptiveProgram": "adaptive",
     "AdaptiveResult": "adaptive",

@@ -18,38 +18,33 @@
    that frozen order matters at the grid extremes.  DAGs whose orders are
    stable (asp, barnes: sub-0.3%% everywhere) price vectorized; DAGs
    whose orders flip (fft's pipelined transpose rounds, water's daemon
-   scheduling) are flagged *order-unstable* and the caller downgrades to
-   the per-point predict path — still analytic, just interpreted.
+   scheduling) are flagged *order-unstable*.
 4. **Converge** (order-unstable programs only): compile the adaptive
    variant (:func:`compile_dag` with ``adaptive=True``) and run the
    :class:`~repro.replay.adaptive.AdaptiveProgram` fixed-point engine at
-   the same corners.  Programs whose re-sorted orders converge (fft)
-   price vectorized-adaptively; programs whose value feedback is too
-   deep to fix within the iteration cap (water) downgrade per the old
-   ladder.
+   the same corners.
 5. **Price** whole grids in one vectorized pass, including the
    loss-rate axis the interpreted paths do not offer.
 
-The fallback ladder, each rung guarded by the next: vectorized replay →
-(order-unstable) → vectorized-adaptive → (unconverged at the corners) →
-predict path → (timing-sensitive, faults, corner validation failure) →
-full simulation.  :class:`~repro.experiments.runner.Sweeper` walks the
-ladder automatically for ``backend="replay"``.
+This class only measures; which rung a verdict admits, and where a
+refusal lands, is :mod:`repro.replay.ladder`'s decision (the table is in
+``docs/replay.md``).
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..experiments import grids
 from ..experiments.cache import SimCache
-from ..network.topology import Topology
 from ..whatif.evaluate import Evaluator
 from ..whatif.record import Recording, record_app
-from .adaptive import ADAPTIVE_FORMAT, DEFAULT_MAX_ITERS, AdaptiveProgram
-from .compile import CompileError, compile_dag
+from ..whatif.validate import corner_points
+from .adaptive import ADAPTIVE_FORMAT, AdaptiveProgram
+from .compile import compile_dag
 from .program import PROGRAM_FORMAT, ReplayProgram
 
 #: Default maximum |program - evaluator| / evaluator runtime disagreement
@@ -268,14 +263,6 @@ class ReplayBackend:
             return None
         return self._probe.stable == (hint == "stable")
 
-    def topology_for(self, bandwidth_mbyte_s: float,
-                     latency_ms: float) -> Topology:
-        """A grid-point topology on the recorded cluster shape."""
-        sizes = self.recording.dag.cluster_sizes
-        return grids.multi_cluster(bandwidth_mbyte_s, latency_ms,
-                                   clusters=len(sizes),
-                                   cluster_size=sizes[0])
-
     def cache_key(self) -> str:
         """Content-addressed :class:`SimCache` key of the compiled program.
 
@@ -296,45 +283,57 @@ class ReplayBackend:
         return f"{self.cache_key()}-a{ADAPTIVE_FORMAT}"
 
     # ------------------------------------------------------------------
-    def prepare(self) -> ReplayProgram:
-        """Load the compiled program from cache, or compile and store it.
-
-        Raises :class:`~repro.replay.compile.CompileError` for
-        timing-sensitive recordings — callers decide the fallback.
-        """
-        if self.program is not None:
-            return self.program
-        key = self.cache_key()
-        if self.cache is not None:
-            t0 = time.perf_counter()  # lint: ignore[wall-clock]
-            entry = self.cache.lookup(key)
-            if entry is not None and "program" in entry:
-                try:
-                    self.program = ReplayProgram.from_record(entry["program"])
-                except ValueError:
-                    self.program = None   # stale format: recompile below
-                if self.program is not None:
-                    self.from_cache = True
-                    self.timings["load_s"] = \
-                        time.perf_counter() - t0  # lint: ignore[wall-clock]
-                    return self.program
+    @contextmanager
+    def _stage(self, name: str) -> Iterator[None]:
+        """Time one pipeline stage into ``timings[name]`` (host seconds;
+        left unset when the stage raises)."""
         t0 = time.perf_counter()  # lint: ignore[wall-clock]
-        self.program = compile_dag(self.recording.dag, self.recording.topology)
-        self.timings["compile_s"] = \
+        yield
+        self.timings[name] = \
             time.perf_counter() - t0  # lint: ignore[wall-clock]
+
+    def _load_or_compile(self, key: str, cls, adaptive: bool):
+        """``(program, from_cache)``: the ``cls`` program cached under
+        ``key``, or a fresh compilation stored there."""
+        rec = self.recording
+        prefix = "adaptive_" if adaptive else ""
         if self.cache is not None:
-            rec = self.recording
+            program = None
+            with self._stage(prefix + "load_s"):
+                entry = self.cache.lookup(key)
+                if entry is not None and "program" in entry:
+                    try:
+                        program = cls.from_record(entry["program"])
+                    except ValueError:
+                        pass              # stale format: recompile below
+            if program is not None:
+                return program, True
+            del self.timings[prefix + "load_s"]   # a miss is not a load
+        with self._stage(prefix + "compile_s"):
+            program = compile_dag(rec.dag, rec.topology, adaptive=adaptive)
+        if self.cache is not None:
             self.cache.store(key, {
-                "kind": "replay",
+                "kind": "replay-adaptive" if adaptive else "replay",
                 "app": rec.app,
                 "variant": rec.variant,
                 "scale": rec.scale,
                 "seed": rec.seed,
                 "ranks": rec.topology.num_ranks,
                 "fingerprint": rec.topology.fingerprint(),
-                "stats": self.program.stats(),
-                "program": self.program.to_record(),
+                "stats": program.stats(),
+                "program": program.to_record(),
             })
+        return program, False
+
+    def prepare(self) -> ReplayProgram:
+        """Load the compiled program from cache, or compile and store it.
+
+        Raises :class:`~repro.replay.compile.CompileError` for
+        timing-sensitive recordings — callers decide the fallback.
+        """
+        if self.program is None:
+            self.program, self.from_cache = self._load_or_compile(
+                self.cache_key(), ReplayProgram, adaptive=False)
         return self.program
 
     def prepare_adaptive(self) -> AdaptiveProgram:
@@ -345,71 +344,39 @@ class ReplayBackend:
         the frozen orders unstable, and its chainless base arrays make
         it unusable for frozen pricing.
         """
-        if self.adaptive_program is not None:
-            return self.adaptive_program
-        key = self.adaptive_cache_key()
-        if self.cache is not None:
-            t0 = time.perf_counter()  # lint: ignore[wall-clock]
-            entry = self.cache.lookup(key)
-            if entry is not None and "program" in entry:
-                try:
-                    self.adaptive_program = \
-                        AdaptiveProgram.from_record(entry["program"])
-                except ValueError:
-                    self.adaptive_program = None  # stale format: recompile
-                if self.adaptive_program is not None:
-                    self.adaptive_from_cache = True
-                    self.timings["adaptive_load_s"] = \
-                        time.perf_counter() - t0  # lint: ignore[wall-clock]
-                    return self.adaptive_program
-        t0 = time.perf_counter()  # lint: ignore[wall-clock]
-        self.adaptive_program = compile_dag(
-            self.recording.dag, self.recording.topology, adaptive=True)
-        self.timings["adaptive_compile_s"] = \
-            time.perf_counter() - t0  # lint: ignore[wall-clock]
-        if self.cache is not None:
-            rec = self.recording
-            self.cache.store(key, {
-                "kind": "replay-adaptive",
-                "app": rec.app,
-                "variant": rec.variant,
-                "scale": rec.scale,
-                "seed": rec.seed,
-                "ranks": rec.topology.num_ranks,
-                "fingerprint": rec.topology.fingerprint(),
-                "stats": self.adaptive_program.stats(),
-                "program": self.adaptive_program.to_record(),
-            })
+        if self.adaptive_program is None:
+            self.adaptive_program, self.adaptive_from_cache = \
+                self._load_or_compile(self.adaptive_cache_key(),
+                                      AdaptiveProgram, adaptive=True)
         return self.adaptive_program
 
     # ------------------------------------------------------------------
-    def probe(self, bandwidths: Sequence[float] = grids.BANDWIDTHS_MBYTE_S,
-              latencies: Sequence[float] = grids.LATENCIES_MS) -> ProbeReport:
+    def _corners(self):
+        """The paper grid's corners — where the ladder checks a program —
+        each with the interpreted evaluator's price there (on the
+        recorded cluster shape)."""
+        points = corner_points(grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS)
+        sizes = self.recording.dag.cluster_sizes
+        return points, [self.evaluator.evaluate(grids.multi_cluster(
+            bw, lat, clusters=len(sizes), cluster_size=sizes[0]))
+            for bw, lat in points]
+
+    def probe(self) -> ProbeReport:
         """Frozen-order stability check at the grid corners (memoized)."""
-        if self._probe is not None:
-            return self._probe
-        from ..whatif.validate import corner_points
+        if self._probe is None:
+            program = self.prepare()
+            with self._stage("probe_s"):
+                points, evaluated = self._corners()
+                priced = program.price_points(points)
+                self._probe = ProbeReport(rel_tol=self.rel_tol, points=[
+                    ProbePoint(bandwidth_mbyte_s=bw, latency_ms=lat,
+                               replay_runtime=float(replayed),
+                               evaluator_runtime=expected)
+                    for (bw, lat), replayed, expected
+                    in zip(points, priced, evaluated)])
+        return self._probe
 
-        program = self.prepare()
-        t0 = time.perf_counter()  # lint: ignore[wall-clock]
-        points = corner_points(bandwidths, latencies)
-        priced = program.price_points(points)
-        report = ProbeReport(rel_tol=self.rel_tol)
-        for (bw, lat), replayed in zip(points, priced):
-            evaluated = self.evaluator.evaluate(self.topology_for(bw, lat))
-            report.points.append(ProbePoint(
-                bandwidth_mbyte_s=bw, latency_ms=lat,
-                replay_runtime=float(replayed),
-                evaluator_runtime=evaluated))
-        self.timings["probe_s"] = \
-            time.perf_counter() - t0  # lint: ignore[wall-clock]
-        self._probe = report
-        return report
-
-    def convergence_check(
-            self, bandwidths: Sequence[float] = grids.BANDWIDTHS_MBYTE_S,
-            latencies: Sequence[float] = grids.LATENCIES_MS,
-            max_iters: int = DEFAULT_MAX_ITERS) -> ConvergenceReport:
+    def convergence_check(self) -> ConvergenceReport:
         """Adaptive fixed-point check at the grid corners (memoized).
 
         This is the probe's analogue one rung down the ladder: run the
@@ -419,28 +386,22 @@ class ReplayBackend:
         a corner that converges bounds the iteration budget the full
         grid will need.
         """
-        if self._convergence is not None:
-            return self._convergence
-        from ..whatif.validate import corner_points
-
-        program = self.prepare_adaptive()
-        t0 = time.perf_counter()  # lint: ignore[wall-clock]
-        points = corner_points(bandwidths, latencies)
-        result = program.price_points_adaptive(points, max_iters=max_iters)
-        report = ConvergenceReport(rel_tol=self.rel_tol,
-                                   max_iters=max_iters)
-        for i, (bw, lat) in enumerate(points):
-            evaluated = self.evaluator.evaluate(self.topology_for(bw, lat))
-            report.points.append(ConvergencePoint(
-                bandwidth_mbyte_s=bw, latency_ms=lat,
-                adaptive_runtime=float(result.runtimes[i]),
-                evaluator_runtime=evaluated,
-                converged=bool(result.converged[i]),
-                iterations=int(result.iterations[i])))
-        self.timings["convergence_s"] = \
-            time.perf_counter() - t0  # lint: ignore[wall-clock]
-        self._convergence = report
-        return report
+        if self._convergence is None:
+            program = self.prepare_adaptive()
+            with self._stage("convergence_s"):
+                points, evaluated = self._corners()
+                result = program.price_points_adaptive(points)
+                self._convergence = ConvergenceReport(
+                    rel_tol=self.rel_tol, max_iters=result.max_iters,
+                    points=[
+                        ConvergencePoint(
+                            bandwidth_mbyte_s=bw, latency_ms=lat,
+                            adaptive_runtime=float(result.runtimes[i]),
+                            evaluator_runtime=evaluated[i],
+                            converged=bool(result.converged[i]),
+                            iterations=int(result.iterations[i]))
+                        for i, (bw, lat) in enumerate(points)])
+        return self._convergence
 
     # ------------------------------------------------------------------
     def price_grid(self, bandwidths: Sequence[float] = grids.BANDWIDTHS_MBYTE_S,
@@ -449,116 +410,17 @@ class ReplayBackend:
         """Vectorized runtimes for a whole grid; see
         :meth:`~repro.replay.program.ReplayProgram.price_grid`."""
         program = self.prepare()
-        t0 = time.perf_counter()  # lint: ignore[wall-clock]
-        out = program.price_grid(bandwidths, latencies, loss_rates)
-        self.timings["price_s"] = \
-            time.perf_counter() - t0  # lint: ignore[wall-clock]
-        return out
+        with self._stage("price_s"):
+            return program.price_grid(bandwidths, latencies, loss_rates)
 
     def price_grid_adaptive(
             self, bandwidths: Sequence[float] = grids.BANDWIDTHS_MBYTE_S,
             latencies: Sequence[float] = grids.LATENCIES_MS,
-            loss_rates: Optional[Sequence[float]] = None,
-            max_iters: int = DEFAULT_MAX_ITERS):
+            loss_rates: Optional[Sequence[float]] = None):
         """Adaptive runtimes + convergence flags for a whole grid; see
         :meth:`~repro.replay.adaptive.AdaptiveProgram.
         price_grid_adaptive`."""
         program = self.prepare_adaptive()
-        t0 = time.perf_counter()  # lint: ignore[wall-clock]
-        out = program.price_grid_adaptive(bandwidths, latencies, loss_rates,
-                                          max_iters=max_iters)
-        self.timings["adaptive_price_s"] = \
-            time.perf_counter() - t0  # lint: ignore[wall-clock]
-        return out
-
-    def price(self, bandwidth_mbyte_s: float, latency_ms: float,
-              loss_rate: float = 0.0) -> float:
-        """Runtime at one grid point."""
-        return self.prepare().price(
-            self.topology_for(bandwidth_mbyte_s, latency_ms), loss_rate)
-
-
-class _ProgramEvaluator:
-    """Adapter presenting a :class:`ReplayProgram` through the
-    ``evaluate(topology)`` surface :func:`repro.whatif.validate.validate`
-    expects, so ground-truth corner validation is shared verbatim with
-    the predict path."""
-
-    def __init__(self, program: ReplayProgram) -> None:
-        self._program = program
-
-    def evaluate(self, topology: Topology) -> float:
-        from ..whatif.evaluate import EvaluationError
-
-        try:
-            return self._program.price(topology)
-        except ValueError as err:
-            raise EvaluationError(str(err)) from err
-
-
-class _AdaptiveEvaluator:
-    """The same adapter for the adaptive engine, so the
-    vectorized-adaptive rung shares ground-truth corner validation
-    verbatim too.  An unconverged point is an evaluation *failure*
-    (validate() then falls back), never a silently-wrong price."""
-
-    def __init__(self, program: AdaptiveProgram,
-                 max_iters: int = DEFAULT_MAX_ITERS) -> None:
-        self._program = program
-        self._max_iters = max_iters
-
-    def evaluate(self, topology: Topology) -> float:
-        from ..whatif.evaluate import EvaluationError
-
-        try:
-            runtime, converged, _iters = self._program.price_adaptive(
-                topology, max_iters=self._max_iters)
-        except ValueError as err:
-            raise EvaluationError(str(err)) from err
-        if not converged:
-            raise EvaluationError(
-                f"adaptive engine did not converge within "
-                f"{self._max_iters} iterations at this point")
-        return runtime
-
-
-def replay_record(app: str, variant: str, scale: str, seed: int, mode: str,
-                  program_stats: Optional[Dict[str, Any]] = None,
-                  timings: Optional[Dict[str, float]] = None,
-                  from_cache: bool = False,
-                  probe_summary: Optional[str] = None,
-                  validation_summary: Optional[str] = None,
-                  static_hint: Optional[str] = None,
-                  convergence_summary: Optional[str] = None,
-                  meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """Build one ``replay`` report record (JSON-lines, obs substrate).
-
-    ``mode`` is the rung of the fallback ladder that actually produced
-    the grid: ``"replay"`` (vectorized), ``"vectorized-adaptive"``
-    (order-unstable but the re-sorting engine converges), ``"predict"``
-    (order-unstable and unconverged), or ``"simulate"``
-    (timing-sensitive/faulty/invalid).
-    """
-    record: Dict[str, Any] = {
-        "kind": "replay",
-        "meta": dict(meta or {}),
-        "app": app,
-        "variant": variant,
-        "scale": scale,
-        "seed": seed,
-        "replay": {
-            "mode": mode,
-            "from_cache": from_cache,
-            "program": dict(program_stats or {}),
-            "timings": dict(timings or {}),
-        },
-    }
-    if probe_summary is not None:
-        record["replay"]["probe"] = probe_summary
-    if validation_summary is not None:
-        record["replay"]["validation"] = validation_summary
-    if static_hint is not None:
-        record["replay"]["static_hint"] = static_hint
-    if convergence_summary is not None:
-        record["replay"]["convergence"] = convergence_summary
-    return record
+        with self._stage("adaptive_price_s"):
+            return program.price_grid_adaptive(bandwidths, latencies,
+                                               loss_rates)

@@ -1,19 +1,14 @@
 """``python -m repro replay <app>`` — vectorized compiled-DAG pricing.
 
 Records one instrumented run of the app at the mid-grid reference
-point, compiles the communication DAG into a flat vectorized event
-program, probes its frozen contention orders against the interpreted
-evaluator at the grid corners, validates against full simulation there,
-and prints the complete Figure-3 panel priced in one numpy pass — plus
-the probe/validation verdicts and a stage-by-stage timing summary.
-Order-unstable DAGs try the vectorized-adaptive rung first: the
-fixed-point engine re-sorts every contended queue per grid point and
-keeps the grid batched when its corner convergence check passes (fft);
-programs whose iteration does not converge (water) downgrade to the
-per-point predict path, and timing-dependent apps (tsp, awari) report
-their fallback and run the full simulation.  With ``--loss``, reprices
-the panel under a uniform WAN packet-loss rate — an axis only the
-compiled programs offer analytically.
+point, walks the fallback ladder from its top rung (compile, probe,
+adaptive convergence check, ground-truth corner validation — see
+:mod:`repro.replay.ladder` and the table in ``docs/replay.md``), and
+prints the complete Figure-3 panel priced by whichever rung accepted —
+plus the evidence and validation verdicts and a stage-by-stage timing
+summary.  With ``--loss``, reprices the panel under a uniform WAN
+packet-loss rate — an axis only the compiled programs offer
+analytically.
 """
 
 from __future__ import annotations
@@ -25,38 +20,31 @@ from typing import Optional
 from ..experiments import grids
 from ..experiments.cache import SimCache
 from ..experiments.figure3 import render_panel
-from ..experiments.report import render_table
-from ..experiments.runner import GridPoint, Sweeper
+from ..experiments.runner import GridPoint, SpeedupGrid, Sweeper
 
 
 def _loss_panel(sweeper: Sweeper, app: str, variant: str,
                 loss_rate: float) -> Optional[str]:
     """The Figure-3 panel re-priced under a uniform WAN loss rate."""
-    decision = sweeper._replay(app, variant)
-    if decision.mode not in ("replay", "vectorized-adaptive"):
-        print(f"[replay] --loss needs a vectorized program; {app}/{variant} "
-              f"runs in {decision.mode!r} mode — skipping the loss panel")
+    decision = sweeper.decision(app, variant)
+    rows = None
+    if decision.pricer is not None:
+        rows = decision.pricer.grid(grids.BANDWIDTHS_MBYTE_S,
+                                    grids.LATENCIES_MS, [loss_rate])[0]
+    if rows is None or any(v is None for row in rows for v in row):
+        # The interpreted evaluator has no loss term, so under loss there
+        # is no per-point downgrade target — skip honestly.
+        print(f"[replay] --loss skipped: the grid was produced by "
+              f"{decision.rung!r}, which cannot price every point at "
+              f"p={loss_rate:g}, and no analytic downgrade exists on the "
+              f"loss axis")
         return None
     base = sweeper.baseline_runtime(app, variant)
-    if decision.mode == "replay":
-        runtimes = decision.backend.price_grid(loss_rates=[loss_rate])[0]
-    else:
-        result = decision.backend.price_grid_adaptive(loss_rates=[loss_rate])
-        if not result.all_converged:
-            # The interpreted evaluator has no loss axis, so there is no
-            # per-point downgrade target under loss — skip honestly.
-            print(f"[replay] --loss skipped: {result.num_unconverged} "
-                  f"points did not converge at p={loss_rate:g} and no "
-                  f"analytic downgrade exists on the loss axis")
-            return None
-        runtimes = result.runtimes[0]
-    from ..experiments.runner import SpeedupGrid
-
     grid = SpeedupGrid(app=app, variant=variant, baseline_runtime=base,
-                       predicted=True, backend=decision.mode)
+                       backend=decision.rung)
     for i, lat in enumerate(grids.LATENCIES_MS):
         for j, bw in enumerate(grids.BANDWIDTHS_MBYTE_S):
-            runtime = float(runtimes[i][j])
+            runtime = float(rows[i][j])
             grid.points[(bw, lat)] = GridPoint(
                 bandwidth_mbyte_s=bw, latency_ms=lat, runtime=runtime,
                 relative_speedup_pct=100.0 * base / runtime)
@@ -99,48 +87,40 @@ def main(argv: Optional[list] = None) -> int:
     print()
     print(f"[replay] backend={grid.backend} "
           f"({len(grid.points)}-point grid in {wall:.2f}s total)")
-    if grid.replay is not None:
-        print(f"[replay] probe: {grid.replay.summary()}")
-    if grid.convergence is not None:
-        print(f"[replay] convergence: {grid.convergence.summary()}")
+    decision = sweeper.decision(args.app, variant)
+    for name, report in decision.evidence.items():
+        print(f"[replay] {name}: {report.summary()}")
     if grid.downgraded_points:
         pts = ", ".join(f"({bw:g} MB/s, {lat:g} ms)"
                         for bw, lat in grid.downgraded_points)
         print(f"[replay] {len(grid.downgraded_points)} unconverged "
               f"points re-priced by the evaluator: {pts}")
-    if grid.validation is not None:
-        print(f"[replay] validation: {grid.validation.summary()}")
+    print(f"[replay] validation: {decision.validation.summary()}")
 
-    decision = sweeper._replay(args.app, variant)
-    backend = decision.backend
-    if backend is not None and backend.program is not None:
+    backend = decision.backend      # never None: this sweep has no faults
+    if backend.program is not None:
         stats = backend.program.stats()
         print(f"[replay] program: {stats['nodes']} nodes in "
               f"{stats['levels']} levels, {stats['joins_reduced']} joins "
               f"folded at compile time"
               + (" (loaded from cache)" if backend.from_cache else ""))
-    if backend is not None and backend.adaptive_program is not None:
+    if backend.adaptive_program is not None:
         stats = backend.adaptive_program.stats()
         print(f"[replay] adaptive program: {stats['nodes']} nodes in "
               f"{stats['levels']} levels, {stats['adaptive_group_ops']} "
               f"queue ops across {stats['adaptive_groups']} groups"
               + (" (loaded from cache)"
                  if backend.adaptive_from_cache else ""))
-    if backend is not None and backend.timings:
-        stages = ", ".join(f"{name[:-2]} {secs * 1e3:.1f}ms"
-                           for name, secs in sorted(backend.timings.items()))
-        print(f"[replay] stages: {stages}")
+    stages = ", ".join(f"{name[:-2]} {secs * 1e3:.1f}ms"
+                       for name, secs in sorted(backend.timings.items()))
+    print(f"[replay] stages: {stages}")
 
-    if args.loss is not None and grid.backend in ("replay",
-                                                  "vectorized-adaptive"):
+    if args.loss is not None:
         panel = _loss_panel(sweeper, args.app, variant, args.loss)
         if panel is not None:
             print()
             print(f"--- re-priced at WAN loss rate p={args.loss:g} ---")
             print(panel)
-    elif args.loss is not None:
-        print(f"[replay] --loss skipped: grid was produced by "
-              f"{grid.backend!r}, not the vectorized program")
     return 0
 
 

@@ -138,7 +138,7 @@ class Machine:
         #: :class:`~repro.runtime.transport.ReliableTransport`, or None.
         #: With ``faults=None`` (the default) these stay None and every
         #: hot-path hook is one attribute load and a branch — the
-        #: call-count parity guard in benchmarks/test_faults_overhead.py
+        #: call-count parity guard in benchmarks/test_zero_cost_when_off.py
         #: holds the subsystem to exactly zero disabled cost.
         self.fault_injector = None
         self.transport = None

@@ -319,7 +319,7 @@ class Scheduler:
     def _dispatch(self, payload: Dict[str, Any], job: Job,
                   fn=worker.run_point) -> asyncio.Future:
         payload = dict(payload)
-        if payload.get("kind") not in ("whatif-grid", "replay-grid"):
+        if fn is worker.run_point:
             payload["max_events"] = self.policy.effective_max_events(job.spec)
         job.dispatched += 1
         self.registry.counter("serve.points.dispatched").inc()
@@ -480,15 +480,12 @@ class Scheduler:
                     baseline=baseline))
             return
 
-        grid_kind = "replay-grid" if spec.kind == "replay" else "whatif-grid"
-        grid_fn = worker.run_replay_grid if spec.kind == "replay" \
-            else worker.run_whatif_grid
-        payload = {"kind": grid_kind, "app": spec.app,
+        payload = {"kind": spec.kind, "app": spec.app,
                    "variant": spec.variant, "scale": spec.scale,
                    "seed": spec.seed, "bandwidths": list(spec.bandwidths),
                    "latencies": list(spec.latencies),
                    "cache_root": self.cache.root}
-        future = self._dispatch(payload, job, fn=grid_fn)
+        future = self._dispatch(payload, job, fn=worker.run_grid)
         done = await self._await_or_cancel(job, {future})
         if not done:
             future.cancel()
@@ -498,27 +495,23 @@ class Scheduler:
             # replay.* metrics: one count per fallback-ladder rung, so a
             # dashboard shows how much traffic actually vectorizes.
             self.registry.counter("replay.jobs").inc()
-            self.registry.counter(
-                f"replay.mode.{result.get('mode', 'unknown')}").inc()
+            self.registry.counter(f"replay.mode.{result['mode']}").inc()
         baseline = result["baseline"]
         self.cache.store(spec.cache_key(None, None),
                          self._stored_record(spec, None, None,
                                              {"runtime": baseline}))
         self._account_point(job, cached=False)
+        point_meta = {"predicted": result["predicted"],
+                      "mode": result["mode"]}
         record = {"kind": "baseline", "job": job.id, "runtime": baseline,
-                  "cached": False}
-        if "fallback_reason" in result:
-            record["fallback_reason"] = result["fallback_reason"]
-        record["predicted"] = result["predicted"]
-        for extra in ("mode", "probe", "convergence", "downgraded_points"):
+                  "cached": False, **point_meta}
+        for extra in ("fallback_reason", "probe", "convergence",
+                      "downgraded_points"):
             if extra in result:
                 record[extra] = result[extra]
         self._emit(job, record)
         by_point = {(p["bandwidth_mbyte_s"], p["latency_ms"]): p
                     for p in result["points"]}
-        point_meta: Dict[str, Any] = {"predicted": result["predicted"]}
-        if "mode" in result:
-            point_meta["mode"] = result["mode"]
         for bw, lat in points:
             point = by_point[(bw, lat)]
             stored = self._stored_record(

@@ -13,7 +13,7 @@ records instead.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from ..experiments import grids
 from .jobs import build_fault_plan
@@ -102,14 +102,21 @@ def _run_profile(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def run_whatif_grid(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The record-once fast path for a whole grid, as one pool task.
+#: grid-at-once job kind -> the rung its Sweeper enters the ladder at
+GRID_BACKENDS = {"whatif": "predict", "replay": "replay"}
 
-    Reuses :class:`~repro.experiments.runner.Sweeper` with
-    ``predict=True`` so corner validation, fallback policy, and baseline
-    handling are byte-for-byte the CLI's.  ``cache_root`` (when set)
-    points at the server's cache so the corner ground-truth simulations
-    dedup with everything else.
+
+def run_grid(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The analytic fast paths for a whole grid, as one pool task.
+
+    Reuses :class:`~repro.experiments.runner.Sweeper` with the
+    ``backend=`` the job kind maps to, so the fallback ladder, corner
+    validation, and baseline handling are byte-for-byte the CLI's.
+    ``cache_root`` (when set) points at the server's cache: the corner
+    ground-truth simulations dedup with everything else, and compiled
+    programs are content-addressed into it — the next job for the same
+    recording skips recording *and* compilation and goes straight to
+    pricing.
     """
     from ..experiments.cache import SimCache
     from ..experiments.runner import Sweeper
@@ -117,70 +124,24 @@ def run_whatif_grid(payload: Dict[str, Any]) -> Dict[str, Any]:
     cache = SimCache(payload["cache_root"]) if payload.get("cache_root") \
         else None
     sweeper = Sweeper(scale=payload["scale"], seed=payload["seed"],
-                      predict=True, cache=cache)
+                      backend=GRID_BACKENDS[payload["kind"]], cache=cache)
     grid = sweeper.speedup_grid(payload["app"], payload["variant"],
                                 bandwidths=payload["bandwidths"],
                                 latencies=payload["latencies"])
-    points: List[Dict[str, Any]] = []
-    for (bw, lat), point in grid.points.items():
-        points.append({
-            "bandwidth_mbyte_s": bw,
-            "latency_ms": lat,
-            "runtime": point.runtime,
-        })
+    decision = sweeper.decision(payload["app"], payload["variant"])
     out: Dict[str, Any] = {
         "baseline": grid.baseline_runtime,
         "predicted": grid.predicted,
-        "points": points,
+        "mode": decision.rung,
+        "points": [{"bandwidth_mbyte_s": bw, "latency_ms": lat,
+                    "runtime": point.runtime}
+                   for (bw, lat), point in grid.points.items()],
     }
-    report = grid.validation
-    if report is not None and getattr(report, "fallback", False):
-        out["fallback_reason"] = getattr(report, "reason", "") or \
-            "validation error above tolerance"
-    return out
-
-
-def run_replay_grid(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The compiled vectorized fast path for a whole grid, one pool task.
-
-    Reuses :class:`~repro.experiments.runner.Sweeper` with
-    ``backend="replay"`` so the probe, the downgrade ladder, corner
-    validation, and baseline handling are byte-for-byte the CLI's.  With
-    ``cache_root`` set, the compiled program itself is content-addressed
-    into the server's cache — the next job for the same recording skips
-    recording *and* compilation and goes straight to pricing.
-    """
-    from ..experiments.cache import SimCache
-    from ..experiments.runner import Sweeper
-
-    cache = SimCache(payload["cache_root"]) if payload.get("cache_root") \
-        else None
-    sweeper = Sweeper(scale=payload["scale"], seed=payload["seed"],
-                      backend="replay", cache=cache)
-    grid = sweeper.speedup_grid(payload["app"], payload["variant"],
-                                bandwidths=payload["bandwidths"],
-                                latencies=payload["latencies"])
-    points: List[Dict[str, Any]] = []
-    for (bw, lat), point in grid.points.items():
-        points.append({
-            "bandwidth_mbyte_s": bw,
-            "latency_ms": lat,
-            "runtime": point.runtime,
-        })
-    out: Dict[str, Any] = {
-        "baseline": grid.baseline_runtime,
-        "predicted": grid.predicted,
-        "mode": grid.backend,
-        "points": points,
-    }
-    if grid.replay is not None:
-        out["probe"] = grid.replay.summary()
-    if grid.convergence is not None:
-        out["convergence"] = grid.convergence.summary()
+    for name, report in decision.evidence.items():
+        out[name] = report.summary()
     if grid.downgraded_points:
         out["downgraded_points"] = [list(p) for p in grid.downgraded_points]
-    report = grid.validation
-    if report is not None and getattr(report, "fallback", False):
-        out["fallback_reason"] = getattr(report, "reason", "") or \
+    if decision.validation.fallback:
+        out["fallback_reason"] = decision.validation.reason or \
             "validation error above tolerance"
     return out

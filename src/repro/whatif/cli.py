@@ -38,7 +38,7 @@ def main(argv: Optional[list] = None) -> int:
         variant = "unoptimized"  # the paper found no optimization for FFT
         print("note: fft has no optimized variant; using unoptimized\n")
 
-    sweeper = Sweeper(scale=args.scale, seed=args.seed, predict=True,
+    sweeper = Sweeper(scale=args.scale, seed=args.seed, backend="predict",
                       tolerance_pp=args.tolerance_pp)
     # Host wall-time for the speedup report, not simulated time.
     wall_start = time.perf_counter()  # lint: ignore[wall-clock]

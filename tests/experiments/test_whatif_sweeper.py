@@ -30,7 +30,7 @@ class TestSeriesErrors:
 
 class TestPredictMode:
     def test_predicted_grid_matches_simulated_within_tolerance(self):
-        predicted = Sweeper(predict=True).speedup_grid(
+        predicted = Sweeper(backend="predict").speedup_grid(
             "asp", "optimized", bandwidths=SMALL_BWS, latencies=SMALL_LATS)
         assert predicted.predicted
         assert predicted.validation is not None
@@ -43,14 +43,14 @@ class TestPredictMode:
             assert err <= 5.0
 
     def test_timing_dependent_app_falls_back_to_simulation(self):
-        grid = Sweeper(predict=True).speedup_grid(
+        grid = Sweeper(backend="predict").speedup_grid(
             "tsp", "optimized", bandwidths=SMALL_BWS, latencies=SMALL_LATS)
         assert not grid.predicted
         assert grid.validation.fallback
         assert len(grid.points) == 4  # still fully populated, via simulation
 
     def test_speedup_at_uses_predictor(self):
-        sweeper = Sweeper(predict=True)
+        sweeper = Sweeper(backend="predict")
         point = sweeper.speedup_at("asp", "optimized", 0.95, 3.3)
         truth = Sweeper().speedup_at("asp", "optimized", 0.95, 3.3)
         assert abs(point.relative_speedup_pct

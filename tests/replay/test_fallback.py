@@ -19,6 +19,7 @@ import sys
 
 import pytest
 
+from repro.experiments.cache import SimCache
 from repro.experiments.runner import Sweeper
 from repro.faults import FaultPlan, PacketLoss
 from repro.replay import ReplayUnavailable
@@ -101,3 +102,65 @@ def test_missing_numpy_surfaces_as_replay_unavailable(monkeypatch):
     with pytest.raises(ReplayUnavailable):
         Sweeper(backend="replay").speedup_grid(
             "asp", "optimized", bandwidths=BWS, latencies=LATS)
+
+
+# ----------------------------------------------------------------------
+# The ladder as a table: entry point x app/variant -> rung
+# ----------------------------------------------------------------------
+#: frozen from the behaviour of the commit before the ladder was unified
+#: (both variants of an app land alike); ``backend="predict"`` enters at
+#: the last analytic rung
+EXPECTED_RUNG = {
+    "replay": {"water": "predict", "barnes": "replay", "tsp": "simulate",
+               "asp": "replay", "awari": "simulate",
+               "fft": "vectorized-adaptive"},
+    "predict": {"water": "predict", "barnes": "predict", "tsp": "simulate",
+                "asp": "predict", "awari": "simulate", "fft": "predict"},
+}
+LADDER_TABLE = [(entry, app, variant, rung)
+                for entry, rungs in EXPECTED_RUNG.items()
+                for app, rung in rungs.items()
+                for variant in ("unoptimized", "optimized")]
+
+
+@pytest.fixture(scope="module")
+def sweepers(tmp_path_factory):
+    """One Sweeper per entry point over one shared cache: each app's
+    ground-truth corners are simulated once for the whole table."""
+    cache = SimCache(str(tmp_path_factory.mktemp("ladder-cache")))
+    return {entry: Sweeper(backend=entry, cache=cache)
+            for entry in ("replay", "predict")}
+
+
+@pytest.mark.parametrize("entry,app,variant,rung", LADDER_TABLE)
+def test_ladder_table(sweepers, entry, app, variant, rung):
+    sweeper = sweepers[entry]
+    grid = sweeper.speedup_grid(app, variant, bandwidths=BWS, latencies=LATS)
+    decision = sweeper.decision(app, variant)
+    assert grid.backend == decision.rung == rung
+    assert grid.predicted == (rung != "simulate")
+    assert grid.validation is decision.validation
+    assert decision.validation.fallback == (rung == "simulate")
+    assert (decision.pricer is None) == (rung == "simulate")
+    # evidence is measured only on the way down from the entry rung
+    if entry == "predict" or rung == "simulate":
+        assert decision.evidence == {}
+    else:
+        assert decision.evidence["probe"].stable == (rung == "replay")
+        assert ("convergence" in decision.evidence) == (rung != "replay")
+
+
+def test_predict_entry_is_the_replay_ladders_tail(sweepers):
+    # water lands on the predict rung from the top of the ladder, so
+    # both entries price it with the same code: identical floats.
+    from_top = sweepers["replay"].speedup_grid("water", "optimized")
+    from_tail = sweepers["predict"].speedup_grid("water", "optimized")
+    assert from_top.backend == from_tail.backend == "predict"
+    assert len(from_tail.points) == 42
+    for key, point in from_top.points.items():
+        assert repr(from_tail.points[key]) == repr(point)
+
+
+def test_predict_kwarg_is_retired():
+    with pytest.raises(TypeError):
+        Sweeper(predict=True)
