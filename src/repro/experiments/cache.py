@@ -19,6 +19,25 @@ Two access levels:
   includes more than the topology (FaultPlan hash, job kind, engine
   version), and :mod:`repro.replay` uses for compiled event programs.
 
+Lookups are *read-through*: a small entry (a runtime memo; compiled
+programs are too big and bypass this) is read from disk once and then
+served from a bounded in-process map for as long as one ``os.stat``
+still shows the file it was read from — same ``(st_mtime_ns, st_size,
+st_ino)``.  The directory stays the only source of truth: an entry that
+any process deletes (``cache clear``, a bare ``os.unlink``) is a miss on
+the next lookup, one that any process replaces is reloaded, and every
+hit returns a fresh object the caller may mutate.  Entry files are
+immutable once visible (writers go through ``os.replace``), which is
+what makes the stamp a sufficient identity; the one thing it cannot
+tell apart is a file rewritten with the same size on a recycled inode
+within one filesystem timestamp tick, with no lookup in between.
+
+A file that is there but does not parse (truncated, garbled) is counted
+as ``corrupt`` — not folded into the misses — so a damaged cache shows
+up in :meth:`SimCache.stats`, ``python -m repro cache ls`` and the
+service's ``serve.cache.corrupt`` counter instead of silently costing a
+re-simulation.
+
 Entries carry an optional ``kind`` field (absent for plain runtime
 memos); :meth:`SimCache.stats` attributes entries and bytes per kind,
 and :meth:`SimCache.clear` can drop a single kind — compiled replay
@@ -43,6 +62,19 @@ from ..network.topology import Topology
 #: Default cache directory, relative to the working directory.
 DEFAULT_ROOT = os.path.join("results", "cache")
 
+#: Entry files up to this size are kept in the in-process map.  Runtime
+#: memos are ~250 bytes; compiled ``replay`` programs are megabytes and
+#: always come from disk.
+MEMO_MAX_BYTES = 4096
+#: Entries the in-process map keeps (oldest-inserted evicted first); at
+#: the size bound above that is at most 32 MiB of entry text.
+MEMO_MAX_ENTRIES = 8192
+
+
+def _stamp(st: os.stat_result) -> Tuple[int, int, int]:
+    """What identifies the file an entry was read from."""
+    return (st.st_mtime_ns, st.st_size, st.st_ino)
+
 
 class SimCache:
     """File-per-entry JSON cache of simulated runtimes.
@@ -56,6 +88,10 @@ class SimCache:
         self.root = root
         self.hits = 0
         self.misses = 0
+        #: lookups that found a file that does not parse
+        self.corrupt = 0
+        #: key -> (file stamp, entry text) of small entries already read
+        self._memo: Dict[str, Tuple[Tuple[int, int, int], str]] = {}
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -72,13 +108,29 @@ class SimCache:
     # Generic content-addressed access (used by repro.serve)
     # ------------------------------------------------------------------
     def lookup(self, key: str) -> Optional[Dict[str, Any]]:
-        """Full record stored under ``key``, or None; counts hit/miss."""
+        """Full record stored under ``key``, or None; counts hit / miss
+        / corrupt.  The returned dict is the caller's to mutate."""
+        path = self._path(key)
+        # Popped here, put back below only after a good read: every
+        # failure leaves the key out of the map, and every hit moves it
+        # to the young end of the eviction order.
+        memo = self._memo.pop(key, None)
         try:
-            with open(self._path(key)) as fh:
-                entry = json.load(fh)
-        except (OSError, ValueError):
+            if memo is None or _stamp(os.stat(path)) != memo[0]:
+                with open(path) as fh:
+                    memo = (_stamp(os.fstat(fh.fileno())), fh.read())
+            entry = json.loads(memo[1])
+        except OSError:
             self.misses += 1
             return None
+        except ValueError:
+            self.corrupt += 1
+            return None
+        (_mtime_ns, size, _ino), _text = memo
+        if size <= MEMO_MAX_BYTES:
+            if len(self._memo) >= MEMO_MAX_ENTRIES:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = memo
         self.hits += 1
         return entry
 
@@ -90,6 +142,7 @@ class SimCache:
         with open(tmp, "w") as fh:
             json.dump(record, fh, sort_keys=True)
         os.replace(tmp, path)
+        self._memo.pop(key, None)
 
     # ------------------------------------------------------------------
     def get(self, app: str, variant: str, scale: str, seed: int,
@@ -151,8 +204,9 @@ class SimCache:
         they see entries written by other processes); ``kinds`` breaks
         both down per entry kind — compiled replay programs dominate the
         bytes while runtime memos dominate the count, and conflating
-        them hides both facts.  ``hits``/``misses`` count only this
-        instance's lookups.
+        them hides both facts.  ``hits``/``misses``/``corrupt`` count
+        only this instance's lookups; a corrupt lookup (file present,
+        not parseable) is neither a hit nor a miss.
         """
         entries = 0
         size = 0
@@ -172,7 +226,7 @@ class SimCache:
                 bucket = kinds.setdefault(kind, {"entries": 0, "bytes": 0})
                 bucket["entries"] += 1
                 bucket["bytes"] += file_size
-        total = self.hits + self.misses
+        total = self.hits + self.misses + self.corrupt
         return {
             "root": self.root,
             "entries": entries,
@@ -180,6 +234,7 @@ class SimCache:
             "kinds": kinds,
             "hits": self.hits,
             "misses": self.misses,
+            "corrupt": self.corrupt,
             "hit_rate": (self.hits / total) if total else 0.0,
         }
 
@@ -192,6 +247,7 @@ class SimCache:
         reports both).
         """
         removed = 0
+        self._memo.clear()
         if not os.path.isdir(self.root):
             return removed
         for name in os.listdir(self.root):
@@ -250,6 +306,10 @@ def main(argv: Optional[list] = None) -> None:
         return
 
     stats = cache.stats()
+    unreadable = stats["kinds"].get("?", {"entries": 0})["entries"]
+    if unreadable:
+        print(f"{unreadable} entry file(s) in {cache.root} do not parse: "
+              f"lookups count them as corrupt, and recompute")
     entries = cache.entries()
     if args.kind:
         entries = [e for e in entries

@@ -46,6 +46,7 @@ Three orthogonal accelerators (all off by default):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..apps import default_config, run_app
@@ -112,6 +113,16 @@ class SpeedupGrid:
         return [self.points[(bw, latency_ms)] for bw in bws]
 
 
+#: Entries each key memo below keeps.  A key is a pure function of its
+#: arguments, so the bound only limits memory: the paper surface is 462
+#: grid points x 12 app/variants = 5544 distinct keys, and an entry is
+#: an argument tuple plus a ~60-character string.
+KEY_MEMO_SIZE = 8192
+
+
+# typed=True: 1, 1.0 and True compare equal but must not share a memo
+# slot — the seed is formatted into the key, so True would read "sTrue".
+@lru_cache(maxsize=KEY_MEMO_SIZE, typed=True)
 def point_key(app: str, variant: str, scale: str, seed: int,
               bandwidth_mbyte_s: float, latency_ms: float,
               clusters: int = grids.NUM_CLUSTERS,
@@ -125,16 +136,20 @@ def point_key(app: str, variant: str, scale: str, seed: int,
     grid-point, cluster shape)`` compute the same key and therefore
     dedup against the same on-disk entry.  The key is a pure function of
     its arguments — no process state, no dict iteration order — backed
-    by :meth:`~repro.network.topology.Topology.fingerprint`.
+    by :meth:`~repro.network.topology.Topology.fingerprint`.  Because it
+    is pure it is memoised (bounded, ``KEY_MEMO_SIZE``): a repeated grid
+    point costs a dict probe, not a :class:`Topology` build plus a sha1.
     """
     topo = grids.multi_cluster(bandwidth_mbyte_s, latency_ms, clusters,
                                cluster_size, wan_shape)
     return SimCache.key(app, variant, scale, seed, topo)
 
 
+@lru_cache(maxsize=KEY_MEMO_SIZE, typed=True)
 def baseline_key(app: str, variant: str, scale: str, seed: int,
                  num_ranks: int = grids.NUM_RANKS) -> str:
-    """:class:`SimCache` key for the all-Myrinet baseline run."""
+    """:class:`SimCache` key for the all-Myrinet baseline run (memoised
+    like :func:`point_key`)."""
     return SimCache.key(app, variant, scale, seed, grids.baseline(num_ranks))
 
 

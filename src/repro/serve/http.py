@@ -2,8 +2,10 @@
 
 Deliberately tiny: request parsing off a :class:`asyncio.StreamReader`
 with hard size limits, JSON responses with ``Content-Length``, and a
-chunkless streaming mode (``Connection: close`` + write-through) for the
-JSON-lines result streams.  Every connection serves exactly one request;
+chunkless streaming mode (``Connection: close``, no length) for the
+JSON-lines result streams: :func:`stream_head` and :func:`json_line`
+only build bytes, and the server joins the head and every line that is
+ready into one write.  Every connection serves exactly one request;
 keep-alive is not supported (clients open one socket per call, and the
 stream endpoint holds its socket for the job's lifetime anyway).
 """

@@ -45,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import __version__ as ENGINE_VERSION
@@ -319,6 +320,15 @@ class JobSpec:
 
     def content_hash(self) -> str:
         """SHA-256 over the canonical form (incl. engine version)."""
+        return self._content_hash
+
+    # A spec is frozen, so what is derived from it is derived once: the
+    # job id, the 202 body and every status poll read the same hash, and
+    # every point of a suffixed kind the same suffix.  (cached_property
+    # writes the instance __dict__ directly, which a frozen dataclass
+    # allows; neither name is a field, so eq/hash/repr do not see them.)
+    @cached_property
+    def _content_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -341,6 +351,7 @@ class JobSpec:
         return len(self.points()) + (1 if self.needs_baseline else 0)
 
     # ------------------------------------------------------------------
+    @cached_property
     def _key_suffix(self) -> str:
         """Extra identity for points whose result depends on more than
         the topology: kind, fault plan, and engine version."""
@@ -373,7 +384,7 @@ class JobSpec:
         if self.kind in ("whatif", "replay") and (
                 bandwidth_mbyte_s is None or latency_ms is None):
             return base    # these baselines are plain clean simulations
-        return base + self._key_suffix()
+        return base + self._key_suffix
 
     def point_payload(self, bandwidth_mbyte_s: Optional[float],
                       latency_ms: Optional[float]) -> Dict[str, Any]:

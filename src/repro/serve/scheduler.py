@@ -17,9 +17,16 @@ client of it; tests drive it directly):
 - **Sharding** — misses fan out over one persistent
   :class:`~concurrent.futures.ProcessPoolExecutor` shared by every job,
   so a long sweep and a one-point probe interleave at point granularity.
-- **Streaming** — results are emitted as they land; subscribers attach
-  at any time and first replay the job's history, so a stream observed
-  end-to-end is complete regardless of when it was opened.
+- **Streaming** — results are emitted as they land.  A job's record
+  list is its only log: a subscriber is a cursor into it plus a wake-up
+  flag, so attaching at any time first replays the history, a stream
+  observed end-to-end is complete and ordered regardless of when it was
+  opened, and each wake-up hands over *every* record emitted so far in
+  one batch — a ready record is never held back to wait for another.
+- **Retention** — the job table is bounded: the most recent
+  ``RETAINED_TERMINAL_JOBS`` finished jobs stay queryable, older ones
+  are forgotten (404 ``unknown-job``); queued, running and
+  currently-streamed jobs are never forgotten.
 
 One emitted record is one JSON object (see docs/serve.md for the exact
 shapes): a ``job`` header, an optional ``baseline``, one ``point`` per
@@ -32,6 +39,7 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, AsyncIterator, Deque, Dict, List, Optional, Set
 
 from ..experiments.cache import SimCache
@@ -40,6 +48,12 @@ from ..obs.report import RunReporter, serve_job_record
 from . import worker
 from .jobs import (CANCELLED, DONE, FAILED, PARTIAL, QUEUED, RUNNING,
                    AdmissionError, Job, JobSpec, UnknownJob)
+
+
+#: Terminal jobs (and their ~45 result records each) the job table
+#: keeps for ``GET /jobs[/<id>]`` and late ``/stream`` replays; without a
+#: bound a server's memory grows with every job it has ever run.
+RETAINED_TERMINAL_JOBS = 256
 
 
 @dataclass(frozen=True)
@@ -106,7 +120,10 @@ class Scheduler:
         self._queue: Deque[str] = deque()
         self._running: Set[str] = set()
         self._tasks: Dict[str, asyncio.Task] = {}
-        self._subs: Dict[str, List[asyncio.Queue]] = {}
+        #: job id -> wake-up flag of each live stream subscriber
+        self._subs: Dict[str, List[asyncio.Event]] = {}
+        #: terminal job ids still in the table, oldest first
+        self._terminal: Deque[str] = deque()
         self._cancel_events: Dict[str, asyncio.Event] = {}
         self._pool = None
         self._seq = 0
@@ -214,37 +231,52 @@ class Scheduler:
         total = self.registry.counter("serve.points.completed").value
         self.registry.gauge("serve.cache.hit_rate").set(
             hits / total if total else 0.0)
+        # The cache counts its own unparseable entries; mirror the count.
+        corrupt = self.registry.counter("serve.cache.corrupt")
+        corrupt.inc(self.cache.corrupt - corrupt.value)
 
     # ------------------------------------------------------------------
     # Emission / subscription
     # ------------------------------------------------------------------
     def _emit(self, job: Job, record: Dict[str, Any]) -> None:
         job.results.append(record)
-        for queue in self._subs.get(job.id, ()):
-            queue.put_nowait(record)
+        for wake in self._subs[job.id]:
+            wake.set()
 
-    async def stream(self, job_id: str) -> AsyncIterator[Dict[str, Any]]:
-        """Replay the job's history, then live-tail until its end record.
+    async def stream_batches(self, job_id: str
+                             ) -> AsyncIterator[List[Dict[str, Any]]]:
+        """The job's records, in order, in batches: first the whole
+        history, then on each wake-up everything emitted since, until
+        the batch that ends with the ``end`` record.
 
-        Attaching the queue and snapshotting the history happen in one
-        synchronous block, so no record is ever missed or duplicated.
+        The cursor only ever advances over ``job.results``, which is
+        append-only, and finding nothing new, clearing the flag and
+        going to sleep happen with no await in between — so no record is
+        missed, duplicated or reordered, whenever the stream is opened.
         """
         job = self.get(job_id)
-        queue: asyncio.Queue = asyncio.Queue()
-        self._subs[job_id].append(queue)
-        history = list(job.results)
+        wake = asyncio.Event()
+        self._subs[job_id].append(wake)
+        sent = 0
         try:
-            ended = False
-            for record in history:
-                yield record
-                if record.get("kind") == "end":
-                    ended = True
-            while not ended:
-                record = await queue.get()
-                yield record
-                ended = record.get("kind") == "end"
+            while True:
+                if sent == len(job.results):    # nothing new: sleep
+                    wake.clear()
+                    await wake.wait()
+                batch = job.results[sent:]
+                sent += len(batch)
+                yield batch
+                if batch[-1].get("kind") == "end":
+                    return
         finally:
-            self._subs[job_id].remove(queue)
+            self._subs[job_id].remove(wake)
+
+    async def stream(self, job_id: str) -> AsyncIterator[Dict[str, Any]]:
+        """Replay the job's history, then live-tail until its end
+        record: :meth:`stream_batches`, one record at a time."""
+        async for batch in self.stream_batches(job_id):
+            for record in batch:
+                yield record
 
     # ------------------------------------------------------------------
     # Job execution
@@ -315,6 +347,25 @@ class Scheduler:
             self.registry.histogram("serve.job_wall_s").observe(job.wall_s)
         if self.reporter is not None:
             self.reporter.emit(serve_job_record(job.snapshot()))
+        self._terminal.append(job.id)
+        self._forget_old_jobs()
+
+    def _forget_old_jobs(self) -> None:
+        """Drop the oldest terminal jobs beyond the retention bound.
+
+        Only ids in ``_terminal`` are candidates, so a queued or running
+        job is never dropped; one with a live subscriber is skipped and
+        goes the next time a job finishes after its stream has closed.
+        """
+        excess = len(self._terminal) - RETAINED_TERMINAL_JOBS
+        if excess <= 0:
+            return
+        idle = (job_id for job_id in self._terminal
+                if not self._subs[job_id])
+        for job_id in list(islice(idle, excess)):
+            self._terminal.remove(job_id)
+            del self.jobs[job_id], self._subs[job_id], \
+                self._cancel_events[job_id]
 
     def _dispatch(self, payload: Dict[str, Any], job: Job,
                   fn=worker.run_point) -> asyncio.Future:

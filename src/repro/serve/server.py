@@ -7,7 +7,7 @@ Method    Path                     Meaning
 ========  =======================  ==========================================
 GET       ``/healthz``             liveness + engine version
 GET       ``/metrics``             serve-level metrics snapshot
-GET       ``/jobs``                every job's status summary
+GET       ``/jobs``                status summary of every retained job
 POST      ``/jobs``                submit one job (202 + status, 400/429)
 GET       ``/jobs/<id>``           one job's status
 GET       ``/jobs/<id>/stream``    JSON-lines result stream (replay + live)
@@ -16,7 +16,15 @@ POST      ``/jobs/<id>/cancel``    request cancellation
 
 Every error is a typed JSON object ``{"error": {"code", "message"}}``
 with a matching status: 400 malformed, 404 unknown job/path, 405 wrong
-method, 413 over budget, 429 admission refusal.
+method, 413 over budget, 429 admission refusal.  A job the scheduler no
+longer retains (see ``RETAINED_TERMINAL_JOBS`` in
+:mod:`repro.serve.scheduler`) is an unknown job: the same 404.
+
+A stream is written batch by batch as the scheduler hands batches over
+(:meth:`~repro.serve.scheduler.Scheduler.stream_batches`): the response
+head plus the job's whole history in the first write, then one write and
+one drain per wake-up carrying every record emitted since — never one
+syscall per line, and never a ready record waiting for a later one.
 
 The server binds either a TCP address (loopback by default — this is a
 trusted-network service, there is no auth layer) or a Unix domain
@@ -180,8 +188,16 @@ class ServeServer:
                                 f"(use {method})")
 
     async def _stream(self, job_id: str, writer: asyncio.StreamWriter) -> None:
-        self.scheduler.get(job_id)          # 404 before the head is sent
-        writer.write(stream_head())
-        async for record in self.scheduler.stream(job_id):
-            writer.write(json_line(record))
-            await writer.drain()            # per-record delivery, not buffered
+        batches = self.scheduler.stream_batches(job_id)
+        # The head rides with the first batch (the history, never empty),
+        # so an unknown job raises before a byte is written: a plain 404.
+        head = stream_head()
+        try:
+            async for batch in batches:
+                # Everything ready goes out in one write + one drain;
+                # nothing ready ever waits for a later record.
+                writer.write(head + b"".join(map(json_line, batch)))
+                head = b""
+                await writer.drain()
+        finally:
+            await batches.aclose()     # detach now, not at collection

@@ -120,3 +120,117 @@ def test_cli_reports_stats_and_cleared_bytes(cache, capsys):
     assert "removed 2" in out
     assert "B)" in out  # bytes freed reported
     assert len(cache) == 0
+
+
+# ----------------------------------------------------------------------
+# Read-through coherence: the in-process map never outlives the file
+# ----------------------------------------------------------------------
+RECORD = {"app": "asp", "variant": "optimized", "scale": "bench", "seed": 0,
+          "runtime": 1.25, "buckets": {"wan": [1, 2, 3]}}
+
+
+def memoised(cache, key="point", record=RECORD):
+    """Store + one lookup: ``key`` is now served from the map."""
+    cache.store(key, record)
+    assert cache.lookup(key) == record
+    assert key in cache._memo
+    return key
+
+
+def test_unlinked_entry_is_a_miss_after_a_memoised_hit(cache):
+    key = memoised(cache)
+    os.unlink(cache._path(key))         # what _Serve.drop and `rm` do
+    assert cache.lookup(key) is None
+    assert (cache.hits, cache.misses) == (1, 1)
+    assert key not in cache._memo
+
+
+def test_entry_replaced_by_another_process_is_reloaded(cache):
+    key = memoised(cache)
+    other = SimCache(cache.root)        # stands in for another process
+    # Same byte length as RECORD: only the file's identity tells them apart.
+    changed = dict(RECORD, runtime=7.75)
+    other.store(key, changed)
+    assert cache.lookup(key) == changed
+    assert cache.lookup(key) == changed      # and the new text is memoised
+    assert cache.hits == 3 and cache.misses == 0
+
+
+def test_entry_corrupted_in_place_is_counted_not_served(cache):
+    key = memoised(cache)
+    with open(cache._path(key), "w") as fh:
+        fh.write("{not json")
+    assert cache.lookup(key) is None
+    assert (cache.hits, cache.misses, cache.corrupt) == (1, 0, 1)
+    assert cache.lookup(key) is None         # not remembered as corrupt
+    stats = cache.stats()
+    assert stats["corrupt"] == 2 and stats["misses"] == 0
+    assert stats["hit_rate"] == 1 / 3
+    cache.store(key, RECORD)                 # rewriting it heals it
+    assert cache.lookup(key) == RECORD
+
+
+@pytest.mark.parametrize("kind", [None, "runtime", "chaos"])
+def test_clear_leaves_no_stale_hit(cache, kind):
+    plain = memoised(cache, "plain")
+    chaos = memoised(cache, "chaos", dict(RECORD, kind="chaos"))
+    cache.clear(kind=kind)
+    gone = {None: {plain, chaos}, "runtime": {plain}, "chaos": {chaos}}[kind]
+    for key in (plain, chaos):
+        assert (cache.lookup(key) is None) == (key in gone)
+
+
+def test_clear_by_another_process_leaves_no_stale_hit(cache):
+    keys = [memoised(cache, f"p{i}") for i in range(5)]
+    assert SimCache(cache.root).clear() == 5
+    assert [cache.lookup(key) for key in keys] == [None] * 5
+    assert cache.misses == 5
+
+
+def test_returned_entry_is_the_callers_to_mutate(cache):
+    key = memoised(cache)
+    entry = cache.lookup(key)
+    entry["runtime"] = -1.0
+    entry["buckets"]["wan"].append(4)
+    del entry["app"]
+    assert cache.lookup(key) == RECORD
+
+
+def test_large_entries_are_not_retained(cache):
+    from repro.experiments.cache import MEMO_MAX_BYTES
+    program = {"kind": "replay", "program": list(range(MEMO_MAX_BYTES))}
+    cache.store("program", program)
+    small = memoised(cache)
+    for _ in range(2):
+        assert cache.lookup("program") == program
+    assert set(cache._memo) == {small}
+    # a small entry that grows past the threshold leaves the map too
+    cache.store(small, program)
+    assert cache.lookup(small) == program
+    assert not cache._memo
+
+
+def test_map_stays_bounded_and_evicts_oldest(cache, monkeypatch):
+    from repro.experiments import cache as cache_module
+    monkeypatch.setattr(cache_module, "MEMO_MAX_ENTRIES", 8)
+    keys = [f"k{i:03d}" for i in range(80)]
+    for i, key in enumerate(keys):
+        memoised(cache, key, {"runtime": float(i)})
+        assert len(cache._memo) <= 8
+    assert list(cache._memo) == keys[-8:]
+    assert cache.lookup(keys[-8]) == {"runtime": 72.0}   # a hit renews
+    memoised(cache, "one-more", {"runtime": 0.0})
+    assert keys[-8] in cache._memo and keys[-7] not in cache._memo
+    # evicted entries are still on disk: a reload, not a miss
+    assert cache.lookup(keys[0]) == {"runtime": 0.0}
+    assert cache.misses == 0
+
+
+def test_cli_ls_names_unparseable_entries(cache, capsys):
+    memoised(cache)
+    with open(cache._path("broken"), "w") as fh:
+        fh.write('{"runtime": 1.')
+    cache_main(["ls", "--root", cache.root])
+    out = capsys.readouterr().out
+    assert "1 entry file(s)" in out and "do not parse" in out
+    assert "1 point(s)" in out               # the good entry still lists

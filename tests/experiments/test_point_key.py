@@ -59,3 +59,47 @@ def test_baseline_key_matches_sweeper_baseline():
         "water", "optimized", "bench", 0, grids.baseline())
     assert baseline_key("water", "optimized", "bench", 0, 8) != \
         baseline_key("water", "optimized", "bench", 0)
+
+
+# ----------------------------------------------------------------------
+# The memo must be invisible: same keys as deriving them from a Topology
+# ----------------------------------------------------------------------
+def test_memoised_keys_equal_derived_keys_over_the_paper_surface():
+    import random
+
+    rng = random.Random(1999)
+    points = [(bw, lat) for lat in grids.LATENCIES_MS
+              for bw in grids.BANDWIDTHS_MBYTE_S]
+    points += [(rng.uniform(0.03, 6.3), rng.uniform(0.5, 300.0))
+               for _ in range(64)]
+    for _ in range(2):                 # second pass is served by the memo
+        for shape in ("full", "star", "ring"):
+            for app, variant in (("water", "optimized"),
+                                 ("fft", "unoptimized")):
+                for bw, lat in points:
+                    assert point_key(app, variant, "bench", 0, bw, lat,
+                                     grids.NUM_CLUSTERS, grids.CLUSTER_SIZE,
+                                     shape) == SimCache.key(
+                        app, variant, "bench", 0, grids.multi_cluster(
+                            bw, lat, grids.NUM_CLUSTERS, grids.CLUSTER_SIZE,
+                            shape))
+    for ranks in (8, 16, 32):
+        assert baseline_key("asp", "optimized", "paper", 3, ranks) == \
+            SimCache.key("asp", "optimized", "paper", 3,
+                         grids.baseline(ranks))
+
+
+def test_key_memo_is_bounded_hit_on_repeat_and_type_exact():
+    from repro.experiments.runner import KEY_MEMO_SIZE
+
+    assert point_key.cache_info().maxsize == KEY_MEMO_SIZE
+    assert baseline_key.cache_info().maxsize == KEY_MEMO_SIZE
+    point_key(**POINT)
+    hits = point_key.cache_info().hits
+    point_key(**POINT)
+    assert point_key.cache_info().hits == hits + 1
+    # 1 == 1.0 == True, but the seed is formatted into the key: equal
+    # arguments of different types must not share a memo slot.
+    as_int = point_key(**{**POINT, "seed": 1})
+    assert point_key(**{**POINT, "seed": True}) != as_int
+    assert "-s1-" in as_int

@@ -154,3 +154,30 @@ def test_healthz_and_metrics_endpoints(harness):
     expect_error(lambda: harness.client.submit({}), 400, "invalid-job")
     snapshot = harness.client.metrics()
     assert snapshot["serve.jobs.rejected"] >= 1
+
+
+def test_forgotten_job_answers_404_on_status_and_stream(tmp_path,
+                                                        monkeypatch):
+    from repro.serve import scheduler as scheduler_module
+    monkeypatch.setattr(scheduler_module, "RETAINED_TERMINAL_JOBS", 1)
+    # max_concurrent_jobs=0: jobs stay queued (no pool is ever spawned)
+    # and reach a terminal state through cancel.
+    harness = ServeHarness(tmp_path / "cache",
+                           policy=AdmissionPolicy(max_concurrent_jobs=0))
+    try:
+        client = harness.client
+        old = client.submit({"app": "water"})
+        new = client.submit({"app": "water", "seed": 1})
+        assert client.cancel(old["id"])["state"] == "cancelled"
+        assert [r["kind"] for r in client.stream(old["id"])] == ["job", "end"]
+        assert client.cancel(new["id"])["state"] == "cancelled"
+        # one terminal job is kept: the older one is gone from every route
+        expect_error(lambda: client.status(old["id"]), 404, "unknown-job")
+        expect_error(lambda: list(client.stream(old["id"])),
+                     404, "unknown-job")
+        expect_error(lambda: client.cancel(old["id"]), 404, "unknown-job")
+        assert [job["id"] for job in client.jobs()] == [new["id"]]
+        assert [r["kind"] for r in client.stream(new["id"])] == ["job", "end"]
+        assert client.metrics()["serve.cache.corrupt"] == 0
+    finally:
+        harness.close()

@@ -248,3 +248,183 @@ def test_finished_jobs_emit_serve_job_records(tmp_path):
     assert serve_records[0]["job"]["state"] == DONE
     assert serve_records[0]["job"]["content_hash"] == \
         job.spec.content_hash()
+
+
+# ----------------------------------------------------------------------
+# Stream delivery: complete and ordered whenever opened, never held back
+# ----------------------------------------------------------------------
+def test_streams_opened_before_during_and_after_are_identical(tmp_path):
+    from repro.experiments.runner import Sweeper
+    from repro.serve.client import merge_grid
+
+    scheduler = make_scheduler(tmp_path)
+    spec = dict(SPEC, latencies=[0.5, 5.0])
+
+    async def run():
+        job = scheduler.submit(spec)
+        before = asyncio.ensure_future(collect(scheduler, job.id))
+        during = None
+        async for record in scheduler.stream(job.id):
+            if record["kind"] == "baseline":
+                assert job.state != DONE
+                during = asyncio.ensure_future(collect(scheduler, job.id))
+        after = await collect(scheduler, job.id)
+        assert await before == await during == after == job.results
+        assert [r["kind"] for r in after] == \
+            ["job", "baseline"] + ["point"] * 4 + ["end"]
+        assert not scheduler._subs[job.id]       # every cursor detached
+        await scheduler.stop()
+        return after
+
+    records = asyncio.run(run())
+    direct = Sweeper(cache=SimCache(str(tmp_path / "direct"))).speedup_grid(
+        "water", "optimized", bandwidths=spec["bandwidths"],
+        latencies=spec["latencies"])
+    assert repr(merge_grid(records)) == repr(direct)
+
+
+def test_a_ready_record_is_delivered_without_waiting_for_the_next(tmp_path):
+    # max_concurrent_jobs=0: the job stays queued, so this test is the
+    # only emitter and decides exactly when a record becomes ready.
+    scheduler = make_scheduler(
+        tmp_path, policy=AdmissionPolicy(max_concurrent_jobs=0))
+
+    async def run():
+        job = scheduler.submit(SPEC)
+        batches = []
+
+        async def consume():
+            async for batch in scheduler.stream_batches(job.id):
+                batches.append(batch)
+
+        consumer = asyncio.ensure_future(consume())
+        await asyncio.sleep(0)
+        assert [[r["kind"] for r in b] for b in batches] == [["job"]]
+
+        one = {"kind": "point", "job": job.id, "n": 1}
+        scheduler._emit(job, one)
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+        assert batches[1:] == [[one]]            # no second record needed
+
+        two, three = dict(one, n=2), dict(one, n=3)
+        scheduler._emit(job, two)
+        scheduler._emit(job, three)              # both ready at one wake-up
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+        assert batches[2:] == [[two, three]]
+
+        scheduler.cancel(job.id)                 # queued -> end record
+        await asyncio.wait_for(consumer, timeout=10)
+        assert batches[-1][-1]["kind"] == "end"
+        assert [r for b in batches for r in b] == job.results
+        await scheduler.stop()
+
+    asyncio.run(run())
+
+
+# ----------------------------------------------------------------------
+# Retention: the job table is bounded, live jobs are never forgotten
+# ----------------------------------------------------------------------
+def test_old_terminal_jobs_are_forgotten_live_ones_never(tmp_path,
+                                                         monkeypatch):
+    from repro.serve import scheduler as scheduler_module
+    monkeypatch.setattr(scheduler_module, "RETAINED_TERMINAL_JOBS", 2)
+    scheduler = make_scheduler(
+        tmp_path, policy=AdmissionPolicy(max_concurrent_jobs=1))
+
+    async def run():
+        running = scheduler.submit(dict(SPEC, bandwidths=[6.3]))
+        await asyncio.sleep(0)                   # its task has started
+        a, b, c, d, e = (scheduler.submit(dict(SPEC, seed=seed))
+                         for seed in range(1, 6))
+
+        # a slow client: holds its first batch, so it is still attached
+        held = scheduler.stream_batches(a.id)
+        assert (await held.__anext__())[0]["kind"] == "job"
+
+        for job in (a, b, c):
+            scheduler.cancel(job.id)
+        # three terminal, two kept: a is the oldest but is being
+        # streamed, so the next-oldest goes instead
+        assert set(scheduler.jobs) == {running.id, a.id, c.id, d.id, e.id}
+        scheduler.cancel(d.id)
+        assert set(scheduler.jobs) == {running.id, a.id, d.id, e.id}
+        assert e.state == QUEUED and running.state not in (DONE, CANCELLED)
+
+        for gone in (b, c):
+            with pytest.raises(UnknownJob):
+                scheduler.get(gone.id)
+            with pytest.raises(UnknownJob):
+                await collect(scheduler, gone.id)
+            with pytest.raises(UnknownJob):
+                scheduler.cancel(gone.id)
+            assert gone.id not in scheduler._subs
+            assert gone.id not in scheduler._cancel_events
+
+        await held.aclose()                      # the slow client leaves
+        scheduler.cancel(e.id)                   # ... and a goes first
+        assert set(scheduler.jobs) == {running.id, d.id, e.id}
+
+        records = await collect(scheduler, running.id)
+        assert records[-1]["state"] == DONE      # untouched by all of it
+        assert set(scheduler.jobs) == {e.id, running.id}
+        await scheduler.stop()
+
+    asyncio.run(run())
+
+
+# ----------------------------------------------------------------------
+# A corrupt cache entry is counted, surfaced, and recomputed
+# ----------------------------------------------------------------------
+def test_corrupt_entry_is_counted_on_metrics_and_recomputed(tmp_path):
+    scheduler = make_scheduler(tmp_path)
+
+    async def run():
+        first = scheduler.submit(SPEC)
+        await collect(scheduler, first.id)
+        snapshot = scheduler.registry.snapshot()
+        assert snapshot["serve.cache.corrupt"] == 0
+
+        key = first.spec.cache_key(6.3, 0.5)
+        with open(scheduler.cache._path(key), "w") as fh:
+            fh.write('{"runtime": 0.')           # truncated mid-write
+        second = scheduler.submit(SPEC)
+        end = (await collect(scheduler, second.id))[-1]
+        assert end["state"] == DONE
+        assert end["cache_hits"] == 2 and end["dispatched"] == 1
+        assert scheduler.registry.snapshot()["serve.cache.corrupt"] == 1
+        assert scheduler.cache.stats()["corrupt"] == 1
+
+        third = scheduler.submit(SPEC)           # healed by the re-store
+        end = (await collect(scheduler, third.id))[-1]
+        assert end["cache_hits"] == 3 and end["dispatched"] == 0
+        assert scheduler.registry.snapshot()["serve.cache.corrupt"] == 1
+        await scheduler.stop()
+
+    asyncio.run(run())
+
+
+def test_content_hash_is_derived_once_per_spec(tmp_path, monkeypatch):
+    from repro.serve import jobs as jobs_module
+
+    import hashlib
+    from types import SimpleNamespace
+
+    calls = []
+
+    def sha256(data):
+        calls.append(data)
+        return hashlib.sha256(data)
+
+    # only jobs.py's view of hashlib: key fingerprints (sha1) are untouched
+    monkeypatch.setattr(jobs_module, "hashlib", SimpleNamespace(sha256=sha256))
+    scheduler = make_scheduler(
+        tmp_path, policy=AdmissionPolicy(max_concurrent_jobs=0))
+    job = scheduler.submit(dict(SPEC, kind="chaos", faults={"loss": 0.01}))
+    for _ in range(3):
+        assert job.snapshot()["content_hash"] == job.spec.content_hash()
+        assert job.id.endswith(job.spec.content_hash()[:8])
+        for bw, lat in job.spec.points():
+            job.spec.cache_key(bw, lat)          # suffixed: chaos + faults
+    assert len(calls) == 2                       # one hash, one key suffix
