@@ -35,16 +35,17 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..experiments import grids
 from ..experiments.cache import SimCache
+from ..network.linkspec import wan
 from ..whatif.evaluate import Evaluator
 from ..whatif.record import Recording, record_app
 from ..whatif.validate import corner_points
 from .adaptive import ADAPTIVE_FORMAT, AdaptiveProgram
-from .compile import compile_dag
+from .compile import compile_walk
 from .program import PROGRAM_FORMAT, ReplayProgram
 
 #: Default maximum |program - evaluator| / evaluator runtime disagreement
@@ -190,6 +191,7 @@ class ReplayBackend:
         #: job results (record_s is the recording's own wall time).
         self.timings: Dict[str, float] = {"record_s": recording.wall_time}
         self._evaluator: Optional[Evaluator] = None
+        self._corner_prices: Optional[Tuple[list, List[float]]] = None
         self._probe: Optional[ProbeReport] = None
         self._convergence: Optional[ConvergenceReport] = None
         self._static_hint: Optional[str] = None
@@ -310,7 +312,10 @@ class ReplayBackend:
                 return program, True
             del self.timings[prefix + "load_s"]   # a miss is not a load
         with self._stage(prefix + "compile_s"):
-            program = compile_dag(rec.dag, rec.topology, adaptive=adaptive)
+            # Compiling is a walk of the evaluator the probe prices
+            # with: hand it over rather than build one per program.
+            program = compile_walk(lambda: self.evaluator, rec.dag,
+                                   rec.topology, adaptive)
         if self.cache is not None:
             self.cache.store(key, {
                 "kind": "replay-adaptive" if adaptive else "replay",
@@ -353,13 +358,21 @@ class ReplayBackend:
     # ------------------------------------------------------------------
     def _corners(self):
         """The paper grid's corners — where the ladder checks a program —
-        each with the interpreted evaluator's price there (on the
-        recorded cluster shape)."""
-        points = corner_points(grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS)
-        sizes = self.recording.dag.cluster_sizes
-        return points, [self.evaluator.evaluate(grids.multi_cluster(
-            bw, lat, clusters=len(sizes), cluster_size=sizes[0]))
-            for bw, lat in points]
+        each with the interpreted evaluator's price there (memoized: the
+        probe and the convergence check ask about the same four).  The
+        evaluator prices what the program was compiled on: the recorded
+        topology, WAN shape and overheads included, with only the wide
+        link's latency and bandwidth replaced."""
+        if self._corner_prices is None:
+            topology = self.recording.topology
+            wide = topology.wide
+            points = corner_points(grids.BANDWIDTHS_MBYTE_S,
+                                   grids.LATENCIES_MS)
+            self._corner_prices = points, [
+                self.evaluator.evaluate(replace(topology, wide=wan(
+                    lat, bw, wide.send_overhead, wide.recv_overhead)))
+                for bw, lat in points]
+        return self._corner_prices
 
     def probe(self) -> ProbeReport:
         """Frozen-order stability check at the grid corners (memoized)."""

@@ -53,6 +53,12 @@ rescanning their backlog.  A full simulation spends orders of magnitude
 more work per message stepping coroutines through the scheduler; one
 Figure-3 grid point evaluates in milliseconds (see
 ``benchmarks/test_whatif_speedup.py``).
+
+The walk (:meth:`Evaluator.walk`) is generic in its time value.
+:meth:`Evaluator.evaluate` runs it on floats; :mod:`repro.replay.compile`
+runs the same method on symbolic stamps, which turns the schedule into a
+(max, +) program instead of a number.  There is no second copy to keep
+in step: a change to the model here is a change to every pricing path.
 """
 
 from __future__ import annotations
@@ -64,27 +70,36 @@ from ..network.topology import Topology
 from .record import (OP_COMPUTE, OP_MCAST, OP_POLL, OP_RECV, OP_SEND,
                      OP_SPAWN, CommDag)
 
-# Heap event kinds (field 2 of the heap tuples).
-_EV_SEND = 0      # book the sender NIC, then hand off or deliver
-_EV_MCAST = 1     # book the sender NIC once, deliver to all destinations
-_EV_GW = 2        # gateway CPU + one WAN hop
-_EV_ARRIVE = 3    # destination gateway CPU + egress link, then deliver
+# Heap event kinds (field 2 of the heap tuples).  A send whose NIC could
+# not be booked inline waits on the heap under its own op code
+# (``OP_SEND`` / ``OP_MCAST``); the two WAN stages are numbered past the
+# op codes.
+_EV_GW = OP_POLL + 1      # gateway CPU + one WAN hop
+_EV_ARRIVE = OP_POLL + 2  # destination gateway CPU + egress, then deliver
 
 
 class EvaluationError(RuntimeError):
     """The DAG could not be replayed to completion (inconsistent recording)."""
 
 
+def _later(a: float, b: float) -> float:
+    """``join`` of the float instance: the later of two times.  (Not the
+    builtin ``max``: a two-argument ``max`` call costs three times what
+    this does, on the walk's hottest operation.)"""
+    return b if b > a else a
+
+
 class _Proc:
     """Mutable replay state of one recorded process."""
 
-    __slots__ = ("rank", "daemon", "root", "solo_cpu", "solo_send",
+    __slots__ = ("index", "rank", "daemon", "root", "solo_cpu", "solo_send",
                  "started", "finished", "t", "pc", "segs", "prologue",
                  "blocks", "ready", "nserved")
 
-    def __init__(self, rank: int, daemon: bool, root: bool,
+    def __init__(self, index: int, zero, rank: int, daemon: bool, root: bool,
                  solo_cpu: bool, solo_send: bool, segs, prologue,
                  blocks) -> None:
+        self.index = index         # position in ``dag.procs``
         self.rank = rank
         self.daemon = daemon
         self.root = root
@@ -96,13 +111,15 @@ class _Proc:
         self.solo_send = solo_send
         self.started = root
         self.finished = False
-        self.t = 0.0
+        self.t = zero              # a time of the walk's value type
         self.pc = 0                # main: current segment index
         self.segs = segs           # main: ((cid, k, pid, body, fdur), ...);
                                    # cid<0 = segment with no recv head
-        self.prologue = prologue   # daemon: ops before the first receive
-        self.blocks = blocks       # daemon: ((cid, k, body), ...)
-        self.ready: List[Tuple[float, int]] = []  # daemon: delivered blocks
+        self.prologue = prologue   # daemon: ops before the first receive;
+                                   # None once they have run
+        self.blocks = blocks       # daemon: ((cid, k, pid, body), ...)
+        self.ready: List[tuple] = []  # daemon: heap of delivered, unserved
+                                      # blocks, (delivery time, block index)
         self.nserved = 0
 
 
@@ -154,6 +171,9 @@ class Evaluator:
             total += cnt
         self._pin_off = pin_off
         self._n_pins = total
+        #: pin -> index of the daemon handler block it heads (-1: the pin
+        #: is consumed by a main process, or by nobody)
+        self._pin_block = pin_block = [-1] * total
 
         self._compiled = []
         for p in self.dag.procs:
@@ -180,6 +200,8 @@ class Evaluator:
                 prologue = chunks[0][3]
                 blocks = tuple((c, k, pid, tuple(b))
                                for c, k, pid, b in chunks[1:])
+                for bi, block in enumerate(blocks):
+                    pin_block[block[2]] = bi
                 self._compiled.append((p.rank, True, p.spawned_by is None,
                                        solo, solo_send, None, prologue,
                                        blocks))
@@ -233,6 +255,36 @@ class Evaluator:
     # ------------------------------------------------------------------
     def evaluate(self, topology: Topology) -> float:
         """Predicted runtime of the recorded application on ``topology``."""
+        return max(self.walk(topology))
+
+    def walk(self, topology: Topology, zero=0.0, join=_later, wide_bw=None,
+             wide_lat=None, queues=None) -> list:
+        """The schedule walk: the finish time of every root main process.
+
+        This is the only implementation of the walk.  It is written in
+        plain arithmetic over a *time* value: anything that adds a cost
+        with ``+``, orders by its reference time under ``<``/``>`` (heap
+        and service order, ties broken by ``seq`` / block index), starts
+        from ``zero``, and meets another time through ``join(a, b)``, the
+        later of the two.  :meth:`evaluate` walks floats.  The compiler
+        (:mod:`repro.replay.compile`) walks symbolic stamps: ``wide_bw``
+        and ``wide_lat`` are then symbolic too, so that ``size / wide_bw``
+        and ``+ wide_lat`` read the same here.  Its adaptive mode also
+        passes ``queues``, a recorder called *instead of* ``join``
+        wherever a contended clock is booked:
+
+        - ``book(key, arrival, free, cost)`` for ``join(arrival, free) +
+          cost`` at a CPU, NIC, gateway, WAN-wire or egress clock;
+        - ``wake(proc, now)`` for ``join(proc.t, now)`` when a daemon is
+          scheduled;
+        - ``serve(proc, arrival, free)`` for ``join(free, arrival)`` at
+          the start of a handler block, and ``served(proc, end)`` once
+          the block's body has run.
+
+        These arguments are plumbing with one caller each, not settings;
+        ``docs/replay.md`` ("One walk, three value types") has the
+        contract in full.
+        """
         dag = self.dag
         if topology.cluster_sizes != dag.cluster_sizes:
             raise EvaluationError(
@@ -246,8 +298,9 @@ class Evaluator:
 
         local_lat = topology.local.latency
         local_bw = topology.local.bandwidth
-        wide_lat = topology.wide.latency
-        wide_bw = topology.wide.bandwidth
+        if wide_bw is None:
+            wide_bw = topology.wide.bandwidth
+            wide_lat = topology.wide.latency
         local_send_ov = topology.local.send_overhead
         gw_service = topology.gateway_overhead
         n_clusters = topology.num_clusters
@@ -257,29 +310,31 @@ class Evaluator:
         n_ch = len(ch_src)
 
         # Resource clocks (``next_free`` times, all starting idle).
-        cpu_free = [0.0] * self._n_ranks
-        nic_free = [0.0] * self._n_ranks
-        gw_free = [0.0] * n_clusters
-        gwout_free = [0.0] * n_clusters
-        wan_free: Dict[Tuple[int, int], float] = {
-            pair: 0.0 for pair in topology.wan_pairs()}
+        cpu_free = [zero] * self._n_ranks
+        nic_free = [zero] * self._n_ranks
+        gw_free = [zero] * n_clusters
+        gwout_free = [zero] * n_clusters
+        wan_free = {pair: zero for pair in topology.wan_pairs()}
 
-        procs = [_Proc(*c) for c in self._compiled]
+        procs = [_Proc(i, zero, *c) for i, c in enumerate(self._compiled)]
         # Per-channel deliveries arrive in send order (the NIC and WAN
         # pipelines are FIFO per channel), so message k on channel cid is
         # pin ``pin_off[cid] + k`` and delivery state is three flat arrays:
-        # how many landed per channel, when each pin landed, and who (if
-        # anyone) is parked on it.
+        # how many landed per channel, when each pin landed, and which
+        # process (if any) is waiting on it.  The waiter is stored bare —
+        # a tuple per parked receive would outlive the walk's other
+        # garbage and be what drives the cyclic GC during an evaluation.
         pin_off = self._pin_off
+        pin_block = self._pin_block
         ch_next = [0] * n_ch
-        dlv_at = [0.0] * self._n_pins
+        dlv_at = [zero] * self._n_pins
         pin_waiter: List = [None] * self._n_pins
         # Daemons wait on every handler block up front; their ready-heaps
         # then receive (delivery_time, block) pairs as messages land.
         for proc in procs:
             if proc.daemon:
-                for bi, (_cid, _k, pid, _body) in enumerate(proc.blocks):
-                    pin_waiter[pid] = (proc, bi)
+                for _cid, _k, pid, _body in proc.blocks:
+                    pin_waiter[pid] = proc
 
         # Heap events: (time, seq, kind, channel-or-channels, size, hop).
         # Pops are monotone in time: processes only emit sends at or after
@@ -287,92 +342,73 @@ class Evaluator:
         # time replicate the engine's arrival-order contention handling.
         heap: List[tuple] = []
         seq = 0
-        runnable: List[Tuple[_Proc, float]] = [(p, 0.0) for p in procs if p.root]
+        runnable: List[tuple] = [(p, zero) for p in procs if p.root]
         runnable_append = runnable.append
         pop = heapq.heappop
         push = heapq.heappush
 
-        def deliver(cid: int, at: float) -> None:
+        def deliver(cid: int, at) -> None:
             k = ch_next[cid]
             ch_next[cid] = k + 1
             pid = pin_off[cid] + k
             dlv_at[pid] = at
-            entry = pin_waiter[pid]
-            if entry is not None:
-                proc, bi = entry
-                if bi >= 0:
-                    push(proc.ready, (at, bi))
-                    if proc.started:
-                        runnable_append((proc, at))
-                else:
-                    # A parked main: this delivery is exactly the message
-                    # heading its current segment, so complete the receive
-                    # here and resume it past the head (skip=True) — no
-                    # re-check, no round trip through the runnable list.
-                    t = proc.t
-                    if at > t:
-                        t = at
-                    t += ch_recv_ov[cid]
-                    if not proc.solo_cpu:
-                        run_main(proc, t, True)
-                        return
-                    # Compute-only segments on a solo-CPU rank (the
-                    # overwhelming majority) advance the clock by a
-                    # precomputed duration; fast-forward through them
-                    # until the process parks, finishes, or needs the
-                    # full interpreter.
-                    segs = proc.segs
-                    i = proc.pc
-                    n = len(segs)
-                    while True:
-                        fdur = segs[i][4]
-                        if fdur < 0.0:
-                            proc.pc = i
-                            run_main(proc, t, True)
-                            return
-                        t += fdur
-                        i += 1
-                        if i == n:
-                            proc.pc = i
-                            proc.t = t
-                            proc.finished = True
-                            return
-                        seg = segs[i]
-                        scid = seg[0]
-                        if seg[1] < ch_next[scid]:
-                            d = dlv_at[seg[2]]
-                            if d > t:
-                                t = d
-                            t += ch_recv_ov[scid]
-                        else:
-                            proc.pc = i
-                            proc.t = t
-                            pin_waiter[seg[2]] = (proc, -1)
-                            return
-
-        def run_main(proc: _Proc, t: float, skip: bool) -> None:
-            nonlocal seq
+            proc = pin_waiter[pid]
+            if proc is None:
+                return
+            bi = pin_block[pid]
+            if bi >= 0:
+                push(proc.ready, (at, bi))
+                if proc.started:
+                    runnable_append((proc, at))
+                return
+            # A parked main: this delivery is exactly the message heading
+            # its current segment, so complete the receive here and resume
+            # it with that segment's body — no re-check, no round trip
+            # through the runnable list.
+            t = join(proc.t, at) + ch_recv_ov[cid]
             segs = proc.segs
             i = proc.pc
-            n = len(segs)
-            rank = proc.rank
-            solo = proc.solo_cpu
-            solo_send = proc.solo_send
-            while i < n:
-                cid, k, pid, body, _fdur = segs[i]
-                if skip:
-                    skip = False
-                elif cid >= 0:
-                    if k < ch_next[cid]:
-                        d = dlv_at[pid]
-                        if d > t:
-                            t = d
-                        t += ch_recv_ov[cid]
+            if proc.solo_cpu:
+                # Compute-only segments on a solo-CPU rank (the
+                # overwhelming majority) advance the clock by a
+                # precomputed duration; fast-forward through them until
+                # the process parks, finishes, or needs the interpreter.
+                n = len(segs)
+                while True:
+                    fdur = segs[i][4]
+                    if fdur < 0.0:
+                        proc.pc = i
+                        break
+                    t += fdur
+                    i += 1
+                    if i == n:
+                        proc.pc = i
+                        proc.t = t
+                        proc.finished = True
+                        return
+                    seg = segs[i]
+                    scid = seg[0]
+                    if seg[1] < ch_next[scid]:
+                        t = join(t, dlv_at[seg[2]]) + ch_recv_ov[scid]
                     else:
                         proc.pc = i
                         proc.t = t
-                        pin_waiter[pid] = (proc, -1)
+                        pin_waiter[seg[2]] = proc
                         return
+            run(proc, t, segs[i][3])
+
+        def run(proc: _Proc, t, body) -> None:
+            """Interpret ``body`` from clock ``t``, then keep the process
+            going: a main takes its next segment while the message heading
+            it has landed (and parks on it otherwise); a daemon serves
+            whichever delivered block arrived first — reactive-server
+            semantics, not recorded order — until none is left."""
+            nonlocal seq
+            rank = proc.rank
+            solo = proc.solo_cpu
+            solo_send = proc.solo_send
+            serving = False        # adaptive: a block is open in ``queues``
+            while True:
                 for op in body:
                     code = op[0]
                     if code == OP_COMPUTE:
@@ -380,139 +416,74 @@ class Evaluator:
                             t += op[1]
                         else:
                             # CpuClock.reserve: FIFO per rank.
-                            start = cpu_free[rank]
-                            if t > start:
-                                start = t
-                            t = start + op[1]
-                            cpu_free[rank] = t
-                    elif code == OP_SEND:
-                        scid = op[1]
-                        t += ch_send_ov[scid]
-                        if solo_send:
-                            # Sole sender on this rank: its NIC bookings
-                            # arrive pre-sorted, so skip the heap round trip
-                            # and book/deliver inline.
-                            start = nic_free[rank]
-                            if t > start:
-                                start = t
-                            end = start + op[2] / local_bw
-                            nic_free[rank] = end
-                            if ch_inter[scid]:
-                                push(heap, (end + local_lat, seq, _EV_GW,
-                                            scid, op[2], 0))
-                                seq += 1
+                            if queues is None:
+                                t = join(t, cpu_free[rank]) + op[1]
                             else:
-                                deliver(scid, end + local_lat)
-                        else:
-                            push(heap, (t, seq, _EV_SEND, scid, op[2], 0))
-                            seq += 1
-                    elif code == OP_MCAST:
-                        t += local_send_ov
-                        if solo_send:
-                            start = nic_free[rank]
-                            if t > start:
-                                start = t
-                            end = start + op[2] / local_bw
-                            nic_free[rank] = end
-                            arrive_at = end + local_lat
-                            for c in op[1]:
-                                deliver(c, arrive_at)
-                        else:
-                            push(heap, (t, seq, _EV_MCAST, op[1], op[2], 0))
-                            seq += 1
-                    else:  # OP_SPAWN
+                                t = queues.book(("cpu", rank), t,
+                                                cpu_free[rank], op[1])
+                            cpu_free[rank] = t
+                    elif code == OP_SPAWN:
                         child_idx = op[1]
                         if child_idx >= 0:
                             child = procs[child_idx]
                             if not child.started:
                                 child.started = True
                                 runnable_append((child, t))
-                i += 1
-            proc.pc = i
-            proc.t = t
-            proc.finished = True
-
-        def run_daemon(proc: _Proc, now: float) -> None:
-            nonlocal seq
-            t = proc.t
-            if now > t:
-                t = now
-            rank = proc.rank
-            solo = proc.solo_cpu
-            solo_send = proc.solo_send
-            ready = proc.ready
-            blocks = proc.blocks
-            body = proc.prologue
-            while True:
-                if body is None:
-                    # Serve whichever delivered message arrived first —
-                    # reactive-server semantics, not recorded order.
-                    if not ready:
+                    else:  # OP_SEND / OP_MCAST: (code, channel(s), size)
+                        dest = op[1]
+                        t += (ch_send_ov[dest] if code == OP_SEND
+                              else local_send_ov)
+                        if solo_send:
+                            # Sole sender on this rank: its NIC bookings
+                            # arrive pre-sorted, so skip the heap round
+                            # trip and book/deliver inline.
+                            wire = op[2] / local_bw
+                            if queues is None:
+                                end = join(t, nic_free[rank]) + wire
+                            else:
+                                end = queues.book(("nic", rank), t,
+                                                  nic_free[rank], wire)
+                            nic_free[rank] = end
+                            arrive = end + local_lat
+                            if code == OP_MCAST:
+                                for c in dest:
+                                    deliver(c, arrive)
+                            elif ch_inter[dest]:
+                                push(heap, (arrive, seq, _EV_GW, dest,
+                                            op[2], 0))
+                                seq += 1
+                            else:
+                                deliver(dest, arrive)
+                        else:
+                            push(heap, (t, seq, code, dest, op[2], 0))
+                            seq += 1
+                if proc.daemon:
+                    if serving:
+                        queues.served(proc, t)
+                    if not proc.ready:
+                        proc.finished = proc.nserved == len(proc.blocks)
                         break
-                    at, bi = pop(ready)
-                    cid, _k, _pid, body = blocks[bi]
-                    if at > t:
-                        t = at
+                    at, bi = pop(proc.ready)
+                    cid, _k, _pid, body = proc.blocks[bi]
+                    if queues is None:
+                        t = join(t, at)
+                    else:
+                        t = queues.serve(proc, at, t)
+                        serving = True
                     t += ch_recv_ov[cid]
                     proc.nserved += 1
-                for op in body:
-                    code = op[0]
-                    if code == OP_COMPUTE:
-                        if solo:
-                            t += op[1]
-                        else:
-                            start = cpu_free[rank]
-                            if t > start:
-                                start = t
-                            t = start + op[1]
-                            cpu_free[rank] = t
-                    elif code == OP_SEND:
-                        scid = op[1]
-                        t += ch_send_ov[scid]
-                        if solo_send:
-                            # Sole sender on this rank: its NIC bookings
-                            # arrive pre-sorted, so skip the heap round trip
-                            # and book/deliver inline.
-                            start = nic_free[rank]
-                            if t > start:
-                                start = t
-                            end = start + op[2] / local_bw
-                            nic_free[rank] = end
-                            if ch_inter[scid]:
-                                push(heap, (end + local_lat, seq, _EV_GW,
-                                            scid, op[2], 0))
-                                seq += 1
-                            else:
-                                deliver(scid, end + local_lat)
-                        else:
-                            push(heap, (t, seq, _EV_SEND, scid, op[2], 0))
-                            seq += 1
-                    elif code == OP_MCAST:
-                        t += local_send_ov
-                        if solo_send:
-                            start = nic_free[rank]
-                            if t > start:
-                                start = t
-                            end = start + op[2] / local_bw
-                            nic_free[rank] = end
-                            arrive_at = end + local_lat
-                            for c in op[1]:
-                                deliver(c, arrive_at)
-                        else:
-                            push(heap, (t, seq, _EV_MCAST, op[1], op[2], 0))
-                            seq += 1
-                    else:  # OP_SPAWN
-                        child_idx = op[1]
-                        if child_idx >= 0:
-                            child = procs[child_idx]
-                            if not child.started:
-                                child.started = True
-                                runnable_append((child, t))
-                body = None
-            proc.prologue = None
+                else:
+                    i = proc.pc = proc.pc + 1
+                    if i == len(proc.segs):
+                        proc.finished = True
+                        break
+                    cid, k, pid, body, _fdur = proc.segs[i]
+                    if k < ch_next[cid]:
+                        t = join(t, dlv_at[pid]) + ch_recv_ov[cid]
+                    else:
+                        pin_waiter[pid] = proc
+                        break
             proc.t = t
-            if proc.nserved == len(blocks):
-                proc.finished = True
 
         # Drain: run everything runnable, then advance the transport
         # pipeline one event at a time, waking processes as messages land.
@@ -521,94 +492,94 @@ class Evaluator:
         # waking a process "early" in processing order is safe because its
         # clock advances to the (correct, future) delivery time and any
         # sends it emits land back on the heap in time order.
-        while runnable or heap:
+        while True:
             while runnable:
                 proc, at = runnable.pop()
                 if proc.finished:
                     continue
-                if proc.daemon:
-                    if proc.ready or proc.prologue is not None:
-                        run_daemon(proc, at)
-                else:
-                    t = proc.t
-                    if at > t:
-                        t = at
-                    run_main(proc, t, False)
+                if not proc.daemon:
+                    # A main is scheduled exactly once, at its first
+                    # (receive-less) segment; deliver() resumes it after.
+                    run(proc, join(proc.t, at), proc.segs[proc.pc][3])
+                elif proc.ready or proc.prologue is not None:
+                    if queues is None:
+                        t = join(proc.t, at)
+                    else:
+                        t = queues.wake(proc, at)
+                    body = proc.prologue or ()
+                    proc.prologue = None
+                    run(proc, t, body)
             if not heap:
                 break
-            at, _, kind, cid, size, hop_idx = pop(heap)
-            if kind == _EV_SEND:
-                # Book the sender's NIC (Link.transfer, FIFO in time order).
-                rank = ch_src[cid]
-                start = nic_free[rank]
-                if at > start:
-                    start = at
-                end = start + size / local_bw
+            at, _, kind, cid, size, hop = pop(heap)
+            if kind < _EV_GW:
+                # A deferred OP_SEND / OP_MCAST: book the sender's NIC
+                # (Link.transfer, FIFO in time order), exactly as a sole
+                # sender does inline.
+                rank = ch_src[cid if kind == OP_SEND else cid[0]]
+                if queues is None:
+                    end = join(at, nic_free[rank]) + size / local_bw
+                else:
+                    end = queues.book(("nic", rank), at, nic_free[rank],
+                                      size / local_bw)
                 nic_free[rank] = end
-                if ch_inter[cid]:
-                    push(heap, (end + local_lat, seq, _EV_GW, cid, size, 0))
+                arrive = end + local_lat
+                if kind == OP_MCAST:
+                    for c in cid:
+                        deliver(c, arrive)
+                elif ch_inter[cid]:
+                    push(heap, (arrive, seq, _EV_GW, cid, size, 0))
                     seq += 1
                 else:
-                    deliver(cid, end + local_lat)
+                    deliver(cid, arrive)
             elif kind == _EV_GW:
-                # At the gateway of hops[hop_idx][0]: per-message
+                # At the gateway of hops[hop][0]: per-message
                 # store-and-forward service, then the WAN wire.
                 hops = ch_hops[cid]
-                here, nxt = hops[hop_idx]
-                start = gw_free[here]
-                if at > start:
-                    start = at
-                ready_at = start + gw_service
-                gw_free[here] = ready_at
-                wstart = wan_free[(here, nxt)]
-                if ready_at > wstart:
-                    wstart = ready_at
-                wend = wstart + size / wide_bw
-                wan_free[(here, nxt)] = wend
-                if hop_idx + 1 < len(hops):
-                    # Star/ring shapes: store-and-forward at the
-                    # intermediate cluster's gateway, then onward.
-                    push(heap, (wend + wide_lat, seq, _EV_GW, cid, size,
-                                hop_idx + 1))
+                link = hops[hop]
+                here = link[0]
+                if queues is None:
+                    ready_at = join(at, gw_free[here]) + gw_service
+                    wend = join(ready_at, wan_free[link]) + size / wide_bw
                 else:
-                    push(heap, (wend + wide_lat, seq, _EV_ARRIVE, cid, size,
-                                hop_idx + 1))
+                    ready_at = queues.book(("gw", here), at, gw_free[here],
+                                           gw_service)
+                    wend = queues.book(("wan",) + link, ready_at,
+                                       wan_free[link], size / wide_bw)
+                gw_free[here] = ready_at
+                wan_free[link] = wend
+                # Star/ring shapes: store-and-forward at the intermediate
+                # cluster's gateway, then onward.
+                hop += 1
+                push(heap, (wend + wide_lat, seq,
+                            _EV_GW if hop < len(hops) else _EV_ARRIVE,
+                            cid, size, hop))
                 seq += 1
-            elif kind == _EV_ARRIVE:
+            else:  # _EV_ARRIVE
                 # Destination cluster: gateway service, then dispatch onto
                 # the local network via the shared gateway egress link.
-                dst_cluster = ch_dst_cluster[cid]
-                start = gw_free[dst_cluster]
-                if at > start:
-                    start = at
-                ready_at = start + gw_service
-                gw_free[dst_cluster] = ready_at
-                ostart = gwout_free[dst_cluster]
-                if ready_at > ostart:
-                    ostart = ready_at
-                oend = ostart + size / local_bw
-                gwout_free[dst_cluster] = oend
+                dst = ch_dst_cluster[cid]
+                if queues is None:
+                    ready_at = join(at, gw_free[dst]) + gw_service
+                    oend = join(ready_at, gwout_free[dst]) + size / local_bw
+                else:
+                    ready_at = queues.book(("gw", dst), at, gw_free[dst],
+                                           gw_service)
+                    oend = queues.book(("gwout", dst), ready_at,
+                                       gwout_free[dst], size / local_bw)
+                gw_free[dst] = ready_at
+                gwout_free[dst] = oend
                 deliver(cid, oend + local_lat)
-            else:  # _EV_MCAST: one NIC transfer, many deliveries
-                rank = ch_src[cid[0]]
-                start = nic_free[rank]
-                if at > start:
-                    start = at
-                end = start + size / local_bw
-                nic_free[rank] = end
-                arrive_at = end + local_lat
-                for c in cid:
-                    deliver(c, arrive_at)
 
-        unfinished = [p for p in procs
-                      if p.started and not p.finished and not p.daemon]
-        if unfinished:
-            names = [dag.procs[procs.index(p)].name for p in unfinished[:5]]
+        stalled = [p for p in procs
+                   if p.started and not p.finished and not p.daemon]
+        if stalled:
+            names = [dag.procs[p.index].name for p in stalled[:5]]
             raise EvaluationError(
-                f"replay stalled with {len(unfinished)} main processes "
+                f"replay stalled with {len(stalled)} main processes "
                 f"blocked (first: {names}); the recording is inconsistent "
                 f"with this parameterization")
         finish = [p.t for p in procs if p.root and not p.daemon]
         if not finish:
             raise EvaluationError("recording contains no main processes")
-        return max(finish)
+        return finish

@@ -15,6 +15,8 @@ from repro.replay import require_numpy
 from repro.replay.adaptive import ADAPTIVE_FORMAT
 from repro.replay.backend import PROBE_REL_TOL, ReplayBackend
 from repro.replay.program import PROGRAM_FORMAT
+from repro.whatif.evaluate import Evaluator
+from repro.whatif.record import REFERENCE_POINT, record_app
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +79,35 @@ def test_probe_verdicts_split_by_order_stability():
     assert not report.stable
     assert "order-unstable" in report.summary()
     assert len(report.points) == 4
+
+
+@pytest.mark.parametrize("shape", ["star", "ring"])
+def test_probe_prices_the_recorded_wan_shape(shape):
+    """The corners are the recorded topology with only the wide link
+    replaced.  Priced on a full mesh instead (as the probe once did) a
+    star/ring program is off by more than 100 % and reads unstable."""
+    recording = record_app("asp", "optimized", topology=grids.multi_cluster(
+        *REFERENCE_POINT, wan_shape=shape))
+    report = ReplayBackend(recording).probe()
+    assert report.stable
+    assert report.max_rel_error < 1e-2
+
+
+def test_probe_and_convergence_check_share_the_corner_prices(monkeypatch):
+    calls = []
+    evaluate = Evaluator.evaluate
+
+    def counted(self, topology):
+        calls.append(topology)
+        return evaluate(self, topology)
+
+    monkeypatch.setattr(Evaluator, "evaluate", counted)
+    backend = ReplayBackend.for_app("fft", "unoptimized")
+    probe = backend.probe()
+    convergence = backend.convergence_check()
+    assert len(calls) == 4               # not eight
+    assert [p.evaluator_runtime for p in probe.points] == \
+        [p.evaluator_runtime for p in convergence.points]
 
 
 # ----------------------------------------------------------------------
