@@ -27,6 +27,7 @@ from typing import List, Optional
 from ..apps import default_config, run_app
 from . import grids
 from .report import render_table
+from .runner import relative_speedup_pct
 
 POINT = dict(bandwidth=6.3, latency_ms=3.3)
 
@@ -36,7 +37,7 @@ def _relative(app: str, variant: str, config, bandwidth: float,
     base = run_app(app, variant, grids.baseline(), config=config, seed=seed)
     topo = grids.multi_cluster(bandwidth, latency_ms)
     multi = run_app(app, variant, topo, config=config, seed=seed)
-    return 100.0 * base.runtime / multi.runtime
+    return relative_speedup_pct(base.runtime, multi.runtime)
 
 
 # ----------------------------------------------------------------------

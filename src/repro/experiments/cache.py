@@ -8,16 +8,18 @@ never pay for the same grid point twice.  The topology component of the
 key is :meth:`repro.network.topology.Topology.fingerprint`, a stable
 hash of every timing-relevant parameter.
 
-Two access levels:
-
-- the typed :meth:`SimCache.get` / :meth:`SimCache.put` used by
-  :class:`~repro.experiments.runner.Sweeper` (one runtime per clean
-  grid-point simulation), and
-- the generic :meth:`SimCache.lookup` / :meth:`SimCache.store` keyed by
-  an arbitrary content-hash string, which :mod:`repro.serve` uses to
-  dedup fault-bearing, predicted, and profile results whose identity
-  includes more than the topology (FaultPlan hash, job kind, engine
-  version), and :mod:`repro.replay` uses for compiled event programs.
+One entry schema, whoever writes it (``docs/serve.md``, "Cache
+entries"): :func:`runtime_entry` is the only constructor of a runtime
+entry — attribution fields for ``cache ls`` plus the result record — and
+:func:`entry_runtime` the only judge of whether an entry holds a usable
+runtime.  The typed :meth:`SimCache.get` / :meth:`SimCache.put` (keyed
+by topology) and the :class:`~repro.experiments.runner.Sweeper` and
+:mod:`repro.serve` stores (keyed by :func:`~repro.experiments.runner.
+point_key`, plus a kind/FaultPlan/engine-version suffix for degraded,
+predicted and profile results) all go through them, and every reader
+through :meth:`SimCache.result`.  The generic
+:meth:`SimCache.lookup` / :meth:`SimCache.store` underneath also carry
+:mod:`repro.replay`'s compiled event programs.
 
 Lookups are *read-through*: a small entry (a runtime memo; compiled
 programs are too big and bypass this) is read from disk once and then
@@ -32,8 +34,9 @@ what makes the stamp a sufficient identity; the one thing it cannot
 tell apart is a file rewritten with the same size on a recycled inode
 within one filesystem timestamp tick, with no lookup in between.
 
-A file that is there but does not parse (truncated, garbled) is counted
-as ``corrupt`` — not folded into the misses — so a damaged cache shows
+A file that is there but does not parse (truncated, garbled), or parses
+but holds no usable runtime where one is read, is counted as ``corrupt``
+— not folded into the misses, never served — so a damaged cache shows
 up in :meth:`SimCache.stats`, ``python -m repro cache ls`` and the
 service's ``serve.cache.corrupt`` counter instead of silently costing a
 re-simulation.
@@ -54,6 +57,7 @@ Manage the cache from the command line::
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -69,6 +73,43 @@ MEMO_MAX_BYTES = 4096
 #: Entries the in-process map keeps (oldest-inserted evicted first); at
 #: the size bound above that is at most 32 MiB of entry text.
 MEMO_MAX_ENTRIES = 8192
+
+
+#: The fields of a runtime entry that say *whose* result it is (what
+#: ``cache ls`` and ``clear --kind`` read); every other field is the
+#: result record the run produced, which is what gets streamed.
+ATTRIBUTION = frozenset(("app", "variant", "scale", "seed", "ranks",
+                         "fingerprint", "topology", "kind"))
+
+
+def runtime_entry(app: str, variant: str, scale: str, seed: int,
+                  topology: Topology, result: Dict[str, Any],
+                  kind: Optional[str] = None) -> Dict[str, Any]:
+    """The cache entry for one run's ``result`` record on ``topology``.
+
+    ``kind`` marks results that are not plain ground truth (``chaos``,
+    ``whatif``, ``replay``, ``profile``, a fault-bearing ``sweep``).
+    """
+    entry: Dict[str, Any] = {
+        "app": app, "variant": variant, "scale": scale, "seed": seed,
+        "ranks": topology.num_ranks,
+        "fingerprint": topology.fingerprint(),
+        "topology": topology.describe(),
+    }
+    if kind is not None:
+        entry["kind"] = kind
+    entry.update(result)
+    return entry
+
+
+def entry_runtime(entry: Dict[str, Any]) -> Optional[float]:
+    """The runtime ``entry`` holds if it is usable — a finite, positive
+    number, not a bool (whose type is not ``int``) — else None.  Entries
+    of every earlier version pass: all kept ``runtime`` at the top level."""
+    runtime = entry.get("runtime")
+    if type(runtime) not in (int, float) or not 0.0 < runtime < math.inf:
+        return None
+    return float(runtime)
 
 
 def _stamp(st: os.stat_result) -> Tuple[int, int, int]:
@@ -88,7 +129,8 @@ class SimCache:
         self.root = root
         self.hits = 0
         self.misses = 0
-        #: lookups that found a file that does not parse
+        #: lookups that found a file that does not parse, or an entry
+        #: that is not a result
         self.corrupt = 0
         #: key -> (file stamp, entry text) of small entries already read
         self._memo: Dict[str, Tuple[Tuple[int, int, int], str]] = {}
@@ -145,27 +187,37 @@ class SimCache:
         self._memo.pop(key, None)
 
     # ------------------------------------------------------------------
+    # Runtime entries (see runtime_entry / entry_runtime above)
+    # ------------------------------------------------------------------
+    def result(self, key: str) -> Optional[Dict[str, Any]]:
+        """The result record stored under ``key`` — the entry minus its
+        attribution — or None.  A result holds a usable runtime, or is a
+        chaos run's recorded failure (``ok: false`` plus a typed error).
+        An entry that parses but is neither is corrupt, not a hit: it is
+        counted, and the caller recomputes and overwrites it."""
+        entry = self.lookup(key)
+        if entry is None:
+            return None
+        if entry_runtime(entry) is None and not (
+                entry.get("kind") == "chaos" and entry.get("ok") is False):
+            self.hits -= 1          # lookup() took it for a hit
+            self.corrupt += 1
+            return None
+        return {name: value for name, value in entry.items()
+                if name not in ATTRIBUTION}
+
     def get(self, app: str, variant: str, scale: str, seed: int,
             topology: Topology) -> Optional[float]:
         """Cached runtime for this simulation, or None."""
-        entry = self.lookup(self.key(app, variant, scale, seed, topology))
-        if entry is None or "runtime" not in entry:
-            return None
-        return float(entry["runtime"])
+        result = self.result(self.key(app, variant, scale, seed, topology))
+        return entry_runtime(result) if result else None
 
     def put(self, app: str, variant: str, scale: str, seed: int,
             topology: Topology, runtime: float) -> None:
         """Store one simulated runtime (atomic, last writer wins)."""
-        self.store(self.key(app, variant, scale, seed, topology), {
-            "app": app,
-            "variant": variant,
-            "scale": scale,
-            "seed": seed,
-            "ranks": topology.num_ranks,
-            "fingerprint": topology.fingerprint(),
-            "topology": topology.describe(),
-            "runtime": runtime,
-        })
+        self.store(self.key(app, variant, scale, seed, topology),
+                   runtime_entry(app, variant, scale, seed, topology,
+                                 {"runtime": runtime}))
 
     # ------------------------------------------------------------------
     def entries(self) -> List[dict]:
@@ -339,18 +391,10 @@ def main(argv: Optional[list] = None) -> None:
                          f"{prog.get('levels', '?')} levels")
                 where = f"ref fp={str(entry.get('fingerprint'))[:12]}"
             else:
-                runtime = entry.get("runtime")
-                shown = f"{runtime:.6f}s" \
-                    if isinstance(runtime, (int, float)) else str(runtime)
-                where = entry.get("topology")
-                if where is None:    # serve entries carry the point instead
-                    bw = entry.get("bandwidth_mbyte_s")
-                    lat = entry.get("latency_ms")
-                    if isinstance(bw, (int, float)) and \
-                            isinstance(lat, (int, float)):
-                        where = f"wan {bw:g} MB/s / {lat:g} ms"
-                    else:
-                        where = "baseline"
+                runtime = entry_runtime(entry)
+                shown = f"{runtime:.6f}s" if runtime is not None \
+                    else str(entry.get("error", "no usable runtime"))
+                where = entry.get("topology", "?")
             print(f"    scale={entry.get('scale')} seed={entry.get('seed')} "
                   f"{where} -> {shown}{suffix}")
 

@@ -22,12 +22,13 @@ from .runner import SpeedupGrid, Sweeper
 
 
 def render_panel(grid: SpeedupGrid) -> str:
-    """One Figure-3 panel as a table plus an ASCII chart."""
-    bandwidths = sorted(grids.BANDWIDTHS_MBYTE_S, reverse=True)
+    """One Figure-3 panel as a table plus an ASCII chart, over the
+    grid's own axes (the paper's, for a default sweep)."""
+    bandwidths = sorted({bw for bw, _ in grid.points}, reverse=True)
     headers = ["latency \\ bw MByte/s"] + [f"{bw:g}" for bw in bandwidths]
     rows = []
     series: Dict[str, List[float]] = {}
-    for lat in grids.LATENCIES_MS:
+    for lat in sorted({lat for _, lat in grid.points}):
         curve = {p.bandwidth_mbyte_s: p.relative_speedup_pct
                  for p in grid.series(lat)}
         rows.append([f"{lat:g} ms"] + [f"{curve[bw]:5.1f}%" for bw in bandwidths])

@@ -47,14 +47,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..apps import default_config, run_app
+from ..apps import run_app
 from ..network.topology import Topology
 from ..obs.report import RunReporter, run_record
 from ..runtime.run import RunResult
 from . import grids
-from .cache import SimCache
+from .cache import SimCache, runtime_entry
+
+
+def relative_speedup_pct(baseline_runtime: float, runtime: float) -> float:
+    """The paper's y-axis, ``T_L / T_M * 100``.  Every front end that
+    reports a speedup calls this one float expression — which is why a
+    merged serve stream, a replayed panel and a direct sweep compare
+    ``repr``-equal."""
+    return 100.0 * baseline_runtime / runtime
 
 
 @dataclass
@@ -94,6 +102,14 @@ class SpeedupGrid:
         """True when an analytic rung, not full simulation, produced
         the points."""
         return self.backend != "simulate"
+
+    def put(self, bandwidth_mbyte_s: float, latency_ms: float,
+            runtime: float) -> None:
+        """Set one point from its runtime (speedup against the baseline)."""
+        self.points[(bandwidth_mbyte_s, latency_ms)] = GridPoint(
+            bandwidth_mbyte_s=bandwidth_mbyte_s, latency_ms=latency_ms,
+            runtime=runtime, relative_speedup_pct=relative_speedup_pct(
+                self.baseline_runtime, runtime))
 
     def series(self, latency_ms: float) -> List[GridPoint]:
         """One Figure-3 curve: points of a latency series, by bandwidth."""
@@ -153,18 +169,51 @@ def baseline_key(app: str, variant: str, scale: str, seed: int,
     return SimCache.key(app, variant, scale, seed, grids.baseline(num_ranks))
 
 
-def _simulate_point(payload: tuple) -> Tuple[float, float, float]:
-    """Worker-process task: one ground-truth grid simulation.
+# One ground-truth point — how it is described, run and reported — for
+# the Sweeper (serial and pooled) and repro.serve's workers alike.
+def point_payload(app: str, variant: str, scale: str, seed: int,
+                  bandwidth_mbyte_s: Optional[float],
+                  latency_ms: Optional[float],
+                  clusters: int = grids.NUM_CLUSTERS,
+                  cluster_size: int = grids.CLUSTER_SIZE,
+                  wan_shape: str = "full") -> Dict[str, Any]:
+    """The picklable work order for one point; ``(None, None)`` is the
+    all-Myrinet baseline on ``clusters * cluster_size`` ranks.  Callers
+    may add ``max_events`` (an engine event budget)."""
+    return {"app": app, "variant": variant, "scale": scale, "seed": seed,
+            "bandwidth_mbyte_s": bandwidth_mbyte_s, "latency_ms": latency_ms,
+            "clusters": clusters, "cluster_size": cluster_size,
+            "wan_shape": wan_shape}
 
-    Module-level so it pickles for :class:`ProcessPoolExecutor`; returns
-    ``(bandwidth, latency_ms, runtime)``.
-    """
-    (app, variant, scale, seed, bw, lat, clusters, cluster_size,
-     wan_shape) = payload
-    topo = grids.multi_cluster(bw, lat, clusters, cluster_size, wan_shape)
-    config = default_config(app, scale)
-    result = run_app(app, variant, topo, config=config, seed=seed)
-    return (bw, lat, result.runtime)
+
+def point_topology(payload: Dict[str, Any]) -> Topology:
+    """The machine a point payload describes."""
+    if payload["bandwidth_mbyte_s"] is None or payload["latency_ms"] is None:
+        return grids.baseline(payload["clusters"] * payload["cluster_size"])
+    return grids.multi_cluster(
+        payload["bandwidth_mbyte_s"], payload["latency_ms"],
+        payload["clusters"], payload["cluster_size"], payload["wan_shape"])
+
+
+def run_ground_truth(payload: Dict[str, Any], faults=None) -> RunResult:
+    """Simulate the point ``payload`` describes, under ``faults`` (a
+    :class:`~repro.faults.plan.FaultPlan`) if given."""
+    return run_app(payload["app"], payload["variant"],
+                   point_topology(payload), scale=payload["scale"],
+                   seed=payload["seed"], faults=faults,
+                   max_events=payload.get("max_events"))
+
+
+def point_result(result: RunResult) -> Dict[str, Any]:
+    """The result record of one run: what is cached and streamed."""
+    return {"runtime": result.runtime,
+            "engine_events": result.machine.engine.events_processed}
+
+
+def simulate_point(payload: Dict[str, Any], faults=None) -> Dict[str, Any]:
+    """Payload in, result record out: the task of both process pools
+    (module-level so it pickles)."""
+    return point_result(run_ground_truth(payload, faults))
 
 
 class Sweeper:
@@ -209,11 +258,8 @@ class Sweeper:
         return None
 
     # ------------------------------------------------------------------
-    def run_on(self, app: str, variant: str, topo: Topology,
-               faults=None) -> RunResult:
-        config = default_config(app, self.scale)
-        result = run_app(app, variant, topo, config=config, seed=self.seed,
-                         faults=faults)
+    def _reported(self, app: str, variant: str,
+                  result: RunResult) -> RunResult:
         if self.reporter is not None:
             self.reporter.emit(run_record(
                 result.machine, result.runtime, result.wall_time,
@@ -221,29 +267,63 @@ class Sweeper:
                       "harness": "sweeper"}))
         return result
 
-    def _sim_runtime(self, app: str, variant: str, topo: Topology,
-                     faults=None) -> float:
+    def run_on(self, app: str, variant: str, topo: Topology,
+               faults=None) -> RunResult:
+        """One reported run at this sweep's scale and seed on *any*
+        topology.  (Grid points and baselines are payloads and go
+        through :func:`run_ground_truth`.)"""
+        return self._reported(app, variant, run_app(
+            app, variant, topo, scale=self.scale, seed=self.seed,
+            faults=faults))
+
+    def _payload(self, app: str, variant: str, bandwidth: Optional[float],
+                 latency_ms: Optional[float], *shape) -> Dict[str, Any]:
+        return point_payload(app, variant, self.scale, self.seed, bandwidth,
+                             latency_ms, *shape)
+
+    def _cached(self, payload: Dict[str, Any]) -> Optional[float]:
+        """The cached ground-truth runtime of a clean point, if any."""
+        if self.cache is None:
+            return None
+        return self.cache.get(payload["app"], payload["variant"], self.scale,
+                              self.seed, point_topology(payload))
+
+    def _landed(self, payload: Dict[str, Any],
+                record: Dict[str, Any]) -> float:
+        """Cache a clean point's fresh result record; returns its runtime."""
+        if self.cache is not None:
+            app, variant = payload["app"], payload["variant"]
+            topo = point_topology(payload)
+            self.cache.store(
+                SimCache.key(app, variant, self.scale, self.seed, topo),
+                runtime_entry(app, variant, self.scale, self.seed, topo,
+                              record))
+        return record["runtime"]
+
+    def _sim_runtime(self, payload: Dict[str, Any], faults=None) -> float:
         """Ground-truth runtime for one point, via the on-disk cache.
 
         Fault-bearing runs bypass the cache entirely — its key does not
         encode the plan, so a hit from (or a store into) a clean sweep
         would silently mix clean and degraded runtimes.
         """
-        if faults is None and self.cache is not None:
-            hit = self.cache.get(app, variant, self.scale, self.seed, topo)
+        if faults is None:
+            hit = self._cached(payload)
             if hit is not None:
                 return hit
-        runtime = self.run_on(app, variant, topo, faults=faults).runtime
-        if faults is None and self.cache is not None:
-            self.cache.put(app, variant, self.scale, self.seed, topo, runtime)
-        return runtime
+        record = point_result(self._reported(
+            payload["app"], payload["variant"],
+            run_ground_truth(payload, faults)))
+        return self._landed(payload, record) if faults is None \
+            else record["runtime"]
 
     def baseline_runtime(self, app: str, variant: str,
                          num_ranks: int = grids.NUM_RANKS) -> float:
         key = (app, variant, num_ranks)
         if key not in self._baseline_cache:
+            # the baseline machine is one all-Myrinet cluster
             self._baseline_cache[key] = self._sim_runtime(
-                app, variant, grids.baseline(num_ranks))
+                self._payload(app, variant, None, None, 1, num_ranks))
         return self._baseline_cache[key]
 
     # ------------------------------------------------------------------
@@ -274,8 +354,9 @@ class Sweeper:
                 tolerance_pp=self.tolerance_pp,
                 baseline=lambda: self.baseline_runtime(
                     app, variant, clusters * cluster_size),
-                simulate=lambda bw, lat: self._sim_runtime(
-                    app, variant, topology_for(bw, lat)),
+                simulate=lambda bw, lat: self._sim_runtime(self._payload(
+                    app, variant, bw, lat, clusters, cluster_size,
+                    wan_shape)),
                 topology_for=topology_for)
             self._decisions[memo_key] = decision
             if self.reporter is not None:
@@ -290,16 +371,18 @@ class Sweeper:
                    cluster_size: int = grids.CLUSTER_SIZE,
                    wan_shape: str = "full") -> GridPoint:
         base = self.baseline_runtime(app, variant, clusters * cluster_size)
-        topo = grids.multi_cluster(bandwidth, latency_ms, clusters,
-                                   cluster_size, wan_shape)
         decision = self.decision(app, variant, clusters, cluster_size,
                                  wan_shape)
         if decision is None or decision.pricer is None:
-            runtime = self._sim_runtime(app, variant, topo,
-                                        faults=self._active_faults)
+            runtime = self._sim_runtime(
+                self._payload(app, variant, bandwidth, latency_ms, clusters,
+                              cluster_size, wan_shape),
+                faults=self._active_faults)
         else:
             from ..whatif.evaluate import EvaluationError
 
+            topo = grids.multi_cluster(bandwidth, latency_ms, clusters,
+                                       cluster_size, wan_shape)
             try:
                 runtime = decision.pricer.point(topo)
             except EvaluationError:
@@ -310,7 +393,7 @@ class Sweeper:
             bandwidth_mbyte_s=bandwidth,
             latency_ms=latency_ms,
             runtime=runtime,
-            relative_speedup_pct=100.0 * base / runtime,
+            relative_speedup_pct=relative_speedup_pct(base, runtime),
         )
 
     def _simulate_grid(self, app: str, variant: str,
@@ -318,43 +401,29 @@ class Sweeper:
                        ) -> Dict[Tuple[float, float], float]:
         """Ground-truth runtimes for ``points``, serial or pooled.
 
-        The parallel path checks the on-disk cache up front, fans the
-        misses out to a process pool, and merges in the serial iteration
-        order — the resulting dict is identical to a serial sweep's.
-        Fault-bearing sweeps always run serially (the pool payload does
-        not carry the plan) and never touch the cache.
+        The parallel path takes what the cache has, fans the misses out
+        to a process pool, and merges in the serial iteration order —
+        the resulting dict (and every stored entry) is identical to a
+        serial sweep's.  Fault-bearing sweeps always run serially (the
+        pool task does not carry the plan) and never touch the cache.
         """
         faults = self._active_faults
-        runtimes: Dict[Tuple[float, float], Optional[float]] = {}
-        if self.workers and self.workers > 1 and faults is None:
-            from concurrent.futures import ProcessPoolExecutor
+        payloads = {point: self._payload(app, variant, *point)
+                    for point in points}
+        if not (self.workers and self.workers > 1 and faults is None):
+            return {point: self._sim_runtime(payloads[point], faults=faults)
+                    for point in points}
 
-            misses: List[Tuple[float, float]] = []
-            for bw, lat in points:
-                hit = None
-                if self.cache is not None:
-                    entry = self.cache.lookup(
-                        point_key(app, variant, self.scale, self.seed, bw, lat))
-                    if entry is not None and "runtime" in entry:
-                        hit = float(entry["runtime"])
-                runtimes[(bw, lat)] = hit
-                if hit is None:
-                    misses.append((bw, lat))
-            if misses:
-                payloads = [(app, variant, self.scale, self.seed, bw, lat,
-                             grids.NUM_CLUSTERS, grids.CLUSTER_SIZE, "full")
-                            for bw, lat in misses]
-                with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                    for bw, lat, runtime in pool.map(_simulate_point, payloads):
-                        runtimes[(bw, lat)] = runtime
-                        if self.cache is not None:
-                            self.cache.put(app, variant, self.scale, self.seed,
-                                           grids.multi_cluster(bw, lat),
-                                           runtime)
-        else:
-            for bw, lat in points:
-                runtimes[(bw, lat)] = self._sim_runtime(
-                    app, variant, grids.multi_cluster(bw, lat), faults=faults)
+        from concurrent.futures import ProcessPoolExecutor
+
+        runtimes = {point: self._cached(payloads[point]) for point in points}
+        misses = [point for point in points if runtimes[point] is None]
+        if misses:
+            with ProcessPoolExecutor(max_workers=self.workers) as pool:
+                records = pool.map(simulate_point,
+                                   [payloads[point] for point in misses])
+                for point, record in zip(misses, records):
+                    runtimes[point] = self._landed(payloads[point], record)
         return runtimes
 
     def speedup_grid(self, app: str, variant: str,
@@ -363,12 +432,6 @@ class Sweeper:
         """The full Figure-3 panel for one application variant."""
         base = self.baseline_runtime(app, variant)
         grid = SpeedupGrid(app=app, variant=variant, baseline_runtime=base)
-
-        def put(bw: float, lat: float, runtime: float) -> None:
-            grid.points[(bw, lat)] = GridPoint(
-                bandwidth_mbyte_s=bw, latency_ms=lat, runtime=runtime,
-                relative_speedup_pct=100.0 * base / runtime)
-
         decision = self.decision(app, variant)
         if decision is not None:
             grid.validation = decision.validation
@@ -387,20 +450,20 @@ class Sweeper:
                         grid.downgraded_points.append((bw, lat))
                         runtime = decision.backend.evaluator.evaluate(
                             grids.multi_cluster(bw, lat))
-                    put(bw, lat, float(runtime))
+                    grid.put(bw, lat, float(runtime))
             # The validation corners were simulated anyway — splice the
             # ground truth in so analytic grids agree with full sweeps
             # bit-for-bit at the spot-check points.
             for vp in decision.validation.points:
                 if (vp.bandwidth_mbyte_s, vp.latency_ms) in grid.points:
-                    put(vp.bandwidth_mbyte_s, vp.latency_ms,
-                        vp.simulated_runtime)
+                    grid.put(vp.bandwidth_mbyte_s, vp.latency_ms,
+                             vp.simulated_runtime)
             return grid
 
         ordered = [(bw, lat) for lat in latencies for bw in bandwidths]
         runtimes = self._simulate_grid(app, variant, ordered)
         for bw, lat in ordered:
-            put(bw, lat, runtimes[(bw, lat)])
+            grid.put(bw, lat, runtimes[(bw, lat)])
         return grid
 
     # ------------------------------------------------------------------

@@ -26,6 +26,7 @@ from ..apps import default_config, run_app
 from ..network import Variability, das_topology
 from . import grids
 from .report import render_table
+from .runner import relative_speedup_pct
 
 OPERATING_POINT = dict(wan_latency_ms=10.0, wan_bandwidth_mbyte_s=1.0)
 CVS = (0.0, 0.5, 1.0, 2.0)
@@ -39,7 +40,7 @@ def relative_speedup_with(app: str, variant: str, variability, scale: str,
                         cluster_size=grids.CLUSTER_SIZE,
                         wan_variability=variability, **OPERATING_POINT)
     multi = run_app(app, variant, topo, config=config, seed=seed)
-    return 100.0 * base.runtime / multi.runtime
+    return relative_speedup_pct(base.runtime, multi.runtime)
 
 
 def sweep(app: str, kind: str, scale: str = "bench",

@@ -20,7 +20,7 @@ from typing import Optional
 from ..experiments import grids
 from ..experiments.cache import SimCache
 from ..experiments.figure3 import render_panel
-from ..experiments.runner import GridPoint, SpeedupGrid, Sweeper
+from ..experiments.runner import SpeedupGrid, Sweeper
 
 
 def _loss_panel(sweeper: Sweeper, app: str, variant: str,
@@ -39,15 +39,11 @@ def _loss_panel(sweeper: Sweeper, app: str, variant: str,
               f"p={loss_rate:g}, and no analytic downgrade exists on the "
               f"loss axis")
         return None
-    base = sweeper.baseline_runtime(app, variant)
-    grid = SpeedupGrid(app=app, variant=variant, baseline_runtime=base,
-                       backend=decision.rung)
+    grid = SpeedupGrid(app=app, variant=variant, backend=decision.rung,
+                       baseline_runtime=sweeper.baseline_runtime(app, variant))
     for i, lat in enumerate(grids.LATENCIES_MS):
         for j, bw in enumerate(grids.BANDWIDTHS_MBYTE_S):
-            runtime = float(rows[i][j])
-            grid.points[(bw, lat)] = GridPoint(
-                bandwidth_mbyte_s=bw, latency_ms=lat, runtime=runtime,
-                relative_speedup_pct=100.0 * base / runtime)
+            grid.put(bw, lat, float(rows[i][j]))
     return render_panel(grid)
 
 

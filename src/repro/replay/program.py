@@ -39,6 +39,7 @@ from __future__ import annotations
 import base64
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..faults.plan import TransportConfig
 from ..network.linkspec import MBYTE, MS
 from ..network.topology import Topology
 from . import require_numpy
@@ -48,12 +49,9 @@ from . import require_numpy
 #: mispricing.
 PROGRAM_FORMAT = 1
 
-# Reliable-transport constants mirrored from repro.runtime.transport's
-# TransportConfig defaults (the loss model prices their expectation).
-_RTO_FACTOR = 3.0
-_MIN_RTO = 1e-3
-_BACKOFF = 2.0
-_ACK_BYTES = 64.0
+#: The reliable transport's defaults: the loss model prices the
+#: expectation of exactly what a default FaultPlan's transport does.
+_TRANSPORT = TransportConfig()
 
 
 def _levelize(pa: List[int], pb: List[int]):
@@ -168,10 +166,11 @@ class ReplayProgram:
         """Per-point (inv_bw_effective, expected retransmission delay)."""
         if not np.any(loss):
             return inv_bw, np.zeros_like(inv_bw)
-        if np.any(loss < 0.0) or np.any(loss * _BACKOFF >= 1.0):
+        b = _TRANSPORT.backoff
+        if np.any(loss < 0.0) or np.any(loss * b >= 1.0):
             raise ValueError(
-                f"loss rates must be in [0, {1.0 / _BACKOFF:g}) for the "
-                f"expected-value model (geometric backoff x{_BACKOFF:g} "
+                f"loss rates must be in [0, {1.0 / b:g}) for the "
+                f"expected-value model (geometric backoff x{b:g} "
                 f"diverges beyond it); simulate heavier loss with a "
                 f"FaultPlan instead")
         meta = self.meta
@@ -183,9 +182,9 @@ class ReplayProgram:
         # plus its 64-byte ack: WAN wire + propagation both ways, the
         # gateway handling on each side, and the local legs.
         fixed = 2.0 * (2.0 * local_lat + 2.0 * gw + send_ov + recv_ov)
-        rtt = 2.0 * wlat + (mean_bytes + _ACK_BYTES) * inv_bw + fixed
-        rto = np.maximum(_MIN_RTO, _RTO_FACTOR * rtt)
-        b = _BACKOFF
+        rtt = (2.0 * wlat + (mean_bytes + _TRANSPORT.ack_bytes) * inv_bw
+               + fixed)
+        rto = np.maximum(_TRANSPORT.min_rto, _TRANSPORT.rto_factor * rtt)
         expected = rto * (b * loss / (1.0 - b * loss)
                           - loss / (1.0 - loss)) / (b - 1.0)
         return inv_bw / (1.0 - loss), expected

@@ -147,25 +147,9 @@ def _build_spec(args: argparse.Namespace) -> Dict[str, Any]:
     return spec
 
 
-def _render_grid(records: List[Dict[str, Any]]) -> None:
-    from .client import merge_grid
-
-    grid = merge_grid(records)
-    bandwidths = sorted({bw for bw, _ in grid.points}, reverse=True)
-    latencies = sorted({lat for _, lat in grid.points})
-    print(f"\n{grid.app}/{grid.variant} relative speedup (%), "
-          f"baseline {grid.baseline_runtime:.4f}s")
-    header = "lat\\bw " + "".join(f"{bw:>9g}" for bw in bandwidths)
-    print(header)
-    for lat in latencies:
-        cells = "".join(
-            f"{grid.points[(bw, lat)].relative_speedup_pct:>9.1f}"
-            for bw in bandwidths)
-        print(f"{lat:>6g} {cells}")
-
-
 def submit_main(argv: Optional[list] = None) -> int:
-    from .client import ServeClient, ServeError
+    from ..experiments.figure3 import render_panel
+    from .client import ServeClient, ServeError, merge_grid
 
     parser = argparse.ArgumentParser(
         prog="python -m repro submit",
@@ -257,7 +241,8 @@ def submit_main(argv: Optional[list] = None) -> int:
               f"hit rate {100.0 * end.get('hit_rate', 0.0):.0f}%")
         if state == "done" and args.kind in ("sweep", "whatif", "replay"):
             try:
-                _render_grid(records)
+                print()
+                print(render_panel(merge_grid(records)))
             except ServeError:
                 pass
     return 0 if state == "done" else 1

@@ -15,9 +15,9 @@ on the wire, so callers observe per-point results incrementally::
 
 :func:`merge_grid` folds a complete record stream back into the exact
 :class:`~repro.experiments.runner.SpeedupGrid` a direct
-``Sweeper(workers=N)`` run would have produced — same float
-expressions, same insertion order — which is what the byte-identity
-test pins.
+``Sweeper(workers=N)`` run would have produced — the same
+:meth:`SpeedupGrid.put`, in the same insertion order — which is what the
+byte-identity test pins.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import json
 import socket
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..experiments.runner import GridPoint, SpeedupGrid
+from ..experiments.runner import SpeedupGrid
 
 
 class ServeError(Exception):
@@ -171,9 +171,9 @@ def merge_grid(records: Iterable[Dict[str, Any]]) -> SpeedupGrid:
     """Fold one complete job stream into a :class:`SpeedupGrid`.
 
     Point insertion follows the spec's serial iteration order (``for lat
-    in latencies for bw in bandwidths``) and the speedup expression is
-    the Sweeper's own ``100.0 * base / runtime``, so the merged grid is
-    byte-identical — ``repr``-equal, point for point — to a direct
+    in latencies for bw in bandwidths``) and points are set the way the
+    Sweeper sets them, so the merged grid is byte-identical —
+    ``repr``-equal, point for point — to a direct
     ``Sweeper(workers=N).speedup_grid(...)`` on the same inputs.
     """
     spec: Optional[Dict[str, Any]] = None
@@ -206,8 +206,5 @@ def merge_grid(records: Iterable[Dict[str, Any]]) -> SpeedupGrid:
                        baseline_runtime=baseline)
     for lat in spec["latencies"]:
         for bw in spec["bandwidths"]:
-            runtime = runtimes[(bw, lat)]
-            grid.points[(bw, lat)] = GridPoint(
-                bandwidth_mbyte_s=bw, latency_ms=lat, runtime=runtime,
-                relative_speedup_pct=100.0 * baseline / runtime)
+            grid.put(bw, lat, runtimes[(bw, lat)])
     return grid

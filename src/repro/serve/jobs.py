@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .. import __version__ as ENGINE_VERSION
 from ..experiments import grids
-from ..experiments.runner import baseline_key, point_key
+from ..experiments.runner import baseline_key, point_key, point_payload
 
 #: Legal job kinds, in documentation order.
 KINDS: Tuple[str, ...] = ("sweep", "whatif", "replay", "chaos", "profile")
@@ -106,6 +106,12 @@ class UnknownJob(JobError):
 _FAULT_FIELDS = {"loss", "max_retries", "no_transport"}
 
 
+def _is_number(value: Any, types=(int, float)) -> bool:
+    """A JSON number of ``types``.  ``true``/``false`` are not: Python's
+    bool is an int, and would be admitted as 1/0 under its own hash."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _canonical_faults(raw: Any) -> Optional[Dict[str, Any]]:
     """Validate and canonicalize the ``faults`` object of a submission.
 
@@ -124,13 +130,13 @@ def _canonical_faults(raw: Any) -> Optional[Dict[str, Any]]:
                          f"(known: {sorted(_FAULT_FIELDS)})")
     out: Dict[str, Any] = {}
     loss = raw.get("loss", 0.0)
-    if not isinstance(loss, (int, float)) or not 0.0 <= float(loss) <= 1.0:
+    if not _is_number(loss) or not 0.0 <= float(loss) <= 1.0:
         raise InvalidJob(f"faults.loss must be a probability in [0, 1], "
                          f"got {loss!r}")
     if loss:
         out["loss"] = float(loss)
     retries = raw.get("max_retries", 10)
-    if not isinstance(retries, int) or retries < 0:
+    if not _is_number(retries, int) or retries < 0:
         raise InvalidJob(f"faults.max_retries must be a non-negative int, "
                          f"got {retries!r}")
     if retries != 10:
@@ -169,7 +175,7 @@ def _grid_axis(raw: Any, name: str) -> Tuple[float, ...]:
         raise InvalidJob(f"{name} must be a non-empty array of numbers")
     out = []
     for value in raw:
-        if not isinstance(value, (int, float)) or value <= 0:
+        if not _is_number(value) or value <= 0:
             raise InvalidJob(f"{name} entries must be positive numbers, "
                              f"got {value!r}")
         out.append(float(value))
@@ -227,7 +233,7 @@ class JobSpec:
             raise InvalidJob(f"scale must be 'paper' or 'bench', got {scale!r}")
 
         seed = payload.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
+        if not _is_number(seed, int) or seed < 0:
             raise InvalidJob(f"seed must be a non-negative int, got {seed!r}")
 
         bandwidths = _grid_axis(
@@ -240,7 +246,7 @@ class JobSpec:
         cluster_size = payload.get("cluster_size", grids.CLUSTER_SIZE)
         for name, value in (("clusters", clusters),
                             ("cluster_size", cluster_size)):
-            if not isinstance(value, int) or value < 1:
+            if not _is_number(value, int) or value < 1:
                 raise InvalidJob(f"{name} must be a positive int, got {value!r}")
         if clusters < 2:
             raise InvalidJob("clusters must be >= 2 (a one-cluster machine "
@@ -269,7 +275,7 @@ class JobSpec:
 
         max_events = payload.get("max_events")
         if max_events is not None and (
-                not isinstance(max_events, int) or max_events < 1):
+                not _is_number(max_events, int) or max_events < 1):
             raise InvalidJob(f"max_events must be a positive int, "
                              f"got {max_events!r}")
 
@@ -363,6 +369,21 @@ class JobSpec:
         blob = json.dumps(extra, sort_keys=True)
         return "-" + self.kind + hashlib.sha256(blob.encode()).hexdigest()[:12]
 
+    def is_ground_truth(self, baseline: bool) -> bool:
+        """Whether this job's grid points (or, with ``baseline``, its
+        baseline) are plain clean simulations: the entries the Sweeper
+        shares — its key, no ``kind``.  Those of a clean sweep are, and
+        the baseline of the analytic kinds."""
+        if self.kind == "sweep":
+            return not self.faults
+        return baseline and self.kind in ("whatif", "replay")
+
+    @cached_property
+    def _suffix_of(self) -> Dict[bool, str]:
+        """Key suffix by ``is baseline``: none for ground truth."""
+        return {baseline: "" if self.is_ground_truth(baseline)
+                else self._key_suffix for baseline in (False, True)}
+
     def cache_key(self, bandwidth_mbyte_s: Optional[float],
                   latency_ms: Optional[float]) -> str:
         """Content-addressed cache key for one of this job's points.
@@ -373,36 +394,22 @@ class JobSpec:
         point carries the kind/faults/engine suffix.
         """
         if bandwidth_mbyte_s is None or latency_ms is None:
-            base = baseline_key(self.app, self.variant, self.scale, self.seed,
-                                self.num_ranks)
-        else:
-            base = point_key(self.app, self.variant, self.scale, self.seed,
-                             bandwidth_mbyte_s, latency_ms, self.clusters,
-                             self.cluster_size, self.wan_shape)
-        if self.kind == "sweep" and not self.faults:
-            return base
-        if self.kind in ("whatif", "replay") and (
-                bandwidth_mbyte_s is None or latency_ms is None):
-            return base    # these baselines are plain clean simulations
-        return base + self._key_suffix
+            return baseline_key(self.app, self.variant, self.scale, self.seed,
+                                self.num_ranks) + self._suffix_of[True]
+        return point_key(self.app, self.variant, self.scale, self.seed,
+                         bandwidth_mbyte_s, latency_ms, self.clusters,
+                         self.cluster_size, self.wan_shape) \
+            + self._suffix_of[False]
 
     def point_payload(self, bandwidth_mbyte_s: Optional[float],
                       latency_ms: Optional[float]) -> Dict[str, Any]:
         """Picklable work order for :func:`repro.serve.worker.run_point`."""
-        return {
-            "kind": "baseline" if bandwidth_mbyte_s is None else self.kind,
-            "app": self.app,
-            "variant": self.variant,
-            "scale": self.scale,
-            "seed": self.seed,
-            "bandwidth_mbyte_s": bandwidth_mbyte_s,
-            "latency_ms": latency_ms,
-            "clusters": self.clusters,
-            "cluster_size": self.cluster_size,
-            "wan_shape": self.wan_shape,
-            "faults": self.faults_dict,
-            "max_events": self.max_events,
-        }
+        return dict(
+            point_payload(self.app, self.variant, self.scale, self.seed,
+                          bandwidth_mbyte_s, latency_ms, self.clusters,
+                          self.cluster_size, self.wan_shape),
+            kind="baseline" if bandwidth_mbyte_s is None else self.kind,
+            faults=self.faults_dict, max_events=self.max_events)
 
 
 # ----------------------------------------------------------------------

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Any, AsyncIterator, Deque, Dict, List, Optional, Set
 
-from ..experiments.cache import SimCache
+from ..experiments.cache import SimCache, runtime_entry
+from ..experiments.runner import point_topology, relative_speedup_pct
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import RunReporter, serve_job_record
 from . import worker
@@ -281,42 +282,33 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Job execution
     # ------------------------------------------------------------------
-    #: cache-entry metadata (see _stored_record) that must not leak into
-    #: streamed point records — "kind" in particular would shadow the
-    #: record envelope's own kind.
-    _ENTRY_META = ("app", "variant", "scale", "seed", "kind",
-                   "bandwidth_mbyte_s", "latency_ms")
+    def _land(self, job: Job, bw: Optional[float], lat: Optional[float],
+              result: Dict[str, Any], cached: bool,
+              baseline: Optional[float] = None,
+              extra: Optional[Dict[str, Any]] = None) -> None:
+        """Account and stream one result.  ``(None, None)`` is the
+        baseline, which reports its runtime (and ``extra``) only."""
+        self._account_point(job, cached, failed=result.get("ok") is False)
+        if bw is None:
+            record = {"kind": "baseline", "job": job.id,
+                      "runtime": result["runtime"], "cached": cached,
+                      **(extra or {})}
+        else:
+            # The envelope last: no entry field can shadow it.
+            record = dict(result, kind="point", job=job.id, cached=cached,
+                          bandwidth_mbyte_s=bw, latency_ms=lat)
+            if baseline is not None and "runtime" in result:
+                record["relative_speedup_pct"] = relative_speedup_pct(
+                    baseline, result["runtime"])
+        self._emit(job, record)
 
-    def _point_record(self, job: Job, bw: float, lat: float,
-                      result: Dict[str, Any], cached: bool,
-                      baseline: Optional[float]) -> Dict[str, Any]:
-        record = {"kind": "point", "job": job.id,
-                  "bandwidth_mbyte_s": bw, "latency_ms": lat,
-                  "cached": cached}
-        record.update({key: value for key, value in result.items()
-                       if key not in self._ENTRY_META})
-        if baseline is not None and "runtime" in result and result["runtime"]:
-            # The Sweeper's exact float expression, for byte-identical merges.
-            record["relative_speedup_pct"] = \
-                100.0 * baseline / result["runtime"]
-        return record
-
-    @staticmethod
-    def _stored_record(spec: JobSpec, bw: Optional[float],
-                       lat: Optional[float],
-                       result: Dict[str, Any]) -> Dict[str, Any]:
-        """The cache entry for one result: worker output + enough
-        metadata for ``python -m repro cache ls`` to attribute it."""
-        record: Dict[str, Any] = {
-            "app": spec.app, "variant": spec.variant, "scale": spec.scale,
-            "seed": spec.seed, "bandwidth_mbyte_s": bw, "latency_ms": lat,
-        }
-        clean = (spec.kind == "sweep" and not spec.faults) or \
-            (spec.kind in ("whatif", "replay") and bw is None)
-        if not clean:
-            record["kind"] = spec.kind
-        record.update(result)
-        return record
+    def _store(self, spec: JobSpec, bw: Optional[float],
+               lat: Optional[float], result: Dict[str, Any]) -> None:
+        """Cache one fresh result under the point's content key."""
+        kind = None if spec.is_ground_truth(bw is None) else spec.kind
+        self.cache.store(spec.cache_key(bw, lat), runtime_entry(
+            spec.app, spec.variant, spec.scale, spec.seed,
+            point_topology(spec.point_payload(bw, lat)), result, kind))
 
     def _account_point(self, job: Job, cached: bool, failed: bool = False) -> None:
         reg = self.registry
@@ -422,78 +414,54 @@ class Scheduler:
     # -- sweep / chaos / profile ---------------------------------------
     async def _run_pointwise(self, job: Job) -> None:
         spec = job.spec
-        cancel_event = self._cancel_events[job.id]
-
         baseline: Optional[float] = None
         if spec.needs_baseline:
-            baseline = await self._baseline(job)
-            if baseline is None:     # cancelled while simulating it
+            landed = await self._resolve(job, [(None, None)])
+            if not landed:           # cancelled while simulating it
                 return
+            baseline = landed[(None, None)]["runtime"]
+        await self._resolve(job, spec.points(), baseline)
 
+    async def _resolve(self, job: Job, points, baseline: Optional[float] = None
+                       ) -> Dict[tuple, Dict[str, Any]]:
+        """The point sequence — look up, else dispatch and store, then
+        account and stream — over ``points``; ``(None, None)`` is the
+        baseline.  Returns the results that landed, by point."""
+        spec = job.spec
+        cancel_event = self._cancel_events[job.id]
+        landed: Dict[tuple, Dict[str, Any]] = {}
         pending: Dict[asyncio.Future, tuple] = {}
-        for bw, lat in spec.points():
+        for point in points:
             if cancel_event.is_set():
                 break
-            key = spec.cache_key(bw, lat)
-            entry = self.cache.lookup(key)
-            if entry is not None:
-                self._account_point(job, cached=True,
-                                    failed=entry.get("ok") is False)
-                self._emit(job, self._point_record(job, bw, lat, entry,
-                                                   cached=True,
-                                                   baseline=baseline))
+            result = self.cache.result(spec.cache_key(*point))
+            if result is not None:
+                landed[point] = result
+                self._land(job, *point, result, True, baseline)
             else:
-                future = self._dispatch(spec.point_payload(bw, lat), job)
-                pending[future] = (bw, lat, key)
+                future = self._dispatch(spec.point_payload(*point), job)
+                pending[future] = point
         self._update_gauges()
 
         while pending and not cancel_event.is_set():
             done = await self._await_or_cancel(job, set(pending))
             for future in done:
-                bw, lat, key = pending.pop(future)
+                bw, lat = point = pending.pop(future)
                 try:
                     result = future.result()
                 except Exception as exc:
-                    self._account_point(job, cached=False, failed=True)
-                    self._emit(job, {"kind": "point", "job": job.id,
-                                     "bandwidth_mbyte_s": bw,
-                                     "latency_ms": lat, "cached": False,
-                                     "ok": False,
-                                     "error": type(exc).__name__,
-                                     "detail": str(exc)})
+                    if bw is None:       # no baseline, no job
+                        raise
+                    self._land(job, bw, lat, {
+                        "ok": False, "error": type(exc).__name__,
+                        "detail": str(exc)}, False)
                     continue
-                self.cache.store(key, self._stored_record(spec, bw, lat,
-                                                          result))
-                self._account_point(job, cached=False,
-                                    failed=result.get("ok") is False)
-                self._emit(job, self._point_record(job, bw, lat, result,
-                                                   cached=False,
-                                                   baseline=baseline))
+                self._store(spec, bw, lat, result)
+                landed[point] = result
+                self._land(job, bw, lat, result, False, baseline)
         for future in pending:      # cancelled: drop undispatched points
             future.cancel()
-
-    async def _baseline(self, job: Job) -> Optional[float]:
-        """The all-Myrinet baseline runtime (cached like any point)."""
-        spec = job.spec
-        key = spec.cache_key(None, None)
-        entry = self.cache.lookup(key)
-        if entry is not None and "runtime" in entry:
-            self._account_point(job, cached=True)
-            self._emit(job, {"kind": "baseline", "job": job.id,
-                             "runtime": float(entry["runtime"]),
-                             "cached": True})
-            return float(entry["runtime"])
-        future = self._dispatch(spec.point_payload(None, None), job)
-        done = await self._await_or_cancel(job, {future})
-        if not done:
-            future.cancel()
-            return None
-        result = future.result()
-        self.cache.store(key, self._stored_record(spec, None, None, result))
-        self._account_point(job, cached=False)
-        self._emit(job, {"kind": "baseline", "job": job.id,
-                         "runtime": result["runtime"], "cached": False})
-        return result["runtime"]
+        return landed
 
     # -- whatif / replay -------------------------------------------------
     async def _run_whatif(self, job: Job) -> None:
@@ -501,74 +469,51 @@ class Scheduler:
 
         Covers both grid-at-once kinds — ``whatif`` (interpreted
         evaluator) and ``replay`` (compiled vectorized program).  If
-        every point *and* the baseline are already cached the task is
+        the baseline *and* every point are already cached the task is
         skipped entirely; otherwise its points are stored under their
-        content keys so the next identical job is a pure cache job.  A
-        ``replay`` job additionally leaves the compiled program itself
-        in the cache (stored by the worker's Sweeper), so even a
-        cold-cache repeat on a fresh grid skips recording and
-        compilation.
+        content keys so the next identical job is a pure cache job.
+        The worker's Sweeper shares this cache: it leaves the baseline
+        and the corner simulations there itself, and a ``replay`` job
+        additionally the compiled program, so even a cold-cache repeat
+        on a fresh grid skips recording and compilation.
         """
         spec = job.spec
-        points = spec.points()
-        cached_entries = {}
-        for bw, lat in points:
-            entry = self.cache.lookup(spec.cache_key(bw, lat))
-            if entry is None:
+        everything = [(None, None)] + spec.points()
+        results: Dict[tuple, Dict[str, Any]] = {}
+        for point in everything:
+            result = self.cache.result(spec.cache_key(*point))
+            if result is None:
                 break
-            cached_entries[(bw, lat)] = entry
-        base_entry = self.cache.lookup(spec.cache_key(None, None))
-
-        if len(cached_entries) == len(points) and base_entry is not None:
-            baseline = float(base_entry["runtime"])
-            self._account_point(job, cached=True)
-            self._emit(job, {"kind": "baseline", "job": job.id,
-                             "runtime": baseline, "cached": True})
-            for bw, lat in points:
-                self._account_point(job, cached=True)
-                self._emit(job, self._point_record(
-                    job, bw, lat, cached_entries[(bw, lat)], cached=True,
-                    baseline=baseline))
-            return
-
-        payload = {"kind": spec.kind, "app": spec.app,
-                   "variant": spec.variant, "scale": spec.scale,
-                   "seed": spec.seed, "bandwidths": list(spec.bandwidths),
-                   "latencies": list(spec.latencies),
-                   "cache_root": self.cache.root}
-        future = self._dispatch(payload, job, fn=worker.run_grid)
-        done = await self._await_or_cancel(job, {future})
-        if not done:
-            future.cancel()
-            return
-        result = future.result()
-        if spec.kind == "replay":
-            # replay.* metrics: one count per fallback-ladder rung, so a
-            # dashboard shows how much traffic actually vectorizes.
-            self.registry.counter("replay.jobs").inc()
-            self.registry.counter(f"replay.mode.{result['mode']}").inc()
-        baseline = result["baseline"]
-        self.cache.store(spec.cache_key(None, None),
-                         self._stored_record(spec, None, None,
-                                             {"runtime": baseline}))
-        self._account_point(job, cached=False)
-        point_meta = {"predicted": result["predicted"],
-                      "mode": result["mode"]}
-        record = {"kind": "baseline", "job": job.id, "runtime": baseline,
-                  "cached": False, **point_meta}
-        for extra in ("fallback_reason", "probe", "convergence",
-                      "downgraded_points"):
-            if extra in result:
-                record[extra] = result[extra]
-        self._emit(job, record)
-        by_point = {(p["bandwidth_mbyte_s"], p["latency_ms"]): p
-                    for p in result["points"]}
-        for bw, lat in points:
-            point = by_point[(bw, lat)]
-            stored = self._stored_record(
-                spec, bw, lat, {"runtime": point["runtime"], **point_meta})
-            self.cache.store(spec.cache_key(bw, lat), stored)
-            self._account_point(job, cached=False)
-            self._emit(job, self._point_record(job, bw, lat, stored,
-                                               cached=False,
-                                               baseline=baseline))
+            results[point] = result
+        cached = len(results) == len(everything)
+        head: Dict[str, Any] = {}
+        if not cached:
+            payload = {"kind": spec.kind, "app": spec.app,
+                       "variant": spec.variant, "scale": spec.scale,
+                       "seed": spec.seed, "bandwidths": list(spec.bandwidths),
+                       "latencies": list(spec.latencies),
+                       "cache_root": self.cache.root}
+            future = self._dispatch(payload, job, fn=worker.run_grid)
+            done = await self._await_or_cancel(job, {future})
+            if not done:
+                future.cancel()
+                return
+            grid = future.result()
+            if spec.kind == "replay":
+                # replay.* metrics: one count per fallback-ladder rung, so
+                # a dashboard shows how much traffic actually vectorizes.
+                self.registry.counter("replay.jobs").inc()
+                self.registry.counter(f"replay.mode.{grid['mode']}").inc()
+            meta = {"predicted": grid["predicted"], "mode": grid["mode"]}
+            head = dict(meta, **{name: grid[name] for name in (
+                "fallback_reason", "probe", "convergence",
+                "downgraded_points") if name in grid})
+            results = {(None, None): {"runtime": grid["baseline"]}}
+            for p in grid["points"]:
+                point = (p["bandwidth_mbyte_s"], p["latency_ms"])
+                results[point] = {"runtime": p["runtime"], **meta}
+                self._store(spec, *point, results[point])
+        baseline = results[(None, None)]["runtime"]
+        self._land(job, None, None, results[(None, None)], cached, extra=head)
+        for point in spec.points():
+            self._land(job, *point, results[point], cached, baseline)

@@ -4,8 +4,10 @@ These functions run inside the scheduler's persistent
 :class:`~concurrent.futures.ProcessPoolExecutor`.  They are module-level
 (picklable), take one plain-dict payload built by
 :meth:`repro.serve.jobs.JobSpec.point_payload`, and return a plain-dict
-record — the exact JSON object that ends up in the cache and on the
-job's result stream.  No reporter/bus state leaks across the process
+record — the result part of the cache entry, and what the job's result
+stream carries.  Sweep points and baselines are the shared recipe
+:func:`repro.experiments.runner.simulate_point`; chaos wraps the same
+run.  No reporter/bus state leaks across the process
 boundary: pool runs never emit per-run report records (matching
 ``Sweeper(workers=N)`` semantics); the serve layer emits per-*job*
 records instead.
@@ -15,16 +17,9 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from ..experiments import grids
+from ..experiments.runner import (point_result, point_topology,
+                                  run_ground_truth, simulate_point)
 from .jobs import build_fault_plan
-
-
-def _topology(payload: Dict[str, Any]):
-    if payload["bandwidth_mbyte_s"] is None or payload["latency_ms"] is None:
-        return grids.baseline(payload["clusters"] * payload["cluster_size"])
-    return grids.multi_cluster(
-        payload["bandwidth_mbyte_s"], payload["latency_ms"],
-        payload["clusters"], payload["cluster_size"], payload["wan_shape"])
 
 
 def run_point(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -36,62 +31,36 @@ def run_point(payload: Dict[str, Any]) -> Dict[str, Any]:
     propagates and fails the point.
     """
     kind = payload["kind"]
-    if kind == "profile":
-        return _run_profile(payload)
-    if kind == "chaos":
-        return _run_chaos(payload)
-    return _run_clean(payload)
-
-
-def _run_clean(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Ground-truth simulation of one (possibly degraded) point."""
-    from ..apps import default_config, run_app
-
     faults = build_fault_plan(payload.get("faults"))
-    topo = _topology(payload)
-    config = default_config(payload["app"], payload["scale"])
-    result = run_app(payload["app"], payload["variant"], topo, config=config,
-                     seed=payload["seed"], faults=faults,
-                     max_events=payload.get("max_events"))
-    return {
-        "runtime": result.runtime,
-        "engine_events": result.machine.engine.events_processed,
-    }
+    if kind == "profile":
+        return _run_profile(payload, faults)
+    if kind == "chaos":
+        return _run_chaos(payload, faults)
+    return simulate_point(payload, faults)   # sweep points and baselines
 
 
-def _run_chaos(payload: Dict[str, Any]) -> Dict[str, Any]:
+def _run_chaos(payload: Dict[str, Any], faults) -> Dict[str, Any]:
     """One run under the job's fault plan; survival is the result."""
-    from ..apps import default_config, run_app
     from ..runtime.machine import DeadlockError
     from ..runtime.transport import TransportError
 
-    faults = build_fault_plan(payload.get("faults"))
-    topo = _topology(payload)
-    config = default_config(payload["app"], payload["scale"])
     try:
-        result = run_app(payload["app"], payload["variant"], topo,
-                         config=config, seed=payload["seed"], faults=faults,
-                         max_events=payload.get("max_events"))
+        result = run_ground_truth(payload, faults)
     except (TransportError, DeadlockError, TimeoutError) as exc:
         return {"ok": False, "error": type(exc).__name__, "detail": str(exc)}
+    record: Dict[str, Any] = {"ok": True, **point_result(result)}
     summary = result.traffic_summary()
-    record: Dict[str, Any] = {
-        "ok": True,
-        "runtime": result.runtime,
-        "engine_events": result.machine.engine.events_processed,
-    }
     if "faults" in summary:
         record["faults"] = summary["faults"]
     return record
 
 
-def _run_profile(payload: Dict[str, Any]) -> Dict[str, Any]:
+def _run_profile(payload: Dict[str, Any], faults) -> Dict[str, Any]:
     """One causal-profile run: wall time + 14-bucket attribution."""
     from ..critpath.profile import profile_app
 
-    faults = build_fault_plan(payload.get("faults"))
-    topo = _topology(payload)
-    result, profile = profile_app(payload["app"], payload["variant"], topo,
+    result, profile = profile_app(payload["app"], payload["variant"],
+                                  point_topology(payload),
                                   scale=payload["scale"],
                                   seed=payload["seed"], faults=faults)
     return {

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .network.message import Message
 from .network.topology import Topology
 from .obs.events import ComputeEvent, DeliverEvent, SendEvent
 
@@ -83,18 +82,6 @@ class Tracer:
             self.dropped_computes += 1
             return
         self.computes.append(ev)
-
-    # -- legacy direct-record hooks ------------------------------------
-    def record_send(self, msg: Message, time: float) -> None:
-        self.on_send(SendEvent(time, msg.src, msg.dst, msg.size,
-                               msg.tag, msg.inter_cluster))
-
-    def record_deliver(self, msg: Message, time: float) -> None:
-        self.on_deliver(DeliverEvent(time, msg.src, msg.dst, msg.size,
-                                     msg.tag, time - msg.send_time))
-
-    def record_compute(self, rank: int, start: float, end: float) -> None:
-        self.on_compute(ComputeEvent(start, end, rank))
 
     # -- analysis -------------------------------------------------------
     def message_count(self) -> int:

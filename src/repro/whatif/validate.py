@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..experiments.runner import relative_speedup_pct
 from .evaluate import EvaluationError, Evaluator
 from .record import Recording
 
@@ -131,8 +132,10 @@ def validate(
             latency_ms=lat,
             predicted_runtime=predicted,
             simulated_runtime=simulated,
-            predicted_speedup_pct=100.0 * baseline_runtime / predicted,
-            simulated_speedup_pct=100.0 * baseline_runtime / simulated,
+            predicted_speedup_pct=relative_speedup_pct(
+                baseline_runtime, predicted),
+            simulated_speedup_pct=relative_speedup_pct(
+                baseline_runtime, simulated),
         ))
 
     if report.max_error_pp > tolerance_pp:

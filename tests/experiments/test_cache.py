@@ -55,6 +55,41 @@ def test_corrupt_entry_is_a_miss(cache):
     assert cache.get("asp", "optimized", "bench", 0, topo) is None
 
 
+@pytest.mark.parametrize("runtime", [None, "1.0", True, 0.0, -2.5,
+                                     float("nan"), float("inf"), [1.0]])
+def test_wrong_shape_entry_is_corrupt_not_a_hit(cache, runtime):
+    """An entry that parses but holds no usable runtime is neither
+    served nor a plain miss: it is counted, and a re-put heals it."""
+    topo = grids.multi_cluster(0.95, 3.3)
+    key = cache.key("asp", "optimized", "bench", 0, topo)
+    cache.store(key, {"app": "asp", "variant": "optimized", "runtime": runtime})
+    assert cache.get("asp", "optimized", "bench", 0, topo) is None
+    assert cache.result(key) is None
+    stats = cache.stats()
+    assert (stats["hits"], stats["misses"], stats["corrupt"]) == (0, 0, 2)
+    cache.put("asp", "optimized", "bench", 0, topo, 1.5)
+    assert cache.get("asp", "optimized", "bench", 0, topo) == 1.5
+
+
+def test_result_is_the_entry_minus_its_attribution(cache):
+    from repro.experiments.cache import ATTRIBUTION, runtime_entry
+    topo = grids.multi_cluster(0.95, 3.3)
+    result = {"runtime": 2, "engine_events": 7}
+    entry = runtime_entry("asp", "optimized", "bench", 0, topo, result,
+                          kind="profile")
+    assert set(entry) == set(ATTRIBUTION) | set(result)
+    cache.store("point", entry)
+    assert cache.result("point") == result
+    # a chaos run's recorded failure is a result too; elsewhere it is not
+    failure = {"ok": False, "error": "TransportError", "detail": "..."}
+    cache.store("chaos", runtime_entry("asp", "optimized", "bench", 0, topo,
+                                       failure, kind="chaos"))
+    cache.store("clean", runtime_entry("asp", "optimized", "bench", 0, topo,
+                                       failure))
+    assert cache.result("chaos") == failure
+    assert cache.result("clean") is None and cache.corrupt == 1
+
+
 def test_put_is_atomic(cache):
     topo = grids.multi_cluster(0.95, 3.3)
     cache.put("asp", "optimized", "bench", 0, topo, 1.0)

@@ -56,6 +56,32 @@ def test_figure3_single_panel(capsys):
     assert "legend" in out  # the ASCII chart rendered
 
 
+def synthetic_grid(bandwidths, latencies):
+    from repro.experiments.runner import SpeedupGrid
+    grid = SpeedupGrid(app="asp", variant="optimized", baseline_runtime=1.25)
+    for i, lat in enumerate(latencies):
+        for j, bw in enumerate(bandwidths):
+            grid.put(bw, lat, 1.25 + 0.07 * i + 0.11 * j * j)
+    return grid
+
+
+def test_render_panel_takes_its_axes_from_the_grid():
+    import hashlib
+    from repro.experiments import grids
+    # the paper grid renders byte for byte what the hard-coded axes did
+    # (digest taken at the parent commit, on this synthetic surface)
+    panel = figure3.render_panel(
+        synthetic_grid(grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS))
+    assert hashlib.sha1(panel.encode()).hexdigest() == \
+        "baf8e569c09409a91ac4de8353d002dcf351ce79"
+    # any other grid used to raise KeyError('... no latency=0.5 ms series')
+    small = figure3.render_panel(synthetic_grid([0.95, 6.3], [5.0, 0.7]))
+    table = small.splitlines()[1:5]
+    assert table[0].split("|")[1:] == [" 6.3    ", " 0.95  "]   # descending
+    assert [row.split("|")[0].strip() for row in table[2:]] == \
+        ["0.7 ms", "5 ms"]                                      # ascending
+
+
 def test_figure3_fft_has_single_variant(capsys):
     figure3.main(["--apps", "fft"])
     out = capsys.readouterr().out

@@ -94,6 +94,28 @@ def test_loss_axis_monotone_and_zero_consistent(program):
     assert float(cube[2].max()) > float(cube[0].max())
 
 
+def test_loss_terms_price_the_default_transport_bitwise(program):
+    """The loss model reads its constants from ``TransportConfig()``;
+    the literals below are the copy ``program.py`` used to keep, so the
+    two must agree to the bit."""
+    np = require_numpy()
+    inv_bw = 1.0 / (np.asarray(grids.BANDWIDTHS_MBYTE_S) * 1e6)
+    wlat = np.full_like(inv_bw, 3.3e-3)
+    loss = np.full_like(inv_bw, 0.1)
+    meta = program.meta
+    mean_bytes = meta["wan_bytes"] / meta["wan_traversals"]
+    local_lat, _, send_ov, recv_ov = meta["local_spec"]
+    fixed = 2.0 * (2.0 * local_lat + 2.0 * meta["gateway_overhead_s"]
+                   + send_ov + recv_ov)
+    rto = np.maximum(1e-3, 3.0 * (2.0 * wlat + (mean_bytes + 64.0) * inv_bw
+                                  + fixed))
+    expected = rto * (2.0 * loss / (1.0 - 2.0 * loss)
+                      - loss / (1.0 - loss)) / (2.0 - 1.0)
+    got_bw, got_expected = program._loss_terms(np, inv_bw, wlat, loss)
+    assert got_expected.tobytes() == expected.tobytes()
+    assert got_bw.tobytes() == (inv_bw / (1.0 - loss)).tobytes()
+
+
 def test_loss_guard_at_divergence(program):
     with pytest.raises(ValueError) as err:
         program.price_grid(grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS,

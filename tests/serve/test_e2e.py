@@ -89,6 +89,20 @@ def test_identical_resubmission_is_pure_cache(first_run, harness):
     assert repr(merge_grid(records2)) == repr(merge_grid(records))
 
 
+def test_submit_cli_prints_the_panel_every_front_end_prints(first_run, harness,
+                                                            capsys):
+    from repro.experiments.figure3 import render_panel
+    from repro.serve.cli import submit_main
+
+    _job, records, _ = first_run
+    assert submit_main(["water", "--connect", harness.address,
+                        "--bandwidths", "6.3,0.95",
+                        "--latencies", "0.5,5.0"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(render_panel(merge_grid(records)) + "\n")
+    assert "latency \\ bw MByte/s | 6.3" in out and "5 ms" in out
+
+
 def test_job_listing_and_status(first_run, harness):
     job, _, _ = first_run
     listed = {entry["id"]: entry for entry in harness.client.jobs()}

@@ -68,6 +68,25 @@ def test_invalid_submissions_raise_typed_errors(payload, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("field,value,fragment", [
+    ("seed", True, "seed"),
+    ("clusters", True, "clusters"),
+    ("cluster_size", True, "cluster_size"),
+    ("max_events", True, "max_events"),
+    ("bandwidths", [True], "bandwidths"),
+    ("latencies", [0.5, False], "latencies"),
+    ("faults", {"loss": True}, "faults.loss"),
+    ("faults", {"max_retries": True}, "faults.max_retries"),
+])
+def test_json_booleans_are_not_numbers(field, value, fragment):
+    """``isinstance(True, int)`` holds, so ``"seed": true`` used to be
+    admitted — under its own cache key (``...-sTrue-...``) and content
+    hash, for what ``run_app`` executes as seed 1."""
+    with pytest.raises(InvalidJob) as err:
+        JobSpec.from_json({"app": "water", field: value})
+    assert fragment in str(err.value)
+
+
 def test_error_types_carry_http_status_and_code():
     assert InvalidJob.status == 400
     assert AdmissionError.status == 429

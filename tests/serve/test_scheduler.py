@@ -405,6 +405,120 @@ def test_corrupt_entry_is_counted_on_metrics_and_recomputed(tmp_path):
     asyncio.run(run())
 
 
+def test_wrong_shape_entries_are_recomputed_not_streamed_or_raised(tmp_path):
+    """An entry that parses but holds no usable runtime used to be
+    streamed as a hit (point) or to fail every whatif/replay job for
+    the app with ``KeyError: 'runtime'`` (baseline)."""
+    scheduler = make_scheduler(tmp_path)
+    replay = dict(SPEC, kind="replay", latencies=[0.5, 5.0])
+
+    def overwrite(key, entry):
+        with open(scheduler.cache._path(key), "w") as fh:
+            json.dump(entry, fh)
+
+    async def run():
+        first = scheduler.submit(SPEC)
+        await collect(scheduler, first.id)
+        overwrite(first.spec.cache_key(6.3, 0.5),
+                  {"app": "water", "variant": "optimized", "engine_events": 9})
+        records = await collect(scheduler, scheduler.submit(SPEC).id)
+        end = records[-1]
+        assert end["state"] == DONE and end["failed_points"] == 0
+        assert end["cache_hits"] == 2 and end["dispatched"] == 1
+        assert all(r["runtime"] > 0 for r in records if r["kind"] == "point")
+        assert scheduler.registry.snapshot()["serve.cache.corrupt"] == 1
+        assert scheduler.cache.stats()["corrupt"] == 1
+
+        overwrite(first.spec.cache_key(None, None),
+                  {"app": "water", "variant": "optimized", "runtime": "fast"})
+        for _ in range(2):           # cold (re-simulates it), then warm
+            end = (await collect(scheduler, scheduler.submit(replay).id))[-1]
+            assert end["state"] == DONE, end
+        assert end["dispatched"] == 0 and end["hit_rate"] == 1.0
+        assert scheduler.registry.snapshot()["serve.cache.corrupt"] == 2
+        await scheduler.stop()
+
+    asyncio.run(run())
+
+
+# ----------------------------------------------------------------------
+# One cache entry, whoever writes it
+# ----------------------------------------------------------------------
+#: what the parent commit's ``SimCache.put`` wrote for water/optimized at
+#: (6.3 MB/s, 0.5 ms) — no ``engine_events`` yet; must stay a hit
+PARENT_ENTRY = {
+    "app": "water", "fingerprint": "parent-format", "ranks": 32,
+    "runtime": 0.04125, "scale": "bench", "seed": 0,
+    "topology": "4x8 ranks, local 0.02ms/50MB/s, wide 0.5ms/6.3MB/s",
+    "variant": "optimized"}
+
+
+def test_three_writers_one_entry_one_stream(tmp_path):
+    from repro.experiments.runner import Sweeper
+    from repro.serve.jobs import JobSpec
+
+    grid = dict(bandwidths=SPEC["bandwidths"], latencies=SPEC["latencies"])
+    spec = JobSpec.from_json(SPEC)
+    keys = [spec.cache_key(*point) for point in [(None, None)] + spec.points()]
+
+    def files(root):
+        out = {}
+        for key in keys:
+            with open(SimCache(str(root))._path(key), "rb") as fh:
+                out[key] = fh.read()
+        return out
+
+    async def job_records(scheduler):
+        records = await collect(scheduler, scheduler.submit(SPEC).id)
+        assert records[-1]["state"] == DONE
+        return [{k: v for k, v in r.items() if k != "job"} for r in records]
+
+    async def run():
+        Sweeper(cache=SimCache(str(tmp_path / "serial"))) \
+            .speedup_grid("water", "optimized", **grid)
+        Sweeper(workers=2, cache=SimCache(str(tmp_path / "pooled"))) \
+            .speedup_grid("water", "optimized", **grid)
+        served = make_scheduler(tmp_path)               # tmp_path/serve-cache
+        cold = await job_records(served)
+        written = files(tmp_path / "serial")
+        assert files(tmp_path / "pooled") == written
+        assert files(tmp_path / "serve-cache") == written
+        assert max(map(len, written.values())) < 1024   # far below the memo cap
+
+        # ... so whichever population a job is served from, it streams
+        # the same lines, with exactly the fields docs/serve.md lists.
+        streams = []
+        for name in ("serial", "pooled", "serve-cache"):
+            scheduler = make_scheduler(tmp_path)
+            scheduler.cache = SimCache(str(tmp_path / name))
+            streams.append(await job_records(scheduler))
+            await scheduler.stop()
+        assert streams[0] == streams[1] == streams[2]
+        assert streams[0][-1]["dispatched"] == 0
+        points = [r for r in streams[0] if r["kind"] == "point"]
+        assert [{**r, "cached": False} for r in points] == sorted(
+            (r for r in cold if r["kind"] == "point"),      # landing order
+            key=lambda r: (r["latency_ms"], -r["bandwidth_mbyte_s"]))
+        for record in points:
+            assert set(record) == {
+                "kind", "bandwidth_mbyte_s", "latency_ms", "cached",
+                "runtime", "engine_events", "relative_speedup_pct"}
+
+        # an entry in the parent commit's format is still a hit
+        with open(served.cache._path(spec.cache_key(6.3, 0.5)), "w") as fh:
+            json.dump(PARENT_ENTRY, fh, sort_keys=True)
+        warm = await job_records(served)
+        assert warm[-1]["dispatched"] == 0 and warm[-1]["cache_hits"] == 3
+        old = next(r for r in warm if r["kind"] == "point"
+                   and r["bandwidth_mbyte_s"] == 6.3)
+        assert old["runtime"] == PARENT_ENTRY["runtime"]
+        assert "topology" not in old and "engine_events" not in old
+        assert served.cache.corrupt == 0
+        await served.stop()
+
+    asyncio.run(run())
+
+
 def test_content_hash_is_derived_once_per_spec(tmp_path, monkeypatch):
     from repro.serve import jobs as jobs_module
 
