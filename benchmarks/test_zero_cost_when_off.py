@@ -26,20 +26,31 @@ kinds of guard, strictest first:
 """
 
 import cProfile
+import gc
 import pstats
 import time
 
 import pytest
 
+from repro.apps import run_app
+from repro.experiments import grids
 from repro.faults import FaultPlan
 from repro.network import das_topology
 from repro.runtime import Machine
 from repro.sim import Engine
+from repro.whatif.record import REFERENCE_POINT
 
-# cProfile call count per message at the growth seed (commit 0379b95):
-# 1,900,272 calls / 20,000 messages.  Deterministic across machines.
-SEED_CALLS_PER_MESSAGE = 95.02
-CALL_TOLERANCE = 0.05  # the ISSUE budget: within 5% of seed
+# cProfile call count per message as of PR 16: 1,140,333 calls / 20,000
+# messages (the growth seed, commit 0379b95, executed 95.02).  Deterministic
+# across machines.
+SEED_CALLS_PER_MESSAGE = 57.02
+CALL_TOLERANCE = 0.05  # the budget: within 5% of the pinned count
+
+# cProfile calls of one bench-scale run at the recording reference point
+# (0.95 MByte/s, 3.3 ms) as of PR 16, measured on the second run of a
+# process, when the run-invariant inputs are already memoised.  Before
+# PR 16 the same runs executed 1,839,166 and 252,999 calls.
+SEED_APP_CALLS = {"awari": 1_116_343, "tsp": 209_286}
 
 # messages/s over engine events/s at the seed, best-of-N on the reference
 # container.  Wall-clock jitter on shared runners is large, so the
@@ -80,12 +91,25 @@ def run_message_pipeline(n=5_000, **machine_kwargs):
     return finish, machine
 
 
-def total_calls(**kwargs):
+def profiled_calls(fn, *args, **kwargs):
+    """Python calls ``fn(*args, **kwargs)`` executes, and nothing else's:
+    the collector is emptied first and held off meanwhile, or the count
+    would include the finalizers of whatever garbage earlier tests left
+    (which made the parity guard depend on the test order)."""
     profile = cProfile.Profile()
-    profile.enable()
-    run_message_pipeline(**kwargs)
-    profile.disable()
+    gc.collect()
+    gc.disable()
+    try:
+        profile.enable()
+        fn(*args, **kwargs)
+        profile.disable()
+    finally:
+        gc.enable()
     return pstats.Stats(profile).total_calls
+
+
+def total_calls(**kwargs):
+    return profiled_calls(run_message_pipeline, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -117,6 +141,22 @@ def test_bare_pipeline_call_count_parity_with_seed():
         f"probe-bus fast-path regression: {calls_per_message:.2f} Python "
         f"calls per message, budget {budget:.2f} "
         f"(seed {SEED_CALLS_PER_MESSAGE} + {CALL_TOLERANCE:.0%})")
+
+
+@pytest.mark.parametrize("app", sorted(SEED_APP_CALLS))
+def test_app_run_call_count_ceiling(app):
+    topology = grids.multi_cluster(*REFERENCE_POINT)
+
+    def run():
+        run_app(app, "optimized", topology, scale="bench", seed=0)
+
+    run()       # whatever ran before, the memos are warm from here on
+    calls = profiled_calls(run)
+    budget = SEED_APP_CALLS[app] * (1.0 + CALL_TOLERANCE)
+    assert calls <= budget, (
+        f"app-layer host code regression: one {app}/optimized run executes "
+        f"{calls} Python calls, budget {budget:.0f} "
+        f"(seed {SEED_APP_CALLS[app]} + {CALL_TOLERANCE:.0%})")
 
 
 def test_inert_fault_plan_costs_only_construction():

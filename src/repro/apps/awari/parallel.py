@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple)
 
 from ...costmodel import calibration as cal
 from ...runtime.combining import Batch, CombiningBuffer
 from ...runtime.context import CONTROL_BYTES, Context
+from ...runtime.memo import item_memo
 from ...sim.rng import make_rng
 from ..base import register_app
 from . import kernel
@@ -40,6 +42,13 @@ RELAY_DONE = "AW-RELAY-DONE"
 
 UPDATE_TAG = "aw-upd"
 RELAY_TAG = "aw-relay"
+
+#: Update pairs the synthetic-stream memo keeps (about 170 bytes each: two
+#: small tuples and an index).  The bench workload is 2 stages x 24 000
+#: updates and fits, so the 19 runs of a panel share one stream; paper scale
+#: is 9 x 43 200, so there the oldest stages are dropped as new ones are
+#: drawn, and memory stays at this bound (~11 MB) instead of ~65 MB.
+UPDATE_MEMO_ITEMS = 65_536
 
 
 @dataclass
@@ -89,21 +98,22 @@ def _seed_count(cfg: AwariConfig, rank: int, stage: int, p: int) -> int:
     return max(1, round(base * factor))
 
 
-def _synthetic_updates(cfg: AwariConfig, ctx: Context, stage: int) -> List[Tuple[int, Any]]:
-    """(destination, item) pairs this rank emits in a stage."""
-    rng = make_rng(cfg.seed, f"awari-dests-{stage}-{ctx.rank}")
-    p = ctx.num_ranks
-    updates = []
-    for i in range(_seed_count(cfg, ctx.rank, stage, p) * cfg.fanout):
-        updates.append((rng.randrange(p), ("upd", stage, ctx.rank, i)))
-    return updates
+@item_memo(UPDATE_MEMO_ITEMS)
+def _synthetic_updates(seed: int, stage: int, rank: int, p: int,
+                       count: int) -> Tuple[Tuple[int, Any], ...]:
+    """The ``count`` (destination, item) pairs ``rank`` of ``p`` emits in
+    a stage — the same at every WAN setting, so every run of a sweep is
+    handed the one tuple."""
+    rng = make_rng(seed, f"awari-dests-{stage}-{rank}")
+    return tuple((rng.randrange(p), ("upd", stage, rank, i))
+                 for i in range(count))
 
 
 # ----------------------------------------------------------------------
 # Stage exchange protocols
 # ----------------------------------------------------------------------
 def _exchange_direct(ctx: Context, cfg: AwariConfig, stage: int,
-                     updates: List[Tuple[int, Any]]) -> Generator:
+                     updates: Sequence[Tuple[int, Any]]) -> Generator:
     """Unoptimized: per-destination combining straight to every rank.
 
     Returns the update items received this stage.  Completion: one MARK
@@ -114,12 +124,16 @@ def _exchange_direct(ctx: Context, cfg: AwariConfig, stage: int,
     buf = CombiningBuffer(ctx, tag, flush_count=cfg.combine_count)
     received: List[Any] = []
     pack_time = 0.0
+    rank = ctx.rank
+    sec_per_pack = cfg.sec_per_pack
+    update_bytes = cfg.update_bytes
     for dst, item in updates:
-        if dst == ctx.rank:
+        if dst == rank:
             received.append(item)
         else:
-            pack_time += cfg.sec_per_pack
-            yield from buf.add(dst, item, cfg.update_bytes)
+            pack_time += sec_per_pack
+            if buf.put(dst, item, update_bytes):
+                yield from buf.flush(dst)
     if pack_time:
         yield ctx.compute(pack_time)
     for r in range(p):
@@ -150,6 +164,9 @@ def _relay_service(ctx: Context, cfg: AwariConfig) -> Generator:
     members = list(topo.cluster_members(ctx.cluster))
     remote_leaders = [topo.cluster_leader(c) for c in topo.clusters()
                       if c != ctx.cluster]
+    #: rank -> the relay (leader) of its cluster
+    relay_of = [topo.cluster_leader(topo.cluster_of(r)) for r in topo.ranks()]
+    update_bytes = cfg.update_bytes
 
     class StageState:
         __slots__ = ("jumbo", "deliver", "local_done", "remote_done", "delivered")
@@ -191,17 +208,16 @@ def _relay_service(ctx: Context, cfg: AwariConfig) -> Generator:
 
         if kind == "submit":
             # Local worker's remote-destined updates (or its end marker).
-            data_items = sum(1 for e in items if e != MARK)
+            data_items = len(items) - items.count(MARK)
             if data_items:
                 yield ctx.compute(data_items * cfg.sec_per_relay_item)
             for entry in items:
                 if entry == MARK:
                     st.local_done += 1
                 else:
-                    dst, item = entry
-                    relay = topo.cluster_leader(topo.cluster_of(dst))
+                    relay = relay_of[entry[0]]
                     pending = st.jumbo[relay]
-                    pending.append((dst, item))
+                    pending.append(entry)
                     if len(pending) >= cfg.relay_combine_count:
                         yield from jumbo_send(stage, relay, pending)
                         st.jumbo[relay] = []
@@ -216,15 +232,17 @@ def _relay_service(ctx: Context, cfg: AwariConfig) -> Generator:
                     yield from finish_delivery(st)
         elif kind == "jumbo":
             # A batch (possibly ending in a marker) from a remote relay.
-            data_items = sum(1 for e in items if e != MARK)
+            data_items = len(items) - items.count(MARK)
             if data_items:
                 yield ctx.compute(data_items * cfg.sec_per_relay_item)
+            deliver = st.deliver
             for entry in items:
                 if entry == MARK:
                     st.remote_done += 1
                 else:
                     dst, item = entry
-                    yield from st.deliver.add(dst, item, cfg.update_bytes)
+                    if deliver.put(dst, item, update_bytes):
+                        yield from deliver.flush(dst)
             if st.remote_done == len(remote_leaders) and not st.delivered:
                 yield from finish_delivery(st)
         else:  # pragma: no cover - defensive
@@ -232,28 +250,34 @@ def _relay_service(ctx: Context, cfg: AwariConfig) -> Generator:
 
 
 def _exchange_relayed(ctx: Context, cfg: AwariConfig, stage: int,
-                      updates: List[Tuple[int, Any]]) -> Generator:
+                      updates: Sequence[Tuple[int, Any]]) -> Generator:
     """Optimized: local combining direct; remote via the cluster relay."""
     topo = ctx.topology
-    members = list(topo.cluster_members(ctx.cluster))
+    rank = ctx.rank
+    members = topo.cluster_members(ctx.cluster)     # a range: ``in`` is O(1)
     relay = topo.cluster_leader(ctx.cluster)
+    sec_per_pack = cfg.sec_per_pack
+    update_bytes = cfg.update_bytes
+    combine_count = cfg.combine_count
     tag = (UPDATE_TAG, stage)
-    buf_local = CombiningBuffer(ctx, tag, flush_count=cfg.combine_count)
+    buf_local = CombiningBuffer(ctx, tag, flush_count=combine_count)
     received: List[Any] = []
     submit: List[Any] = []
     pack_time = 0.0
 
-    for dst, item in updates:
-        if dst == ctx.rank:
+    for update in updates:
+        dst, item = update
+        if dst == rank:
             received.append(item)
-        elif topo.same_cluster(dst, ctx.rank):
-            pack_time += cfg.sec_per_pack
-            yield from buf_local.add(dst, item, cfg.update_bytes)
+        elif dst in members:
+            pack_time += sec_per_pack
+            if buf_local.put(dst, item, update_bytes):
+                yield from buf_local.flush(dst)
         else:
-            pack_time += cfg.sec_per_pack
-            submit.append((dst, item))
-            if len(submit) >= cfg.combine_count:
-                size = cfg.update_bytes * len(submit)
+            pack_time += sec_per_pack
+            submit.append(update)
+            if len(submit) >= combine_count:
+                size = update_bytes * len(submit)
                 yield ctx.send(relay, size, RELAY_TAG, ("submit", stage, submit))
                 submit = []
     if pack_time:
@@ -263,7 +287,7 @@ def _exchange_relayed(ctx: Context, cfg: AwariConfig, stage: int,
     yield ctx.send(relay, cfg.update_bytes * len(submit), RELAY_TAG,
                    ("submit", stage, submit))
     for r in members:
-        if r != ctx.rank:
+        if r != rank:
             yield from buf_local.add(r, MARK, 8)
     yield from buf_local.flush_all()
 
@@ -314,8 +338,8 @@ def _make_driver(cfg: AwariConfig, optimized: bool) -> Callable[[Context], Gener
             num_stages = cfg.stages
 
         for stage in range(num_stages):
-            updates: List[Tuple[int, Any]] = []
             if cfg.real_data:
+                updates: List[Tuple[int, Any]] = []
                 for s in sorted(by_stage.get(stage, [])):
                     succ = game.successors(s)
                     known = succ_values.get(s, [])
@@ -332,7 +356,8 @@ def _make_driver(cfg: AwariConfig, optimized: bool) -> Callable[[Context], Gener
             else:
                 evals = _seed_count(cfg, rank, stage, p)
                 yield ctx.compute(evals * cfg.sec_per_eval)
-                updates = _synthetic_updates(cfg, ctx, stage)
+                updates = _synthetic_updates(cfg.seed, stage, rank, p,
+                                             evals * cfg.fanout)
 
             received = yield from exchange(ctx, cfg, stage, updates)
 

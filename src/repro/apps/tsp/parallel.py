@@ -14,11 +14,13 @@ Optimized
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ...costmodel import calibration as cal
 from ...runtime.context import Context
+from ...runtime.memo import item_memo
 from ...runtime.reduction import hier_reduce, linear_reduce
 from ...runtime.workqueue import (
     CentralQueueService,
@@ -52,43 +54,67 @@ class TspConfig:
     imbalanced_start: bool = False
 
 
+def _synthetic_count(cfg: TspConfig) -> int:
+    return cfg.num_jobs if cfg.num_jobs is not None else cal.TSP_PAPER_JOBS
+
+
 def _make_jobs(cfg: TspConfig) -> List:
     """Job list: real partial tours, or synthetic indices at scale."""
     if cfg.real_data:
         return kernel.enumerate_jobs(cfg.cities, cfg.job_depth)
-    count = cfg.num_jobs if cfg.num_jobs is not None else cal.TSP_PAPER_JOBS
-    return list(range(count))
+    return list(range(_synthetic_count(cfg)))
+
+
+#: Job durations the memo keeps: two paper-scale job lists (a float each,
+#: ~2 MB in all), so alternating two configurations does not evict either.
+DURATION_MEMO_ITEMS = 2 * cal.TSP_PAPER_JOBS
+
+
+@item_memo(DURATION_MEMO_ITEMS)
+def _job_durations(seed: int, mean_job_sec: float, job_sigma: float,
+                   count: int) -> Tuple[float, ...]:
+    """Synthetic runtimes of jobs ``0..count-1``: heavy-tailed around the
+    calibrated mean.
+
+    Deterministic per (seed, job), so runs are reproducible and the total
+    work is identical however jobs are distributed — and the same at every
+    grid point, so a sweep draws them once.
+    """
+    mu = math.log(mean_job_sec) - job_sigma ** 2 / 2
+    return tuple(make_rng(seed, f"tsp-job-{job}").lognormvariate(mu, job_sigma)
+                 for job in range(count))
+
+
+def _synthetic_durations(cfg: TspConfig) -> Tuple[float, ...]:
+    """Durations of the synthetic job list :func:`_make_jobs` builds."""
+    return _job_durations(cfg.seed, cfg.mean_job_sec, cfg.job_sigma,
+                          _synthetic_count(cfg))
 
 
 def _job_duration(cfg: TspConfig, job_index: int) -> float:
-    """Synthetic job runtime: heavy-tailed around the calibrated mean.
-
-    Deterministic per (seed, job), so runs are reproducible and the total
-    work is identical however jobs are distributed.
-    """
-    import math
-
-    rng = make_rng(cfg.seed, f"tsp-job-{job_index}")
-    mu = math.log(cfg.mean_job_sec) - cfg.job_sigma ** 2 / 2
-    return rng.lognormvariate(mu, cfg.job_sigma)
+    """Synthetic runtime of one job of ``cfg``'s job list."""
+    return _synthetic_durations(cfg)[job_index]
 
 
-def _work_on(ctx: Context, cfg: TspConfig, job, dist, bound) -> Generator:
+def _work_on(ctx: Context, cfg: TspConfig, job, dist, bound,
+             durations) -> Generator:
     """Process one job; returns the best tour length found (or None)."""
     if cfg.real_data:
         length, nodes = kernel.search_job(dist, job, bound)
         yield ctx.compute(nodes * cfg.sec_per_node)
         return length
-    yield ctx.compute(_job_duration(cfg, job))
+    yield ctx.compute(durations[job])
     return None
 
 
 def make_unoptimized(cfg: TspConfig) -> Callable[[Context], Generator]:
     def main(ctx: Context) -> Generator:
-        dist = bound = None
+        dist = bound = durations = None
         if cfg.real_data:
             dist = kernel.random_cities(cfg.cities, cfg.seed)
             bound = kernel.greedy_bound(dist)
+        else:
+            durations = _synthetic_durations(cfg)
         if ctx.rank == 0:
             service = CentralQueueService(_make_jobs(cfg), job_bytes=cfg.job_bytes)
             ctx.spawn_service(service.body, name="tsp-queue")
@@ -98,7 +124,7 @@ def make_unoptimized(cfg: TspConfig) -> Callable[[Context], Generator]:
             job = yield from get_central_job(ctx, 0)
             if job is None:
                 break
-            length = yield from _work_on(ctx, cfg, job, dist, bound)
+            length = yield from _work_on(ctx, cfg, job, dist, bound, durations)
             if length is not None and (best is None or length < best):
                 best = length
 
@@ -112,10 +138,12 @@ def make_unoptimized(cfg: TspConfig) -> Callable[[Context], Generator]:
 def make_optimized(cfg: TspConfig) -> Callable[[Context], Generator]:
     def main(ctx: Context) -> Generator:
         topo = ctx.topology
-        dist = bound = None
+        dist = bound = durations = None
         if cfg.real_data:
             dist = kernel.random_cities(cfg.cities, cfg.seed)
             bound = kernel.greedy_bound(dist)
+        else:
+            durations = _synthetic_durations(cfg)
 
         jobs = _make_jobs(cfg)
         leaders = [topo.cluster_leader(c) for c in topo.clusters()]
@@ -139,7 +167,7 @@ def make_optimized(cfg: TspConfig) -> Callable[[Context], Generator]:
             request_id += 1
             if job is None:
                 break
-            length = yield from _work_on(ctx, cfg, job, dist, bound)
+            length = yield from _work_on(ctx, cfg, job, dist, bound, durations)
             if length is not None and (best is None or length < best):
                 best = length
 

@@ -19,16 +19,22 @@ Optimized (the paper's improvement)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...costmodel import calibration as cal
 from ...runtime.context import CONTROL_BYTES, Context
+from ...runtime.memo import item_memo
 from ..base import register_app
 from . import kernel
 
 SVC_TAG = "water-svc"
+
+#: Ranks the ownership memos keep, each.  Who computes against whom is a
+#: function of (rank, p) alone; one machine size needs p * p/2 of them
+#: (512 at 32 ranks), so this holds every size a sweep is likely to mix.
+OWNERSHIP_MEMO_ITEMS = 16_384
 
 
 @dataclass
@@ -49,6 +55,14 @@ class WaterConfig:
 # ----------------------------------------------------------------------
 # Ownership structure (who computes which pair, who talks to whom)
 # ----------------------------------------------------------------------
+@item_memo(OWNERSHIP_MEMO_ITEMS)
+def _need(rank: int, p: int) -> Tuple[int, ...]:
+    if p <= 1:
+        return ()
+    half = p // 2
+    return tuple((rank + d) % p for d in range(1, half + 1))
+
+
 def need_set(rank: int, p: int) -> List[int]:
     """Owners whose positions ``rank`` fetches and computes against.
 
@@ -57,10 +71,7 @@ def need_set(rank: int, p: int) -> List[int]:
     pair work is split exactly in half by index parity (the Splash Water
     scheme), keeping the load balanced.
     """
-    if p <= 1:
-        return []
-    half = p // 2
-    return [(rank + d) % p for d in range(1, half + 1)]
+    return list(_need(rank, p))
 
 
 def tie_partner(rank: int, p: int) -> Optional[int]:
@@ -76,6 +87,11 @@ def tie_parity(rank: int, p: int) -> int:
     return 0 if tie is None or rank < tie else 1
 
 
+@item_memo(OWNERSHIP_MEMO_ITEMS)
+def _providers(rank: int, p: int) -> Tuple[int, ...]:
+    return tuple(r for r in range(p) if rank in _need(r, p))
+
+
 def providers(rank: int, p: int) -> List[int]:
     """Ranks that compute against ``rank``'s molecules.
 
@@ -83,7 +99,7 @@ def providers(rank: int, p: int) -> List[int]:
     symmetry this is the complement half of :func:`need_set` (the tie
     partner, if any, appears in both).
     """
-    return [r for r in range(p) if rank in need_set(r, p)]
+    return list(_providers(rank, p))
 
 
 def _tie_pair_count(n_mine: int, n_other: int, parity: int) -> int:
@@ -94,15 +110,22 @@ def _tie_pair_count(n_mine: int, n_other: int, parity: int) -> int:
     return total // 2
 
 
-def _counts(cfg: WaterConfig, p: int) -> List[int]:
-    return [len(kernel.partition(cfg.molecules, p, r)) for r in range(p)]
+@item_memo(OWNERSHIP_MEMO_ITEMS)
+def _molecule_counts(molecules: int, p: int) -> Tuple[int, ...]:
+    return tuple(len(kernel.partition(molecules, p, r)) for r in range(p))
 
 
-def _pair_compute_time(cfg: WaterConfig, rank: int, p: int, counts: List[int]) -> float:
+def _counts(cfg: WaterConfig, p: int) -> Tuple[int, ...]:
+    """Molecules owned by each rank."""
+    return _molecule_counts(cfg.molecules, p)
+
+
+def _pair_compute_time(cfg: WaterConfig, rank: int, p: int,
+                       counts: Sequence[int]) -> float:
     my_count = counts[rank]
     pairs = my_count * (my_count - 1) // 2
     tie = tie_partner(rank, p)
-    for q in need_set(rank, p):
+    for q in _need(rank, p):
         if q == tie:
             pairs += _tie_pair_count(my_count, counts[q], tie_parity(rank, p))
         else:
@@ -115,7 +138,7 @@ def _compute_forces_real(cfg: WaterConfig, rank: int, p: int, pos, partner_pos):
     my_forces = kernel.internal_forces(pos)
     forces_for = {}
     tie = tie_partner(rank, p)
-    for q in need_set(rank, p):
+    for q in _need(rank, p):
         other = partner_pos[q]
         if q == tie:
             mask = kernel.parity_mask(len(pos), len(other), tie_parity(rank, p))
@@ -136,8 +159,8 @@ def make_unoptimized(cfg: WaterConfig) -> Callable[[Context], Generator]:
         rank = ctx.rank
         counts = _counts(cfg, p)
         mine = kernel.partition(cfg.molecules, p, rank)
-        partners_out = need_set(rank, p)   # I read positions / send updates
-        partners_in = providers(rank, p)   # they read mine / send me updates
+        partners_out = _need(rank, p)       # I read positions / send updates
+        partners_in = _providers(rank, p)   # they read mine / send me updates
 
         state: Dict[str, Any] = {"published": {}}
         ctx.spawn_service(
@@ -197,17 +220,23 @@ def make_unoptimized(cfg: WaterConfig) -> Callable[[Context], Generator]:
 # ----------------------------------------------------------------------
 def _coordinator_for(ctx: Context, q: int, cluster: int) -> int:
     """The rank in ``cluster`` acting as local coordinator for owner ``q``."""
-    members = list(ctx.topology.cluster_members(cluster))
+    members = ctx.topology.cluster_members(cluster)
     return members[q % len(members)]
 
 
-def _local_dependents(ctx: Context, cluster: int, q: int, p: int) -> List[int]:
+@item_memo(OWNERSHIP_MEMO_ITEMS)
+def _dependents(first: int, stop: int, q: int, p: int) -> Tuple[int, ...]:
+    return tuple(r for r in range(first, stop) if q in _need(r, p))
+
+
+def _local_dependents(ctx: Context, cluster: int, q: int,
+                      p: int) -> Tuple[int, ...]:
     """Members of ``cluster`` that compute against owner ``q``."""
-    return [r for r in ctx.topology.cluster_members(cluster)
-            if q in need_set(r, p)]
+    members = ctx.topology.cluster_members(cluster)
+    return _dependents(members.start, members.stop, q, p)
 
 
-def _send_positions(ctx: Context, cfg: WaterConfig, counts: List[int],
+def _send_positions(ctx: Context, cfg: WaterConfig, counts: Sequence[int],
                     fetch_request: Dict[str, Any], positions: Any) -> Generator:
     """Answer a position fetch: to the requester's service inbox by default,
     or to an explicit reply tag (direct synchronous reads)."""
@@ -222,7 +251,7 @@ def _send_positions(ctx: Context, cfg: WaterConfig, counts: List[int],
                         "pos": positions})
 
 
-def _water_service(ctx: Context, cfg: WaterConfig, counts: List[int],
+def _water_service(ctx: Context, cfg: WaterConfig, counts: Sequence[int],
                    state: Dict[str, Any]) -> Generator:
     """Per-rank daemon: serves position fetches and reduces force updates.
 
@@ -316,8 +345,8 @@ def make_optimized(cfg: WaterConfig) -> Callable[[Context], Generator]:
         topo = ctx.topology
         counts = _counts(cfg, p)
         mine = kernel.partition(cfg.molecules, p, rank)
-        partners_out = need_set(rank, p)
-        partners_in = providers(rank, p)
+        partners_out = _need(rank, p)
+        partners_in = _providers(rank, p)
         local_out = [q for q in partners_out if ctx.is_local(q)]
         remote_out = [q for q in partners_out if not ctx.is_local(q)]
         local_in = [r for r in partners_in if ctx.is_local(r)]

@@ -66,9 +66,10 @@ def hier_bcast(ctx: Context, bcast_id: Any, root: int, size: int,
             msg = yield ctx.recv(tag_wan)
             payload = msg.payload
 
-        members = list(topo.cluster_members(ctx.cluster))
         if ctx.rank == my_entry:
-            others = [r for r in members if r != ctx.rank]
+            # only the entry rank needs the peer list
+            others = [r for r in topo.cluster_members(ctx.cluster)
+                      if r != ctx.rank]
             if others:
                 yield ctx.multicast(others, size, tag_loc, payload)
         else:

@@ -25,10 +25,18 @@ class Batch:
 
     items: List[Any] = field(default_factory=list)
     sizes: List[int] = field(default_factory=list)
+    #: running ``sum(sizes)``, so the byte threshold costs one add per item
+    #: and not a re-sum of the batch; bookkeeping, not part of the value
+    payload_bytes: int = field(default=0, init=False, repr=False,
+                               compare=False)
+
+    def __post_init__(self) -> None:
+        self.payload_bytes = sum(self.sizes)
 
     def add(self, item: Any, nbytes: int) -> None:
         self.items.append(item)
         self.sizes.append(nbytes)
+        self.payload_bytes += nbytes
 
     @property
     def wire_size(self) -> int:
@@ -43,8 +51,15 @@ class CombiningBuffer:
 
     ``add`` buffers an item for ``dst`` and transparently flushes when the
     batch reaches ``flush_count`` items or ``flush_bytes`` payload bytes.
-    Call ``flush_all`` at phase boundaries.  All methods are generators —
-    drive them with ``yield from``.
+    Call ``flush_all`` at phase boundaries.  ``add``, ``flush`` and
+    ``flush_all`` are generators — drive them with ``yield from``.
+
+    A loop that adds item after item should not pay for a generator per
+    item when one add in ``flush_count`` sends anything: ``put`` is the
+    plain call underneath ``add``, and says whether the batch is due::
+
+        if buf.put(dst, item, nbytes):
+            yield from buf.flush(dst)
     """
 
     def __init__(self, ctx: Context, tag: Any,
@@ -61,14 +76,22 @@ class CombiningBuffer:
         self.batches_sent = 0
         self.items_sent = 0
 
-    def add(self, dst: int, item: Any, nbytes: int) -> Generator:
-        """Buffer ``item`` for ``dst``; may emit a combined send."""
+    def put(self, dst: int, item: Any, nbytes: int) -> bool:
+        """Buffer ``item`` for ``dst``; True when that batch has reached a
+        threshold and the caller must ``yield from flush(dst)``."""
         batch = self._pending.get(dst)
         if batch is None:
-            batch = Batch()
-            self._pending[dst] = batch
-        batch.add(item, nbytes)
-        if len(batch) >= self.flush_count or sum(batch.sizes) >= self.flush_bytes:
+            batch = self._pending[dst] = Batch()
+        # Batch.add, spelled out: this runs once per combined item
+        items = batch.items
+        items.append(item)
+        batch.sizes.append(nbytes)
+        total = batch.payload_bytes = batch.payload_bytes + nbytes
+        return len(items) >= self.flush_count or total >= self.flush_bytes
+
+    def add(self, dst: int, item: Any, nbytes: int) -> Generator:
+        """Buffer ``item`` for ``dst``; may emit a combined send."""
+        if self.put(dst, item, nbytes):
             yield from self.flush(dst)
 
     def flush(self, dst: int) -> Generator:

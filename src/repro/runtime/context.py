@@ -92,7 +92,7 @@ class _Send(Syscall):
         dst = self.dst
         size = self.size
         tag = self.tag
-        inter = ctx._rank_cluster[dst] != ctx._my_cluster
+        inter = ctx._rank_cluster[dst] != ctx.cluster
         spec = ctx._wide_spec if inter else ctx._local_spec
         # Host overhead is paid sequentially by this process but does not
         # reserve the rank CPU: on the DAS, messaging ran on the LANai
@@ -322,16 +322,20 @@ class Context:
         self.rank = rank
         self.process: Optional[Process] = None
         self._rpc_ids = itertools.count()
-        self.rng = make_rng(machine.seed, f"rank{rank}")
+        self._rng = None
+        # Topology conveniences: fixed for the machine's life, and read by
+        # the collectives on every call, so plain attributes.
+        topo = machine.topology
+        self.topology = topo
+        self.num_ranks = topo.num_ranks
+        self.cluster = topo._rank_cluster[rank]
         # Pre-resolved per-rank resources (stable for the machine's life).
         self._engine = machine.engine
         self._bus = machine.bus
         self._cpu = machine.cpus[rank]
         self._stats = machine.rank_stats[rank]
         self._endpoint = machine.endpoints[rank]
-        topo = machine.topology
         self._rank_cluster = topo._rank_cluster
-        self._my_cluster = topo._rank_cluster[rank]
         self._local_spec = topo.local
         self._wide_spec = topo.wide
         self._route = machine.router.route
@@ -344,27 +348,22 @@ class Context:
         self._recv_nowait = _RecvNowait(self, None)
         self._sleep = _Sleep(self, 0.0)
 
-    # ------------------------------------------------------------------
-    # Topology conveniences
-    # ------------------------------------------------------------------
     @property
-    def topology(self):
-        return self.machine.topology
-
-    @property
-    def num_ranks(self) -> int:
-        return self.machine.topology.num_ranks
-
-    @property
-    def cluster(self) -> int:
-        return self.machine.topology.cluster_of(self.rank)
+    def rng(self):
+        """This rank's seeded stream, ``make_rng(machine.seed, "rank<r>")``
+        — derived on first use: no shipped app draws from it, and a sweep
+        spawns some 50 contexts a run."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = make_rng(self.machine.seed, f"rank{self.rank}")
+        return rng
 
     @property
     def now(self) -> float:
         return self._engine.now
 
     def is_local(self, other: int) -> bool:
-        return self.machine.topology.same_cluster(self.rank, other)
+        return self._rank_cluster[other] == self.cluster
 
     # ------------------------------------------------------------------
     # Syscall factories

@@ -244,9 +244,10 @@ class Machine:
         once, matching how the DAS measurements count multicast data.
         All destinations must be in the sender's cluster.
         """
-        topo = self.topology
+        rank_cluster = self.topology._rank_cluster
+        home = rank_cluster[src]
         for dst in dsts:
-            if not topo.same_cluster(src, dst):
+            if rank_cluster[dst] != home:
                 raise ValueError(
                     f"multicast from {src} to {dst} crosses clusters; "
                     f"use point-to-point sends over the WAN"

@@ -64,24 +64,31 @@ class Mailbox:
     next item (invoked immediately when one is queued) — the cheapest
     receive path, used once per message by the runtime.  ``get_event``
     wraps that in a :class:`SimEvent` for code that wants an event handle.
+
+    Each of the two queues is made by the first call that has to queue
+    something.  Most tags carry a single message (a broadcast row, an RPC
+    reply), which is either parked or awaited, never both; a deque is a
+    64-slot block, and a run keeps every mailbox it ever made.
     """
 
     __slots__ = ("_items", "_waiters")
 
     def __init__(self) -> None:
-        self._items: Deque[Any] = deque()
-        self._waiters: Deque[Callable[[Any], None]] = deque()
+        self._items: Optional[Deque[Any]] = None
+        self._waiters: Optional[Deque[Callable[[Any], None]]] = None
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._items) if self._items else 0
 
     @property
     def waiting_receivers(self) -> int:
-        return len(self._waiters)
+        return len(self._waiters) if self._waiters else 0
 
     def put(self, item: Any) -> None:
         if self._waiters:
             self._waiters.popleft()(item)
+        elif self._items is None:
+            self._items = deque((item,))
         else:
             self._items.append(item)
 
@@ -92,6 +99,8 @@ class Mailbox:
         items = self._items
         if items:
             cb(items.popleft())
+        elif self._waiters is None:
+            self._waiters = deque((cb,))
         else:
             self._waiters.append(cb)
 
@@ -108,4 +117,4 @@ class Mailbox:
 
     def peek_all(self) -> List[Any]:
         """Snapshot of queued items (receive order), without consuming."""
-        return list(self._items)
+        return list(self._items or ())

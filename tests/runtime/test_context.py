@@ -206,3 +206,26 @@ def test_context_properties():
     machine.run()
     assert seen == {"cluster": 1, "num_ranks": 8, "local": True}
     assert CONTROL_BYTES == 64
+
+
+def test_topology_conveniences_and_lazy_rng():
+    """``cluster``/``num_ranks``/``topology`` are plain attributes and
+    ``rng`` is derived on first use — the same stream as ever."""
+    from repro.sim.rng import make_rng
+
+    topo = das_topology(clusters=2, cluster_size=3)
+    machine = Machine(topo, seed=11)
+    seen = {}
+
+    def body(ctx):
+        seen[ctx.rank] = (ctx.topology, ctx.num_ranks, ctx.cluster,
+                          ctx.is_local(0), ctx._rng)
+        assert ctx.rng is ctx.rng
+        assert ctx.rng.random() == make_rng(11, f"rank{ctx.rank}").random()
+        yield ctx.compute(0)
+
+    for r in topo.ranks():
+        machine.spawn(r, body)
+    machine.run()
+    assert seen[0] == (topo, 6, 0, True, None)
+    assert seen[4] == (topo, 6, 1, False, None)

@@ -79,3 +79,20 @@ class TestMailbox:
         mb.put(2)
         assert mb.peek_all() == [1, 2]
         assert len(mb) == 2
+
+    def test_fresh_mailbox_is_empty_and_makes_queues_on_demand(self):
+        """A mailbox that never queued anything holds no deque (a run keeps
+        one per tag it ever saw); every reader must cope with that."""
+        mb = Mailbox()
+        assert len(mb) == 0 and mb.waiting_receivers == 0
+        assert mb.peek_all() == [] and mb.try_get() is None
+        assert mb._items is None and mb._waiters is None
+        mb.put("parked")                    # nobody waits: items only
+        assert len(mb) == 1 and mb._waiters is None
+        assert mb.get_event().value == "parked"
+        other = Mailbox()
+        ev = other.get_event()              # nothing parked: waiters only
+        assert other.waiting_receivers == 1 and other._items is None
+        other.put("direct")                 # handed over, never queued
+        assert ev.value == "direct" and other._items is None
+        assert len(other) == 0 and other.waiting_receivers == 0
