@@ -50,7 +50,7 @@ COMMANDS = {
     "whatif": (whatif_cli.main, "Record-once what-if analysis: predicted Figure-3 grid"),
     "replay": (replay_cli.main, "Vectorized Figure-3 grid from a compiled replay program"),
     "cache": (cache_cli.main, "Inspect/clear the on-disk simulation result cache"),
-    "bench": (bench.main, "Hot-path benchmarks; record/check BENCH_simperf.json"),
+    "bench": (bench.main, "Performance ledger runs; record/check BENCH_simperf.json"),
     "lint": (lint_cli.main, "Static determinism/protocol lint over app modules"),
     "protograph": (lint_cli.protograph_main,
                    "Export static communication graphs + stability labels"),

@@ -1,206 +1,120 @@
-"""Simulator performance trajectory: ``python -m repro bench``.
+"""The performance trajectory: ``python -m repro bench``.
 
-Runs ``benchmarks/test_simulator_perf.py`` under pytest-benchmark and
-records the headline throughput numbers in ``BENCH_simperf.json`` at the
-repository root — engine events/s, process switches/s, end-to-end
-messages/s, the wall time of one bench-scale Water run (the Figure 3
-unit of work), serve points/s at three cache hit rates, and Figure-3
-grid points/s for both analytic backends (interpreted predict vs
-compiled vectorized replay).  The file is a *trajectory*: each recorded run appends an
-entry, so the history of the hot path's speed lives next to the code
-that determines it.
+A front door to the performance ledger (``benchmarks/ledger/``, declared
+in ``BENCHMARK.json``).  It measures nothing itself: it runs every
+declared workload ``RUNS`` times through the ledger's own command —
+untraced, one seed a run, for the declared run length — and records or
+checks what came back.  From the repository root::
 
-Modes::
+    python -m repro bench [--label "..."]   # run + append an entry
+    python -m repro bench --check           # run + compare with the last
+                                            # committed entry (CI)
 
-    python -m repro bench                 # run + append an entry
-    python -m repro bench --label "..."   # run + append with a label
-    python -m repro bench --check         # run + compare against the last
-                                          # committed entry; exit 1 on a
-                                          # >20% throughput regression (CI)
-
-``--check`` is wired into CI next to the observability-overhead and
-what-if-speedup guards; see docs/performance.md for how to read the file.
+An entry of ``BENCH_simperf.json`` holds each workload's median of every
+end-to-end metric (calibrated, see the ledger's README), the commit and
+the host.  ``--check`` hands the last entry and the fresh runs to the
+ledger's ``--compare`` (``ok`` / ``worse`` / ``unresolved`` per row) and
+exits with its status — or with 1 when a run is missing or failed one of
+the ledger's correctness checks.  docs/performance.md has the details.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
-from typing import Dict, List, Optional
 
 #: Trajectory file, relative to the working directory (the repo root in CI).
 DEFAULT_PATH = "BENCH_simperf.json"
 
-#: Allowed fractional drop in throughput before --check fails.
-REGRESSION_TOLERANCE = 0.20
-
-#: Benchmark files the trajectory is measured from.
-BENCH_FILES = (
-    "benchmarks/test_simulator_perf.py",
-    "benchmarks/test_serve_throughput.py",
-    # Node IDs: only the throughput feeds — the file's speedup/budget
-    # guards have their own CI job and would add assert noise here.
-    "benchmarks/test_replay_speedup.py::test_predict_grid_points_throughput",
-    "benchmarks/test_replay_speedup.py::test_replay_grid_points_throughput",
-    "benchmarks/test_replay_speedup.py::test_adaptive_grid_points_throughput",
-)
-
-#: Nominal operations per benchmark round, used to turn pytest-benchmark's
-#: min wall time into a throughput.  These mirror the benchmark bodies in
-#: the BENCH_FILES.
-OPS_PER_ROUND = {
-    "test_engine_event_throughput": ("engine_events_per_s", 50_000),
-    "test_process_switch_throughput": ("process_switches_per_s", 10_020),
-    "test_message_pipeline_throughput": ("messages_per_s", 2_000),
-    # One 3x3 Water sweep job through repro.serve = 10 units of work
-    # (9 grid points + the baseline) at each cache hit rate.
-    "test_serve_throughput_cold": ("serve_points_per_s_cold", 10),
-    "test_serve_throughput_mixed": ("serve_points_per_s_50pct_cache", 10),
-    "test_serve_throughput_warm": ("serve_points_per_s_warm", 10),
-    # Analytic grid backends, 42 Figure-3 points per round each: the
-    # interpreted predict path, the compiled vectorized replay path,
-    # and the order-adaptive fixed-point engine (fft).
-    "test_predict_grid_points_throughput": ("predict_grid_points_per_s", 42),
-    "test_replay_grid_points_throughput": ("replay_grid_points_per_s", 42),
-    "test_adaptive_grid_points_throughput": ("adaptive_grid_points_per_s", 42),
-}
-
-#: Benchmarks whose trajectory number is the *worst* round, not the
-#: best: the adaptive engine's wall time varies with how many points
-#: converge early, and a sweep planner budgets for the bad round.
-WORST_OF_ROUNDS = {"test_adaptive_grid_points_throughput"}
-
-#: Wall-time metric (lower is better) — one bench-scale Water run.
-WALL_TIME_BENCH = "test_full_app_run_wall_time"
-WALL_TIME_METRIC = "water_run_wall_s"
+#: Runs of each workload (seeds 1..RUNS) behind one entry or one check.
+RUNS = 5
 
 
-def run_benchmarks(bench_files=BENCH_FILES) -> Dict:
-    """Run the perf benchmarks in a subprocess; return pytest-benchmark JSON."""
-    fd, json_path = tempfile.mkstemp(suffix=".json", prefix="bench_")
-    os.close(fd)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-    try:
-        # Benchmark harness code: the subprocess is the point here,
-        # no simulated process is anywhere near this call.
-        proc = subprocess.run(  # lint: ignore[blocking-call]
-            [sys.executable, "-m", "pytest", *bench_files, "-q",
-             "--benchmark-disable-gc", f"--benchmark-json={json_path}"],
-            env=env,
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(f"benchmark run failed (exit {proc.returncode})")
-        with open(json_path) as fh:
-            return json.load(fh)
-    finally:
-        os.unlink(json_path)
+def ledger(benchmark: dict, *args: str) -> int:
+    """One process of the ledger's command, on this interpreter."""
+    # Harness code: no simulated process is anywhere near this call.
+    return subprocess.run(  # lint: ignore[blocking-call]
+        [sys.executable, *benchmark["command"][1:], *args]).returncode
 
 
-def summarize(raw: Dict) -> Dict[str, float]:
-    """Collapse pytest-benchmark JSON into the headline metrics."""
-    mins = {}
-    for bench in raw["benchmarks"]:
-        name = bench["name"].split("[")[0]
-        stat = "max" if name in WORST_OF_ROUNDS else "min"
-        mins[name] = bench["stats"][stat]
-    metrics: Dict[str, float] = {}
-    for bench_name, (metric, ops) in OPS_PER_ROUND.items():
-        if bench_name in mins:
-            metrics[metric] = round(ops / mins[bench_name], 1)
-    if WALL_TIME_BENCH in mins:
-        metrics[WALL_TIME_METRIC] = round(mins[WALL_TIME_BENCH], 6)
-    return metrics
+def run_ledger(benchmark: dict) -> list[dict]:
+    """Every workload x ``RUNS`` seeds, a process each; returns the run
+    records (a run that died leaves none)."""
+    with tempfile.NamedTemporaryFile("r", suffix=".jsonl") as result_set:
+        for workload in benchmark["workloads"]:
+            for seed in range(1, RUNS + 1):
+                ledger(benchmark, "--workload", workload["name"],
+                       "--seed", str(seed), "--trace", "0",
+                       "--append", result_set.name)
+        return [json.loads(line) for line in result_set]
 
 
-def load_trajectory(path: str) -> Dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError):
-        return {
-            "description": "Simulator hot-path performance trajectory; "
-                           "append entries with `python -m repro bench`.",
-            "source": "benchmarks/test_simulator_perf.py "
-                      "(pytest-benchmark min over rounds)",
-            "entries": [],
-        }
+def compare(benchmark: dict, baseline: dict, records: list[dict]) -> int:
+    """The ledger's ``--compare`` of a committed ``ledger`` block (as one
+    record a workload) with fresh run records; returns its exit status."""
+    committed = [{"workload": workload, "trace": 0, "metrics":
+                  {name: {"value": value} for name, value in row.items()}}
+                 for workload, row in baseline.items()]
+    with tempfile.TemporaryDirectory(prefix="bench_") as tmp:
+        paths = [os.path.join(tmp, name) for name in ("A.jsonl", "B.jsonl")]
+        for path, result_set in zip(paths, (committed, records)):
+            with open(path, "w") as fh:
+                fh.writelines(json.dumps(r) + "\n" for r in result_set)
+        return ledger(benchmark, "--compare", *paths)
 
 
-def check_regression(baseline: Dict[str, float], current: Dict[str, float],
-                     tolerance: float = REGRESSION_TOLERANCE) -> List[str]:
-    """Regression messages (empty = pass): throughputs may not drop and the
-    Water wall time may not grow by more than ``tolerance``."""
-    failures = []
-    for metric, base in baseline.items():
-        got = current.get(metric)
-        if got is None or base <= 0:
-            continue
-        if metric == WALL_TIME_METRIC:
-            if got > base * (1.0 + tolerance):
-                failures.append(
-                    f"{metric}: {got:.4f}s vs baseline {base:.4f}s "
-                    f"(+{(got / base - 1.0) * 100.0:.1f}%, limit +{tolerance * 100:.0f}%)")
-        elif got < base * (1.0 - tolerance):
-            failures.append(
-                f"{metric}: {got:,.0f}/s vs baseline {base:,.0f}/s "
-                f"({(got / base - 1.0) * 100.0:.1f}%, limit -{tolerance * 100:.0f}%)")
-    return failures
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(prog="python -m repro bench",
+                                     description=__doc__.split("\n\n")[0])
+    parser.add_argument("path", nargs="?", default=DEFAULT_PATH)
+    parser.add_argument("--label", default="local run")
+    parser.add_argument("--check", action="store_true")
+    args = parser.parse_args(argv)
 
+    with open("BENCHMARK.json") as fh:
+        benchmark = json.load(fh)
+    trajectory = {"entries": []}
+    if os.path.exists(args.path):
+        with open(args.path) as fh:
+            trajectory = json.load(fh)
+    baselines = [e["ledger"] for e in trajectory["entries"] if "ledger" in e]
+    if args.check and not baselines:
+        print(f"no entry with a `ledger` block in {args.path}; "
+              "nothing to check against", file=sys.stderr)
+        return 2
 
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(argv or [])
-    check = "--check" in argv
-    if check:
-        argv.remove("--check")
-    label = None
-    if "--label" in argv:
-        i = argv.index("--label")
-        label = argv[i + 1]
-        del argv[i:i + 2]
-    path = argv[0] if argv else DEFAULT_PATH
+    records = run_ledger(benchmark)
+    runs = {w["name"]: [r for r in records if r["workload"] == w["name"]]
+            for w in benchmark["workloads"]}
+    broken = [f"{name}: {len(rows)} of {RUNS} runs"
+              for name, rows in runs.items() if len(rows) < RUNS]
+    broken += [f"{r['workload']} seed {r['seed']}: not correct {r['notes']}"
+               for r in records if not r["correct"]]
+    for line in broken:
+        print("bench: " + line, file=sys.stderr)
+    if args.check:
+        return compare(benchmark, baselines[-1], records) or int(bool(broken))
+    if broken:
+        return 1
 
-    trajectory = load_trajectory(path)
-    metrics = summarize(run_benchmarks())
-    print("\ncurrent hot-path metrics:")
-    for metric, value in sorted(metrics.items()):
-        if metric == WALL_TIME_METRIC:
-            print(f"  {metric:28s} {value:>14,.4f} s")
-        else:
-            print(f"  {metric:28s} {value:>14,.1f} /s")
-
-    if check:
-        entries = trajectory["entries"]
-        if not entries:
-            print(f"no baseline entries in {path}; nothing to check against",
-                  file=sys.stderr)
-            return 2
-        baseline = entries[-1]
-        failures = check_regression(baseline["metrics"], metrics)
-        print(f"\nbaseline: {baseline.get('label', '?')}")
-        if failures:
-            print("PERFORMANCE REGRESSION:", file=sys.stderr)
-            for line in failures:
-                print("  " + line, file=sys.stderr)
-            return 1
-        print("within tolerance of the committed baseline "
-              f"(-{REGRESSION_TOLERANCE * 100:.0f}% throughput, "
-              f"+{REGRESSION_TOLERANCE * 100:.0f}% wall time)")
-        return 0
-
+    host = {key: value for key, value in records[0]["host"].items()
+            if not key.endswith(("_before_ms", "_after_ms"))}   # per-run
+    host["calibration_ms_median"] = round(statistics.median(
+        r["host"]["calibration_before_ms"] for r in records), 3)
     trajectory["entries"].append({
-        "label": label or "local run",
-        "metrics": metrics,
-    })
-    with open(path, "w") as fh:
-        json.dump(trajectory, fh, indent=1, sort_keys=False)
+        "label": args.label, "git_sha": records[0]["git_sha"],
+        "ledger": {name: {metric: round(statistics.median(
+                       r["metrics"][metric]["value"] for r in rows), 4)
+                          for metric in rows[0]["metrics"]}
+                   for name, rows in runs.items()},
+        "runs": RUNS, "host": host})
+    with open(args.path, "w") as fh:
+        json.dump(trajectory, fh, indent=1)
         fh.write("\n")
-    print(f"\nappended entry {len(trajectory['entries'])} to {path}")
+    print(f"appended entry {len(trajectory['entries'])} to {args.path}")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro
-    sys.exit(main(sys.argv[1:]))

@@ -1,18 +1,16 @@
-"""Exit-code matrices for ``repro chaos`` and ``repro bench --check``.
+"""Exit-code matrix for ``repro chaos``.
 
-Mirrors tests/lint/test_cli.py: every exit path of each command pinned
+Mirrors tests/lint/test_cli.py: every exit path of the command pinned
 by a direct ``main([...])`` call, plus one end-to-end subprocess through
 ``python -m repro`` to prove the wiring.
 """
 
-import json
 import pathlib
 import subprocess  # lint: ignore[blocking-call]
 import sys
 
 import pytest
 
-from repro.experiments import bench
 from repro.faults.cli import main as chaos_main
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -84,48 +82,3 @@ def test_chaos_end_to_end_subprocess():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "runtime:" in proc.stdout
-
-
-# ----------------------------------------------------------------------
-# repro bench --check
-# ----------------------------------------------------------------------
-RAW_FAST = {"benchmarks": [
-    {"name": "test_engine_event_throughput", "stats": {"min": 0.01}},
-    {"name": "test_message_pipeline_throughput", "stats": {"min": 0.01}},
-    {"name": "test_full_app_run_wall_time", "stats": {"min": 0.5}},
-]}
-#: Same shape, but 10x slower than RAW_FAST — far past the tolerance.
-RAW_SLOW = {"benchmarks": [
-    {"name": "test_engine_event_throughput", "stats": {"min": 0.1}},
-    {"name": "test_message_pipeline_throughput", "stats": {"min": 0.1}},
-    {"name": "test_full_app_run_wall_time", "stats": {"min": 5.0}},
-]}
-
-
-def bench_main(monkeypatch, tmp_path, raw, args):
-    monkeypatch.setattr(bench, "run_benchmarks", lambda: raw)
-    return bench.main([str(tmp_path / "traj.json"), *args])
-
-
-def test_bench_check_without_baseline_exits_two(monkeypatch, tmp_path):
-    assert bench_main(monkeypatch, tmp_path, RAW_FAST, ["--check"]) == 2
-
-
-def test_bench_record_then_check_within_tolerance_exits_zero(
-        monkeypatch, tmp_path):
-    assert bench_main(monkeypatch, tmp_path, RAW_FAST,
-                      ["--label", "seed"]) == 0
-    trajectory = json.loads((tmp_path / "traj.json").read_text())
-    assert trajectory["entries"][-1]["label"] == "seed"
-    assert bench_main(monkeypatch, tmp_path, RAW_FAST, ["--check"]) == 0
-
-
-def test_bench_check_regression_exits_one(monkeypatch, tmp_path, capsys):
-    assert bench_main(monkeypatch, tmp_path, RAW_FAST, []) == 0
-    assert bench_main(monkeypatch, tmp_path, RAW_SLOW, ["--check"]) == 1
-    assert "REGRESSION" in capsys.readouterr().err
-
-
-def test_bench_improvement_is_not_a_regression(monkeypatch, tmp_path):
-    assert bench_main(monkeypatch, tmp_path, RAW_SLOW, []) == 0
-    assert bench_main(monkeypatch, tmp_path, RAW_FAST, ["--check"]) == 0

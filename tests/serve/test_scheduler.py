@@ -8,6 +8,7 @@ production one.
 
 import asyncio
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -150,6 +151,32 @@ def test_sweep_lifecycle_stream_and_dedup(tmp_path):
         assert reg.counter("serve.points.cache_hits").value == 3
         assert reg.counter("serve.points.dispatched").value == 3
         assert reg.gauge("serve.cache.hit_rate").value == 0.5
+        await scheduler.stop()
+
+    asyncio.run(run())
+
+
+def test_half_seeded_cache_dispatches_exactly_the_missing_points(tmp_path):
+    """Between cold (0.0) and warm (1.0): a job over a cache holding the
+    baseline and 4 of its 9 points simulates the other 5 and nothing else."""
+    scheduler = make_scheduler(tmp_path)
+    spec = {"app": "water", "bandwidths": [6.3, 2.0, 0.95],
+            "latencies": [0.5, 2.0, 5.0]}
+
+    async def run():
+        first = scheduler.submit(spec)
+        await collect(scheduler, first.id)
+        dropped = [first.spec.cache_key(bw, lat)
+                   for bw, lat in first.spec.points()[4:]]
+        for key in dropped:
+            os.unlink(scheduler.cache._path(key))
+
+        second = scheduler.submit(spec)
+        end = (await collect(scheduler, second.id))[-1]
+        assert end["state"] == DONE
+        assert end["points_done"] == 10
+        assert end["dispatched"] == len(dropped) == 5
+        assert end["hit_rate"] == 0.5
         await scheduler.stop()
 
     asyncio.run(run())
