@@ -46,11 +46,11 @@ Because the engine overrides every queue node by scatter anyway, the
 adaptive compile emits **chainless** queue joins (both dependency
 columns point at the arrival), which collapses the level count by an
 order of magnitude (fft 1183 -> 101 levels) and keeps the sweep to a
-few milliseconds for the whole Figure-3 grid.  The sweep kernel is
-call-overhead bound (levels are sequential, grid points broadcast), so
-the plan pre-stacks each level's two dependency gathers into one
-``np.take``, pre-builds every per-level view, and splices served
-starts in with a single scatter per level.  Measured on the Figure-3
+few milliseconds for the whole Figure-3 grid.  The sweep is the frozen
+program's own (:meth:`ReplayProgram._sweep_levels`: one stacked gather,
+one add, one maximum per level, buffers from the calling thread's
+workspace) with one extra scatter per level that splices the served
+starts in.  Measured on the Figure-3
 grid: fft converges bitwise-exactly (<= 1e-13 vs. the interpreted
 evaluator) within 30 iterations; water's value feedback is hundreds of
 queue-crossings deep, so it never converges within any sensible cap
@@ -60,15 +60,13 @@ recording whose schedule is that sensitive to the operating point.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..network.linkspec import MBYTE, MS
 from ..network.topology import Topology
 from . import require_numpy
-from .program import (PROGRAM_FORMAT, ReplayProgram, _decode, _encode,
-                      _levelize)
+from .program import (_WORKSPACE, PROGRAM_FORMAT, ReplayProgram, _decode,
+                      _encode, _levelize)
 
 #: Bump when the group-array layout or the iteration semantics change;
 #: part of the adaptive cache key (alongside the base PROGRAM_FORMAT).
@@ -142,18 +140,18 @@ class AdaptiveResult:
 
 
 class _Plan:
-    """Preallocated buffers and per-level views for one point count.
+    """One call's buffers and per-level views for ``P`` live points.
 
-    Everything here is storage layout, not values: the same plan is
-    reused across price calls (edge costs are re-priced into the same
-    buffers with ``out=``), which keeps the per-level python overhead
-    to a tuple unpack and three-or-four numpy kernel calls.
+    Everything here is storage carved out of the calling thread's
+    workspace (:data:`~repro.replay.program._WORKSPACE`), not values:
+    a plan lives for one :meth:`AdaptiveProgram._iterate` and is
+    re-carved in place when the iteration compacts to the survivors.
     """
 
-    __slots__ = ("P", "t", "t_prev", "cost_ab", "base_levels",
+    __slots__ = ("P", "t", "t_prev", "cost_ab", "levels", "overrides",
                  "served_lv", "arr_costg", "costg", "seed_cost",
-                 "arrg", "served", "s_prev", "s_new", "flat_perm",
-                 "a_s", "c_s", "s_excl", "ok_rows")
+                 "arrg", "served", "s_prev", "s_new", "flat",
+                 "a_s", "c_s", "s_excl", "ok_rows", "stale")
 
 
 class AdaptiveProgram(ReplayProgram):
@@ -180,9 +178,7 @@ class AdaptiveProgram(ReplayProgram):
         self.op_arr_edge = op_arr_edge    # (M, 4) float64 arrival row
         self.op_cost = op_cost            # (M, 4) float64 service cost row
         self.op_node = op_node            # (M,) int32 queue join node
-        self._static: Optional[dict] = None  # layout shared by all plans
-        self._plan: Optional[_Plan] = None   # buffers for one point count
-        self._lock = threading.Lock()
+        self._static: Optional[dict] = None  # queue layout, built once
 
     # ------------------------------------------------------------------
     @classmethod
@@ -263,43 +259,24 @@ class AdaptiveProgram(ReplayProgram):
 
     # ------------------------------------------------------------------
     def _static_layout(self, np) -> dict:
-        """Point-count-independent index layout, built once.
+        """Point-count-independent queue layout, built once.
 
-        Stacks each level's two dependency columns (``pred_a`` rows then
-        ``pred_b`` rows) so the base update is one gather, one add and
-        one maximum, and groups the queue ops by the level of their
-        node so served starts splice in with one scatter per level.
+        Groups the queue ops by the level of their node, so served
+        starts splice into the shared level sweep with one scatter per
+        level, and flattens the groups for the segmented serve.
         """
         if self._static is not None:
             return self._static
         ls = self.level_starts
-        n_levels = self.num_levels
-        N = self.num_nodes
-
-        idx_ab = np.empty(2 * N, dtype=np.int32)
-        edge_ab = np.empty((2 * N, 4), dtype=np.float64)
-        base_slices = []           # (lo, hi, slo, shi) per level
-        pos = 0
-        for lv in range(n_levels):
-            lo, hi = int(ls[lv]), int(ls[lv + 1])
-            m = hi - lo
-            idx_ab[pos:pos + m] = self.pred_a[lo:hi]
-            idx_ab[pos + m:pos + 2 * m] = self.pred_b[lo:hi]
-            edge_ab[pos:pos + m] = self.edge_a[lo:hi]
-            edge_ab[pos + m:pos + 2 * m] = self.edge_b[lo:hi]
-            base_slices.append((lo, hi, pos, pos + 2 * m))
-            pos += 2 * m
 
         # Queue ops sorted by node (= level order, since each op has its
         # own join node); per level, the contiguous run of its ops.
-        ov_order = np.argsort(self.op_node, kind="stable").astype(np.int32)
-        ov_nodes = self.op_node[ov_order]
-        ov_bounds = np.searchsorted(ov_nodes, ls).astype(np.int64)
-        ov_slices = {}             # level -> (o0, o1, node ids)
-        for lv in range(n_levels):
-            o0, o1 = int(ov_bounds[lv]), int(ov_bounds[lv + 1])
-            if o0 < o1:
-                ov_slices[lv] = (o0, o1, ov_nodes[o0:o1])
+        ov_order = np.argsort(self.op_node, kind="stable")
+        ov_nodes = self.op_node[ov_order].astype(np.intp)
+        ov_bounds = np.searchsorted(ov_nodes, ls).tolist()
+        ov_slices = []             # per level above 0: None | (o0, o1, nodes)
+        for o0, o1 in zip(ov_bounds[1:-1], ov_bounds[2:]):
+            ov_slices.append((o0, o1, ov_nodes[o0:o1]) if o0 < o1 else None)
 
         # Flat segmented-serve layout: group offset per op slot (local
         # permutation -> global row), each op's group-start row, and
@@ -318,97 +295,62 @@ class AdaptiveProgram(ReplayProgram):
                        kind_groups.items()}
 
         self._static = {
-            "idx_ab": idx_ab, "edge_ab": edge_ab,
-            "base_slices": base_slices,
             "ov_order": ov_order, "ov_slices": ov_slices,
+            "arr_pred": self.op_arr_pred.astype(np.intp),
             "grp_off": grp_off, "first_rows": first_rows,
             "local_slot": np.arange(M, dtype=np.int32)[:, None] - grp_off,
             "kind_groups": kind_groups,
         }
         return self._static
 
-    def _build_plan(self, np, P: int, cache: bool = True) -> _Plan:
-        """Buffers + per-level views for ``P`` simultaneous points.
-
-        Transient plans (``cache=False``) serve the compaction path —
-        once most grid points converge, iteration continues on a plan
-        sized for the survivors without evicting the full-grid plan.
-        """
-        if cache and self._plan is not None and self._plan.P == P:
-            return self._plan
-        st = self._static_layout(np)
+    def _carve_plan(self, np, params, s_prev) -> _Plan:
+        """A plan for the ``P`` points (columns) of ``params`` out of
+        the thread's workspace, priced there and seeded with the serve
+        orders ``s_prev`` (broadcast over the points)."""
+        lay, st = self._layout(np), self._static_layout(np)
         N, M, K = self.num_nodes, self.num_group_ops, self.num_groups
-
+        P = params.shape[1]
+        f8, i4 = np.float64, np.int32
         plan = _Plan()
         plan.P = P
-        plan.t = np.empty((N, P), dtype=np.float64)
-        plan.t_prev = np.empty((N, P), dtype=np.float64)
-        plan.cost_ab = np.empty((2 * N, P), dtype=np.float64)
-
-        # Per-level base tuples: gather index, cost view, scratch halves,
-        # and the output view into t.  Scratch is one arena reused by
-        # every level (levels run sequentially).
-        max_m = max((hi - lo) for lo, hi, _, _ in st["base_slices"][1:]) \
-            if len(st["base_slices"]) > 1 else 1
-        arena = np.empty((2 * max_m, P), dtype=np.float64)
-        base_levels = []
-        for lv, (lo, hi, slo, shi) in enumerate(st["base_slices"][1:],
-                                                start=1):
-            m = hi - lo
-            buf = arena[:2 * m]
-            base_levels.append((st["idx_ab"][slo:shi],
-                                plan.cost_ab[slo:shi],
-                                buf, buf[:m], buf[m:],
-                                plan.t[lo:hi],
-                                st["ov_slices"].get(lv)))
-        plan.base_levels = base_levels
-
-        plan.served_lv = np.empty((M, P), dtype=np.float64)
-        plan.arr_costg = np.empty((M, P), dtype=np.float64)
-        plan.costg = np.empty((M, P), dtype=np.float64)
-        plan.seed_cost = np.empty((K, P), dtype=np.float64)
-        plan.arrg = np.empty((M, P), dtype=np.float64)
-        plan.served = np.empty((M, P), dtype=np.float64)
-        plan.s_prev = np.empty((M, P), dtype=np.int32)
-        plan.s_new = np.empty((M, P), dtype=np.int32)
-        plan.flat_perm = np.empty((M, P), dtype=np.int32)
-        plan.a_s = np.empty((M, P), dtype=np.float64)
-        plan.c_s = np.empty((M, P), dtype=np.float64)
-        plan.s_excl = np.empty((M, P), dtype=np.float64)
-        plan.ok_rows = np.empty((M, P), dtype=bool)
-        if cache:
-            self._plan = plan
+        (plan.t, plan.t_prev, plan.cost_ab, arena, plan.seed_cost,
+         plan.served_lv, plan.arr_costg, plan.costg, plan.arrg, plan.served,
+         plan.a_s, plan.c_s, plan.s_excl, plan.s_prev, plan.s_new,
+         plan.flat, plan.ok_rows) = _WORKSPACE.carve(
+            np, (N, P, f8), (N, P, f8), (2 * N, P, f8),
+            (2 * lay.max_width, P, f8), (K, P, f8), *[(M, P, f8)] * 8,
+            (M, P, i4), (M, P, i4), (M, P, np.intp), (M, P, bool))
+        plan.levels = lay.views(plan.t, plan.cost_ab, arena)
+        plan.overrides = [ov and (ov[2], plan.served_lv[ov[0]:ov[1]])
+                          for ov in st["ov_slices"]]
+        np.matmul(lay.edge_ab, params, out=plan.cost_ab)
+        np.matmul(self.op_arr_edge, params, out=plan.arr_costg)
+        np.matmul(self.op_cost, params, out=plan.costg)
+        np.matmul(self.grp_seed_edge, params, out=plan.seed_cost)
+        plan.s_prev[:] = s_prev
+        self._flatten(np, plan, plan.s_prev)
         return plan
 
-    # ------------------------------------------------------------------
-    def _sweep_fast(self, np, plan: _Plan, served_lv) -> None:
-        """One level sweep over ``plan.t``; when ``served_lv`` is given
-        (queue ops in level order), its rows override the queue nodes."""
-        t = plan.t
-        ls = self.level_starts
-        t[:int(ls[1])] = 0.0
-        maximum, add, take = np.maximum, np.add, np.take
-        if served_lv is None:
-            for idx, cost, buf, half_a, half_b, out, _ in plan.base_levels:
-                take(t, idx, axis=0, out=buf, mode="clip")
-                add(buf, cost, out=buf)
-                maximum(half_a, half_b, out=out)
-        else:
-            for idx, cost, buf, half_a, half_b, out, ov in plan.base_levels:
-                take(t, idx, axis=0, out=buf, mode="clip")
-                add(buf, cost, out=buf)
-                maximum(half_a, half_b, out=out)
-                if ov is not None:
-                    o0, o1, onodes = ov
-                    t[onodes] = served_lv[o0:o1]
+    def _flatten(self, np, plan: _Plan, perm) -> None:
+        """``plan.flat``: where, in a flattened ``(M, P)`` array, each
+        slot of the per-queue serve permutations ``perm`` reads from —
+        one ``np.take`` / ``np.put`` per gather instead of an index
+        broadcast.  Marks the order-dependent cost prefix stale."""
+        np.add(perm, self._static["grp_off"], out=plan.flat)
+        plan.flat *= plan.P
+        plan.flat += np.arange(plan.P)
+        plan.stale = True
 
-    def _serve(self, np, plan: _Plan, order_tol: float, scale) -> None:
-        """Re-sort and re-serve every queue from the current iterate.
+    def _serve(self, np, plan: _Plan, order_tol: float, scale) -> bool:
+        """Re-sort and re-serve every queue from the current iterate;
+        returns whether any queue was re-sorted.
 
-        Fills ``plan.arrg`` (arrivals), ``plan.s_new`` (per-queue serve
-        permutations) and ``plan.served`` (start-of-service per op, slot
-        order).  Orders are *sticky*: a queue keeps its previous
-        permutation while its arrivals stay sorted under it to within
+        Fills ``plan.arrg`` (arrivals), ``plan.served`` (start of
+        service per op, slot order) and — only when a queue was
+        re-sorted — ``plan.s_new`` (the new per-queue serve
+        permutations; ``plan.flat`` then indexes by them).  Orders are
+        *sticky*: a queue keeps its previous permutation while its
+        arrivals stay sorted under it to within
         ``order_tol`` of the point's runtime ``scale`` — re-sorting on
         every sub-tolerance jitter would let near-simultaneous arrivals
         flap between equivalent schedules forever (a classic two-cycle
@@ -419,44 +361,43 @@ class AdaptiveProgram(ReplayProgram):
         st = self._static
         t = plan.t
         gs = self.grp_starts
-        M = self.num_group_ops
-        np.take(t, self.op_arr_pred, axis=0, out=plan.arrg)
+        np.take(t, st["arr_pred"], axis=0, out=plan.arrg, mode="clip")
         plan.arrg += plan.arr_costg
         tol = scale * order_tol if order_tol > 0.0 else 0.0
 
         # Sticky check, all groups at once: gather arrivals in the
-        # previous serve order (global rows = group offset + local
-        # permutation) and test sortedness within each segment.
-        np.add(plan.s_prev, st["grp_off"], out=plan.flat_perm)
+        # previous serve order and test sortedness within each segment.
         a_s = plan.a_s
-        a_s[:] = np.take_along_axis(plan.arrg, plan.flat_perm, axis=0)
+        np.take(plan.arrg, plan.flat, out=a_s, mode="clip")
         plan.ok_rows[1:] = a_s[:-1] <= a_s[1:] + tol
         plan.ok_rows[st["first_rows"]] = True
         keep = np.logical_and.reduceat(plan.ok_rows, gs[:-1], axis=0)
 
-        np.copyto(plan.s_new, plan.s_prev)
         resort = ~keep.all(axis=1)
-        for k in np.nonzero(resort)[0]:
-            lo, hi = int(gs[k]), int(gs[k + 1])
-            p = np.argsort(plan.arrg[lo:hi], axis=0, kind="stable")
-            np.copyto(p, plan.s_prev[lo:hi], where=keep[k][None, :])
-            plan.s_new[lo:hi] = p
-        if resort.any():
-            np.add(plan.s_new, st["grp_off"], out=plan.flat_perm)
-            a_s[:] = np.take_along_axis(plan.arrg, plan.flat_perm, axis=0)
+        resorted = bool(resort.any())
+        if resorted:
+            np.copyto(plan.s_new, plan.s_prev)
+            for k in np.nonzero(resort)[0]:
+                lo, hi = int(gs[k]), int(gs[k + 1])
+                p = np.argsort(plan.arrg[lo:hi], axis=0, kind="stable")
+                np.copyto(p, plan.s_prev[lo:hi], where=keep[k][None, :])
+                plan.s_new[lo:hi] = p
+            self._flatten(np, plan, plan.s_new)
+            np.take(plan.arrg, plan.flat, out=a_s, mode="clip")
 
         # Busy-period scan, segmented: exclusive cost prefix within each
         # group via a global cumsum rebased at the group-first rows
         # (rounding of the rebase is deterministic, which is all the
         # bitwise convergence check needs), then a per-group running max
-        # of ``arrival - prefix``.
-        c_s = plan.c_s
-        c_s[:] = np.take_along_axis(plan.costg, plan.flat_perm, axis=0)
+        # of ``arrival - prefix``.  The prefix depends on the orders
+        # only, so it is kept until a queue re-sorts.
         s_excl = plan.s_excl
-        s_excl[0] = 0.0
-        np.cumsum(c_s[:-1], axis=0, out=s_excl[1:])
-        base = s_excl[st["grp_off"][:, 0]]
-        s_excl -= base
+        if plan.stale:
+            np.take(plan.costg, plan.flat, out=plan.c_s, mode="clip")
+            s_excl[0] = 0.0
+            np.cumsum(plan.c_s[:-1], axis=0, out=s_excl[1:])
+            s_excl -= s_excl[st["grp_off"][:, 0]]
+            plan.stale = False
         z = a_s
         z -= s_excl
         first = st["first_rows"]
@@ -466,7 +407,8 @@ class AdaptiveProgram(ReplayProgram):
             lo, hi = int(gs[k]), int(gs[k + 1])
             np.maximum.accumulate(z[lo:hi], axis=0, out=z[lo:hi])
         z += s_excl
-        np.put_along_axis(plan.served, plan.flat_perm, z, axis=0)
+        np.put(plan.served, plan.flat, z, mode="clip")
+        return resorted
 
     # ------------------------------------------------------------------
     def _iterate(self, np, params, max_iters: int, order_tol: float):
@@ -475,72 +417,56 @@ class AdaptiveProgram(ReplayProgram):
         ``params`` is the ``(4, P)`` parameter matrix of
         :meth:`ReplayProgram._sweep`.
         """
-        P = params.shape[1]
-        fin_cost = self.fin_edge @ params
+        P0 = params.shape[1]
         if self.num_group_ops == 0 or max_iters < 1:
-            cost_a = self.edge_a @ params
-            cost_b = self.edge_b @ params
-            T = self._sweep_values(np, cost_a, cost_b)
-            runtimes = (T[self.fin_node] + fin_cost).max(axis=0)
             # With queues present, the base sweep alone prices a
             # chainless (no-waiting) relaxation — never trustworthy.
             ok = self.num_group_ops == 0
-            return (runtimes, np.full(P, ok, dtype=bool),
-                    np.zeros(P, dtype=np.int32), {})
-        with self._lock:
-            return self._iterate_locked(np, params, max_iters, order_tol,
-                                        fin_cost)
-
-    def _iterate_locked(self, np, params, max_iters: int,
-                        order_tol: float, fin_cost):
-        P0 = params.shape[1]
+            return (self._sweep(np, *params[1:]),
+                    np.full(P0, ok, dtype=bool),
+                    np.zeros(P0, dtype=np.int32), {})
         st = self._static_layout(np)
         gs = self.grp_starts
-        ov_order = st["ov_order"]
+        fin_cost = self.fin_edge @ params
 
         out_rt = np.empty(P0, dtype=np.float64)
         out_conv = np.zeros(P0, dtype=bool)
         out_iters = np.zeros(P0, dtype=np.int32)
         order_changes: Dict[str, int] = {}
 
-        def price(plan, params) -> None:
-            np.matmul(st["edge_ab"], params, out=plan.cost_ab)
-            np.matmul(self.op_arr_edge, params, out=plan.arr_costg)
-            np.matmul(self.op_cost, params, out=plan.costg)
-            np.matmul(self.grp_seed_edge, params, out=plan.seed_cost)
-
-        plan = self._build_plan(np, P0)
-        price(plan, params)
+        # Serve orders seed from the compiler's reference order.
+        plan = self._carve_plan(np, params, st["local_slot"])
         live = np.arange(P0)           # global column of each plan column
         active = np.ones(P0, dtype=bool)
 
         # Iteration 0: the chainless relaxation (queues serve with no
-        # waiting) seeds the arrivals; serve orders seed from the
-        # compiler's reference order.
-        self._sweep_fast(np, plan, None)
-        plan.s_prev[:] = st["local_slot"]
+        # waiting) seeds the arrivals.
+        self._sweep_levels(np, plan.t, plan.levels)
         scale = (plan.t[self.fin_node] + fin_cost).max(axis=0)
 
         it = 0
         while it < max_iters:
             it += 1
-            self._serve(np, plan, order_tol, scale)
-            gflips = np.logical_or.reduceat(plan.s_new != plan.s_prev,
-                                            gs[:-1], axis=0)
-            changed = gflips.any(axis=0)
-            if changed.any():
-                gact = gflips & active[None, :]
-                for kind, ix in st["kind_groups"].items():
-                    n = int(gact[ix].sum())
-                    if n:
-                        order_changes[kind] = \
-                            order_changes.get(kind, 0) + n
+            settled = active
+            if self._serve(np, plan, order_tol, scale):
+                gflips = np.logical_or.reduceat(plan.s_new != plan.s_prev,
+                                                gs[:-1], axis=0)
+                changed = gflips.any(axis=0)
+                if changed.any():
+                    gact = gflips & active[None, :]
+                    for kind, ix in st["kind_groups"].items():
+                        n = int(gact[ix].sum())
+                        if n:
+                            order_changes[kind] = \
+                                order_changes.get(kind, 0) + n
+                settled = active & ~changed
+                plan.s_prev, plan.s_new = plan.s_new, plan.s_prev
             np.copyto(plan.t_prev, plan.t)
-            np.take(plan.served, ov_order, axis=0, out=plan.served_lv)
-            self._sweep_fast(np, plan, plan.served_lv)
+            np.take(plan.served, st["ov_order"], axis=0, out=plan.served_lv,
+                    mode="clip")
+            self._sweep_levels(np, plan.t, plan.levels, plan.overrides)
             scale = (plan.t[self.fin_node] + fin_cost).max(axis=0)
-            same = (plan.t == plan.t_prev).all(axis=0)
-            newly = same & ~changed & active
+            newly = (plan.t == plan.t_prev).all(axis=0) & settled
             if newly.any():
                 done = live[newly]
                 out_rt[done] = scale[newly]
@@ -550,10 +476,11 @@ class AdaptiveProgram(ReplayProgram):
             nlive = int(active.sum())
             if nlive == 0:
                 break
-            plan.s_prev, plan.s_new = plan.s_new, plan.s_prev
             if nlive <= plan.P // 2:
                 # Compact to the unconverged columns: iteration cost
                 # tracks the surviving points, not the original grid.
+                # The survivors' state is copied out, then the same
+                # workspace is re-carved for them.
                 cols = np.nonzero(active)[0]
                 live = live[cols]
                 params = np.ascontiguousarray(params[:, cols])
@@ -561,10 +488,8 @@ class AdaptiveProgram(ReplayProgram):
                 t_keep = plan.t[:, cols].copy()
                 s_keep = plan.s_prev[:, cols].copy()
                 scale = scale[cols].copy()
-                plan = self._build_plan(np, nlive, cache=False)
-                price(plan, params)
+                plan = self._carve_plan(np, params, s_keep)
                 plan.t[:] = t_keep
-                plan.s_prev[:] = s_keep
                 active = np.ones(nlive, dtype=bool)
 
         if int(active.sum()):
@@ -592,16 +517,9 @@ class AdaptiveProgram(ReplayProgram):
         """Adaptive runtimes for the full cartesian grid; shapes match
         :meth:`ReplayProgram.price_grid`."""
         np = require_numpy()
-        bws = np.asarray(bandwidths_mbyte_s, dtype=np.float64) * MBYTE
-        lats = np.asarray(latencies_ms, dtype=np.float64) * MS
-        losses = (np.zeros(1) if loss_rates is None
-                  else np.asarray(loss_rates, dtype=np.float64))
-        grid = np.meshgrid(losses, lats, 1.0 / bws, indexing="ij")
-        loss, wlat, inv_bw = (g.ravel() for g in grid)
-        inv_bw_eff, eloss = self._loss_terms(np, inv_bw, wlat, loss)
-        result = self._adaptive(np, inv_bw_eff, wlat, eloss, max_iters,
-                                order_tol)
-        shape = (len(losses), len(lats), len(bws))
+        terms, shape = self._grid_terms(np, bandwidths_mbyte_s,
+                                        latencies_ms, loss_rates)
+        result = self._adaptive(np, *terms, max_iters, order_tol)
         for name in ("runtimes", "converged", "iterations"):
             arr = getattr(result, name).reshape(shape)
             setattr(result, name, arr if loss_rates is not None else arr[0])
@@ -615,12 +533,8 @@ class AdaptiveProgram(ReplayProgram):
         """Adaptive runtimes for arbitrary ``(bw_mbyte_s, lat_ms)``
         pairs, flat."""
         np = require_numpy()
-        inv_bw = 1.0 / (np.array([p[0] for p in points]) * MBYTE)
-        wlat = np.array([p[1] for p in points]) * MS
-        loss = np.full_like(inv_bw, float(loss_rate))
-        inv_bw_eff, eloss = self._loss_terms(np, inv_bw, wlat, loss)
-        return self._adaptive(np, inv_bw_eff, wlat, eloss, max_iters,
-                              order_tol)
+        return self._adaptive(np, *self._points_terms(np, points, loss_rate),
+                              max_iters, order_tol)
 
     def price_adaptive(self, topology: Topology, loss_rate: float = 0.0,
                        max_iters: int = DEFAULT_MAX_ITERS,
@@ -634,13 +548,8 @@ class AdaptiveProgram(ReplayProgram):
         the interpreted evaluator).
         """
         np = require_numpy()
-        self.check_topology(topology)
-        inv_bw = np.array([1.0 / topology.wide.bandwidth])
-        wlat = np.array([topology.wide.latency])
-        loss = np.array([float(loss_rate)])
-        inv_bw_eff, eloss = self._loss_terms(np, inv_bw, wlat, loss)
-        result = self._adaptive(np, inv_bw_eff, wlat, eloss, max_iters,
-                                order_tol)
+        terms = self._topology_terms(np, topology, loss_rate)
+        result = self._adaptive(np, *terms, max_iters, order_tol)
         return (float(result.runtimes[0]), bool(result.converged[0]),
                 int(result.iterations[0]))
 

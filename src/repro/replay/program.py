@@ -11,10 +11,13 @@ parallel arrays —
   ``c0 + bytes/wide_bw + hops*wide_lat + traversals*E_loss``.
 
 Nodes are stored in level order (level = longest dependency chain below),
-so :meth:`price_grid` is a topologically-ordered sweep: one fused
-``maximum(T[pred_a] + cost_a, T[pred_b] + cost_b)`` per level, with the
-grid dimension broadcast across the whole level — no per-event Python
-dispatch, a handful of numpy kernel calls per dependency level.
+so :meth:`price_grid` is a topologically-ordered sweep: per level one
+``maximum(T[pred_a] + cost_a, T[pred_b] + cost_b)``, with the grid
+dimension broadcast across the whole level — no per-event Python
+dispatch, three numpy kernel calls per dependency level (one stacked
+gather, one add, one maximum: :meth:`ReplayProgram._sweep_levels`, the
+one sweep the order-adaptive engine runs too) into buffers a per-thread
+workspace keeps between calls.
 
 The loss-rate axis is an expected-value model of the reliable transport
 (:mod:`repro.runtime.transport`): each WAN traversal of a lossy link
@@ -37,6 +40,7 @@ deserializes and prices in milliseconds instead of re-recording.
 from __future__ import annotations
 
 import base64
+import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.plan import TransportConfig
@@ -52,6 +56,94 @@ PROGRAM_FORMAT = 1
 #: The reliable transport's defaults: the loss model prices the
 #: expectation of exactly what a default FaultPlan's transport does.
 _TRANSPORT = TransportConfig()
+
+#: Most bytes of sweep scratch one thread keeps between pricing calls.
+#: 128 MiB holds every shipped program on a 16 x 16 grid (the largest,
+#: water/unoptimized, asks for 100 MB; asp/unoptimized 82 MB) and fft's
+#: adaptive paper grid (63 MB); a larger request is allocated for that
+#: call only.
+WORKSPACE_BYTES = 128 << 20
+
+
+class _Workspace(threading.local):
+    """One reusable scratch buffer per thread, carved afresh per call.
+
+    Pricing needs (nodes x points) matrices whose *values* never outlive
+    the call; mapping and first-touching them each time used to cost as
+    much as the sweep.  The buffer grows to the largest request seen, up
+    to :data:`WORKSPACE_BYTES`.
+    """
+
+    buf = None                    # flat float64
+
+    def carve(self, np, *specs):
+        """One uninitialised C-contiguous ``(rows, cols)`` array of
+        ``dtype`` per ``(rows, cols, dtype)`` spec, 8-byte aligned."""
+        slots = [-(-rows * cols * np.dtype(dtype).itemsize // 8)
+                 for rows, cols, dtype in specs]
+        need = sum(slots)
+        buf = self.buf
+        if buf is None or buf.size < need:
+            keep = 8 * need <= WORKSPACE_BYTES     # else: this call only
+            if keep:
+                self.buf = buf = None              # release, then regrow
+            buf = np.empty(need)
+            if keep:
+                self.buf = buf
+        out, pos = [], 0
+        for (rows, cols, dtype), n in zip(specs, slots):
+            flat = buf[pos:pos + n].view(dtype)
+            out.append(flat[:rows * cols].reshape(rows, cols))
+            pos += n
+        return out
+
+
+_WORKSPACE = _Workspace()
+
+
+class _Layout:
+    """Point-count-independent stacked form of a program's levels.
+
+    Level ``l`` (nodes ``[lo, hi)``) owns rows ``[2*lo, 2*hi)`` of
+    ``idx_ab`` / ``edge_ab``: its ``pred_a`` / ``edge_a`` rows, then its
+    ``pred_b`` / ``edge_b`` rows — so one gather, one add and one
+    maximum over the two halves update the whole level.
+    """
+
+    __slots__ = ("idx_ab", "edge_ab", "idx_lv", "spans", "max_width")
+
+    def __init__(self, np, program: "ReplayProgram") -> None:
+        ls = program.level_starts.astype(np.intp)
+        widths = np.diff(ls)
+        node = np.arange(program.num_nodes, dtype=np.intp)
+        row_a = node + np.repeat(ls[:-1], widths)    # 2*lo + (i - lo)
+        row_b = node + np.repeat(ls[1:], widths)     # 2*lo + m + (i - lo)
+        # intp: np.take would otherwise convert the indices every call
+        self.idx_ab = idx_ab = np.empty(2 * len(node), dtype=np.intp)
+        self.edge_ab = edge_ab = np.empty((2 * len(node), 4))
+        idx_ab[row_a], idx_ab[row_b] = program.pred_a, program.pred_b
+        edge_ab[row_a], edge_ab[row_b] = program.edge_a, program.edge_b
+        bounds = ls.tolist()
+        #: (lo, hi) node range of every level above the root's
+        self.spans = list(zip(bounds[1:-1], bounds[2:]))
+        self.idx_lv = [idx_ab[2 * lo:2 * hi] for lo, hi in self.spans]
+        self.max_width = int(widths[1:].max()) if len(widths) > 1 else 0
+
+    def views(self, t, cost_ab, arena) -> list:
+        """Per-level operands of :meth:`ReplayProgram._sweep_levels` over
+        one call's buffers: ``(gather index, costs, gather buffer, its a
+        half, its b half, output)``.  The gather buffers are slices of
+        one ``(2 * max_width, P)`` arena, since levels run in turn."""
+        halves: Dict[int, tuple] = {}
+        plan = []
+        for idx, (lo, hi) in zip(self.idx_lv, self.spans):
+            m = hi - lo
+            bufs = halves.get(m)
+            if bufs is None:
+                buf = arena[:2 * m]
+                bufs = halves[m] = (buf, buf[:m], buf[m:])
+            plan.append((idx, cost_ab[2 * lo:2 * hi], *bufs, t[lo:hi]))
+        return plan
 
 
 def _levelize(pa: List[int], pb: List[int]):
@@ -106,6 +198,7 @@ class ReplayProgram:
         self.fin_node = fin_node      # (F,) int32
         self.fin_edge = fin_edge      # (F, 4) float64
         self.meta = meta
+        self._stacked: Optional[_Layout] = None   # built on first pricing
 
     # ------------------------------------------------------------------
     @classmethod
@@ -167,9 +260,11 @@ class ReplayProgram:
         if not np.any(loss):
             return inv_bw, np.zeros_like(inv_bw)
         b = _TRANSPORT.backoff
-        if np.any(loss < 0.0) or np.any(loss * b >= 1.0):
+        ok = (loss >= 0.0) & (loss * b < 1.0)
+        if not ok.all():
             raise ValueError(
-                f"loss rates must be in [0, {1.0 / b:g}) for the "
+                f"loss rate {float(loss[~ok][0])!r}: loss rates must be in "
+                f"[0, {1.0 / b:g}) for the "
                 f"expected-value model (geometric backoff x{b:g} "
                 f"diverges beyond it); simulate heavier loss with a "
                 f"FaultPlan instead")
@@ -189,27 +284,97 @@ class ReplayProgram:
                           - loss / (1.0 - loss)) / (b - 1.0)
         return inv_bw / (1.0 - loss), expected
 
-    def _sweep_values(self, np, cost_a, cost_b):
-        """All node values for pre-priced edge costs (both ``(N, G)``)."""
-        t = np.empty_like(cost_a)
-        starts = self.level_starts
-        t[starts[0]:starts[1]] = 0.0         # level 0: the root
-        pa, pb = self.pred_a, self.pred_b
-        for lv in range(1, self.num_levels):
-            lo, hi = int(starts[lv]), int(starts[lv + 1])
-            np.maximum(t[pa[lo:hi]] + cost_a[lo:hi],
-                       t[pb[lo:hi]] + cost_b[lo:hi],
-                       out=t[lo:hi])
-        return t
+    def _terms(self, np, bandwidths, latencies, losses,
+               bw_unit: float = MBYTE, lat_unit: float = MS):
+        """Per-point ``(1/wide_bw_effective, wide_lat, E_loss)`` rows for
+        ``P`` points given as flat sequences (``losses`` may be one
+        scalar for all of them).
+
+        Every pricing entry point comes through here, so this is where
+        an operating point is refused: a bandwidth that is not finite
+        and positive, a latency that is not finite and non-negative, or
+        a loss rate outside the expected-value model raises ValueError
+        naming the first offending value.
+        """
+        bw = np.asarray(bandwidths, dtype=np.float64)
+        lat = np.asarray(latencies, dtype=np.float64)
+        for what, arr, ok in (
+                ("bandwidth", bw, np.isfinite(bw) & (bw > 0.0)),
+                ("latency", lat, np.isfinite(lat) & (lat >= 0.0))):
+            if not ok.all():
+                raise ValueError(
+                    f"cannot price at {what} {float(arr[~ok][0])!r}: "
+                    f"bandwidths must be finite and positive, latencies "
+                    f"finite and non-negative")
+        loss = np.broadcast_to(np.asarray(losses, dtype=np.float64),
+                               bw.shape)
+        wlat = lat * lat_unit
+        inv_bw, eloss = self._loss_terms(np, 1.0 / (bw * bw_unit), wlat,
+                                         loss)
+        return inv_bw, wlat, eloss
+
+    def _grid_terms(self, np, bandwidths_mbyte_s, latencies_ms, loss_rates):
+        """``(terms, shape)`` of the cartesian grid, loss-major, then
+        latency, then bandwidth (the Figure-3 panel order)."""
+        losses = (0.0,) if loss_rates is None else loss_rates
+        grid = np.meshgrid(np.asarray(losses, dtype=np.float64),
+                           np.asarray(latencies_ms, dtype=np.float64),
+                           np.asarray(bandwidths_mbyte_s, dtype=np.float64),
+                           indexing="ij")
+        loss, lat, bw = (g.ravel() for g in grid)
+        return self._terms(np, bw, lat, loss), grid[0].shape
+
+    def _points_terms(self, np, points, loss_rate: float):
+        """``terms`` of ``(bandwidth_mbyte_s, latency_ms)`` pairs."""
+        return self._terms(np, [p[0] for p in points],
+                           [p[1] for p in points], float(loss_rate))
+
+    def _topology_terms(self, np, topology: Topology, loss_rate: float):
+        """``terms`` of one shape-checked topology (SI units already)."""
+        self.check_topology(topology)
+        return self._terms(np, [topology.wide.bandwidth],
+                           [topology.wide.latency], float(loss_rate),
+                           bw_unit=1.0, lat_unit=1.0)
+
+    # ------------------------------------------------------------------
+    def _layout(self, np) -> _Layout:
+        if self._stacked is None:
+            self._stacked = _Layout(np, self)
+        return self._stacked
+
+    def _sweep_levels(self, np, t, plan, overrides=None) -> None:
+        """The level sweep: fill ``t`` bottom-up, three numpy calls and
+        no allocation per level.  ``overrides`` (the adaptive engine's)
+        holds per level ``None`` or ``(nodes, values)`` to splice over
+        the level's max-plus result."""
+        t[:int(self.level_starts[1])] = 0.0      # level 0: the root
+        take, add, maximum = np.take, np.add, np.maximum
+        if overrides is None:
+            for idx, cost, buf, half_a, half_b, out in plan:
+                take(t, idx, 0, buf, "clip")
+                add(buf, cost, out=buf)
+                maximum(half_a, half_b, out=out)
+        else:
+            for (idx, cost, buf, half_a, half_b, out), over in zip(
+                    plan, overrides):
+                take(t, idx, 0, buf, "clip")
+                add(buf, cost, out=buf)
+                maximum(half_a, half_b, out=out)
+                if over is not None:
+                    t[over[0]] = over[1]
 
     def _sweep(self, np, inv_bw, wlat, eloss):
-        """Runtime at each of G grid points (all args shape ``(G,)``)."""
+        """Runtime at each of P points (all args shape ``(P,)``)."""
         # Price every edge at every point with one matmul: rows of the
         # parameter matrix are (1, 1/wide_bw, wide_lat, E_loss).
         params = np.stack([np.ones_like(inv_bw), inv_bw, wlat, eloss])
-        cost_a = self.edge_a @ params        # (N, G)
-        cost_b = self.edge_b @ params
-        t = self._sweep_values(np, cost_a, cost_b)
+        lay = self._layout(np)
+        n, points = self.num_nodes, params.shape[1]
+        t, cost_ab, arena = _WORKSPACE.carve(
+            np, (n, points, np.float64), (2 * n, points, np.float64),
+            (2 * lay.max_width, points, np.float64))
+        np.matmul(lay.edge_ab, params, out=cost_ab)
+        self._sweep_levels(np, t, lay.views(t, cost_ab, arena))
         finals = t[self.fin_node] + self.fin_edge @ params
         return finals.max(axis=0)
 
@@ -222,19 +387,13 @@ class ReplayProgram:
         Returns a float64 array of shape ``(len(latencies_ms),
         len(bandwidths_mbyte_s))``, row-major like the Figure-3 panels —
         or, when ``loss_rates`` is given, ``(len(loss_rates), n_lat,
-        n_bw)``.
+        n_bw)``.  Raises ValueError on an axis value that cannot be
+        priced (see :meth:`_terms`).
         """
         np = require_numpy()
-        bws = np.asarray(bandwidths_mbyte_s, dtype=np.float64) * MBYTE
-        lats = np.asarray(latencies_ms, dtype=np.float64) * MS
-        losses = (np.zeros(1) if loss_rates is None
-                  else np.asarray(loss_rates, dtype=np.float64))
-        grid = np.meshgrid(losses, lats, 1.0 / bws, indexing="ij")
-        loss, wlat, inv_bw = (g.ravel() for g in grid)
-        inv_bw_eff, eloss = self._loss_terms(np, inv_bw, wlat, loss)
-        runtimes = self._sweep(np, inv_bw_eff, wlat, eloss)
-        shape = (len(losses), len(lats), len(bws))
-        out = runtimes.reshape(shape)
+        terms, shape = self._grid_terms(np, bandwidths_mbyte_s,
+                                        latencies_ms, loss_rates)
+        out = self._sweep(np, *terms).reshape(shape)
         return out[0] if loss_rates is None else out
 
     def price_points(self, points: Sequence[Tuple[float, float]],
@@ -242,21 +401,13 @@ class ReplayProgram:
         """Runtimes for arbitrary ``(bandwidth_mbyte_s, latency_ms)``
         pairs (not necessarily a cartesian grid) in one sweep."""
         np = require_numpy()
-        inv_bw = 1.0 / (np.array([p[0] for p in points]) * MBYTE)
-        wlat = np.array([p[1] for p in points]) * MS
-        loss = np.full_like(inv_bw, float(loss_rate))
-        inv_bw_eff, eloss = self._loss_terms(np, inv_bw, wlat, loss)
-        return self._sweep(np, inv_bw_eff, wlat, eloss)
+        return self._sweep(np, *self._points_terms(np, points, loss_rate))
 
     def price(self, topology: Topology, loss_rate: float = 0.0) -> float:
         """Runtime at a single topology (shape-checked single point)."""
         np = require_numpy()
-        self.check_topology(topology)
-        inv_bw = np.array([1.0 / topology.wide.bandwidth])
-        wlat = np.array([topology.wide.latency])
-        loss = np.array([float(loss_rate)])
-        inv_bw_eff, eloss = self._loss_terms(np, inv_bw, wlat, loss)
-        return float(self._sweep(np, inv_bw_eff, wlat, eloss)[0])
+        terms = self._topology_terms(np, topology, loss_rate)
+        return float(self._sweep(np, *terms)[0])
 
     def check_topology(self, topology: Topology) -> None:
         """Raise ValueError unless ``topology`` differs from the compiled

@@ -25,14 +25,20 @@ fixed point is unique — which is what makes the reference comparison
 meaningful.
 """
 
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import grids
+from repro.replay import program as program_module
 from repro.replay import require_numpy
-from repro.replay.adaptive import AdaptiveProgram
+from repro.replay.adaptive import DEFAULT_MAX_ITERS, AdaptiveProgram
+from repro.replay.compile import compile_dag
+from repro.whatif.record import record_app
+from repro.whatif.validate import corner_points
 
 np = require_numpy()
 
@@ -236,3 +242,119 @@ def test_batched_and_solo_evaluation_agree(circuit, points):
         solo = run(prog, [point])
         assert float(solo.runtimes[0]) == float(batched.runtimes[i])
         assert int(solo.iterations[0]) == int(batched.iterations[i])
+
+
+# ----------------------------------------------------------------------
+# Bitwise pins on the recorded apps (generated at e570001, before the
+# sweep kernels merged and the serve went to flat indices)
+# ----------------------------------------------------------------------
+def adaptive_program(app, variant):
+    recording = record_app(app, variant)
+    return compile_dag(recording.dag, recording.topology, adaptive=True)
+
+
+def result_digest(result):
+    """Runtimes to the bit, plus everything the iteration map decides."""
+    return {
+        "runtimes": hashlib.sha1(result.runtimes.tobytes()).hexdigest(),
+        "iterations": hashlib.sha1(
+            result.iterations.astype("<i4").tobytes()).hexdigest(),
+        "max_iterations": result.max_iterations,
+        "unconverged": result.num_unconverged,
+        "converged": hashlib.sha1(
+            result.converged.astype("u1").tobytes()).hexdigest(),
+        "order_changes": dict(sorted(result.order_changes.items())),
+    }
+
+
+def corner_digest(app, variant):
+    corners = corner_points(grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS)
+    return result_digest(
+        adaptive_program(app, variant).price_points_adaptive(corners))
+
+
+FFT_GRID_PIN = {
+    "runtimes": "9d073d043575fdce0dbff2b2abf13ecfd7b9317f",
+    "iterations": "0f49be929f083dd119dc31f07101493e3abe318f",
+    "max_iterations": 30,
+    "unconverged": 0,
+    "converged": "3fb60486cb54b19eaf423777b2a65da287cca38d",
+    "order_changes": {"gw": 1735, "gwout": 1257, "wan": 2427},
+}
+CORNER_PINS = {
+    "fft/unoptimized": {
+        "runtimes": "c82c12d43bd22a6138b1f39337ab26d2f42ae403",
+        "iterations": "97126e923d9c8c02aedf7cc1a714b3d08fa9e38b",
+        "max_iterations": 18,
+        "unconverged": 0,
+        "converged": "a93755f8273b0e8dc4b0ecc158e5853119a24bf0",
+        "order_changes": {"gw": 173, "gwout": 146, "wan": 255},
+    },
+    "water/optimized": {
+        "runtimes": "b2e04cc7d4694cf9742bea8a89214a706f8a90ab",
+        "iterations": "cfe695b7ac2012d26c27df964cd2b14081247b9f",
+        "max_iterations": 40,
+        "unconverged": 4,
+        "converged": "9069ca78e7450a285173431b3e52c5c25299e473",
+        "order_changes": {"cpu": 4602, "gw": 640, "gwout": 617,
+                          "nic": 2735, "wan": 1416},
+    },
+}
+
+
+def test_fft_paper_grid_is_bitwise_pinned():
+    result = adaptive_program("fft", "unoptimized").price_grid_adaptive(
+        grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS)
+    assert result.all_converged and result.max_iterations == 30
+    assert result_digest(result) == FFT_GRID_PIN
+
+
+@pytest.mark.parametrize("app,variant", [("fft", "unoptimized"),
+                                         ("water", "optimized")])
+def test_corner_points_are_bitwise_pinned(app, variant):
+    digest = corner_digest(app, variant)
+    assert digest == CORNER_PINS[f"{app}/{variant}"]
+    if app == "water":      # never converges: every point at the cap
+        assert digest["unconverged"] == 4
+        assert digest["max_iterations"] == DEFAULT_MAX_ITERS
+
+
+def test_interleaved_point_counts_read_no_stale_buffer():
+    """P = 4, 1, 42 on one adaptive program (the ladder's walk), the
+    thread's workspace poisoned between calls."""
+    def poison():
+        if program_module._WORKSPACE.buf is not None:
+            program_module._WORKSPACE.buf.fill(float("nan"))
+
+    recording = record_app("fft", "unoptimized")
+    prog = compile_dag(recording.dag, recording.topology, adaptive=True)
+    bws, lats = grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS
+    poison()
+    anchor = prog.price_adaptive(recording.topology)
+    for _ in range(2):
+        poison()
+        assert result_digest(prog.price_points_adaptive(
+            corner_points(bws, lats))) == CORNER_PINS["fft/unoptimized"]
+        poison()
+        assert prog.price_adaptive(recording.topology) == anchor
+        poison()
+        assert result_digest(prog.price_grid_adaptive(bws, lats)) == \
+            FFT_GRID_PIN
+    assert not hasattr(prog, "_plan")       # nothing pinned to the program
+
+
+@pytest.mark.parametrize("bws,lats,named", [
+    ([0.0, 1.0], [1.0], "bandwidth 0.0"),
+    ([1.0], [float("nan")], "latency nan"),
+])
+def test_adaptive_entry_points_refuse_unpriceable_axes(bws, lats, named):
+    """The shared axis helper refuses before any iteration is spent
+    (a zero bandwidth used to burn the whole cap on a nan column)."""
+    prog = adaptive_program("fft", "unoptimized")
+    with pytest.raises(ValueError, match=named):
+        prog.price_grid_adaptive(bws, lats)
+    with pytest.raises(ValueError, match=named):
+        prog.price_points_adaptive([(bws[0], lats[0])])
+    with pytest.raises(ValueError, match="loss rate 0.5"):
+        prog.price_adaptive(grids.multi_cluster(1.0, 1.0), loss_rate=0.5)
+    assert prog.price_grid_adaptive([], [1.0]).runtimes.shape == (1, 0)

@@ -8,15 +8,20 @@ round-trip to identical arrays, and the loss model must be monotone
 with a hard guard at the divergence point.
 """
 
+import hashlib
+import random
 import sys
+import threading
 
 import pytest
 
 from repro.experiments import grids
 from repro.replay import ReplayUnavailable, require_numpy
-from repro.replay.compile import compile_recording
+from repro.replay import program as program_module
+from repro.replay.compile import compile_dag, compile_recording
 from repro.replay.program import PROGRAM_FORMAT, ReplayProgram
 from repro.whatif.record import record_app
+from repro.whatif.validate import corner_points
 
 
 @pytest.fixture(scope="module")
@@ -178,3 +183,289 @@ def test_replay_modules_never_import_numpy_at_module_scope():
                 # column 0 only: function-scope imports are the pattern
                 assert not line.startswith(("import numpy", "from numpy")), \
                     f"{name} imports numpy at module scope: {line.strip()!r}"
+
+
+# ----------------------------------------------------------------------
+# Bitwise pins (generated at e570001, before the sweep kernels merged)
+# ----------------------------------------------------------------------
+COMPILABLE = [(app, variant) for app in ("water", "barnes", "asp", "fft")
+              for variant in ("unoptimized", "optimized")]
+LOSS_AXIS = (0.0, 0.001, 0.01, 0.05)
+DENSE_AXIS = 16
+DENSE_SEED = 19
+
+
+def geometric_axis(rng, lo, hi, n):
+    """``n`` increasing values over ``[lo, hi)``, one per log-bin (the
+    ledger's off-paper axis)."""
+    ratio = hi / lo
+    return [lo * ratio ** ((i + rng.random()) / n) for i in range(n)]
+
+
+def dense_axes(seed=DENSE_SEED, n=DENSE_AXIS):
+    rng = random.Random(seed)
+    bws, lats = grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS
+    return (geometric_axis(rng, min(bws), max(bws), n),
+            geometric_axis(rng, min(lats), max(lats), n))
+
+
+def sha1(array) -> str:
+    return hashlib.sha1(array.tobytes()).hexdigest()
+
+
+def frozen_digests(app, variant):
+    """Every frozen pricing entry point of one panel, to the bit."""
+    recording = record_app(app, variant)
+    program = compile_recording(recording)
+    bws, lats = grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS
+    return {
+        "paper": sha1(program.price_grid(bws, lats)),
+        "dense": sha1(program.price_grid(*dense_axes())),
+        "loss": sha1(program.price_grid(bws, lats, loss_rates=LOSS_AXIS)),
+        "corners": sha1(program.price_points(corner_points(bws, lats))),
+        "anchor": program.price(recording.topology).hex(),
+    }
+
+
+FROZEN_PINS = {
+    "water/unoptimized": {
+        "paper": "62022dcc7bc1f7129b3b4eff5dd70f27de94c64d",
+        "dense": "adc25feb9e09283d5b7d6ce35bba90c3bada4df0",
+        "loss": "f37e1effb236de068262fe2ffeef04eeebd0c320",
+        "corners": "0001a38b559656cb1b4380cf14f40d035881323c",
+        "anchor": "0x1.6777da5966ac7p+1",
+    },
+    "water/optimized": {
+        "paper": "44014f5007cfcf2562f1a8b0cc17ec23561eba90",
+        "dense": "49a121a8e004ed6901e6a741dae966917fef2523",
+        "loss": "ccc29a8acc7ed3856ba75d718ab8cbcb4a32ebdc",
+        "corners": "442569e0c4c68e1f98649ac8b3a50fb24d092294",
+        "anchor": "0x1.f2e187cde5a8ap+0",
+    },
+    "barnes/unoptimized": {
+        "paper": "922b6eb8996b202c15d528c8d389f726569664b8",
+        "dense": "4fb3d78f90cdb0068c9673d3deb2e2ce653e6e3c",
+        "loss": "f6f6bc66c578f7c8203ab8292f817150296ac733",
+        "corners": "42c52251e0d67119e236ab66d5f878811b0bb55b",
+        "anchor": "0x1.54a851395d15fp+0",
+    },
+    "barnes/optimized": {
+        "paper": "ab7ba3c9418ef16262e678ae16167f39c2e2cc21",
+        "dense": "b52aef5d5e28c2b65a3ba4eb3ae44a9e380641b7",
+        "loss": "c4c2f2ac955c6efd86432fa0ef3c000bd41a087b",
+        "corners": "c9b2f8aa098f4e01ce5e2104cf0c4f0e82968032",
+        "anchor": "0x1.8f7b83e2f4838p-1",
+    },
+    "asp/unoptimized": {
+        "paper": "398a2119df70ec10fec784926f7e689b8414fb22",
+        "dense": "1c3b91f0178d114fb0648dfdcd6833ed8d60b6e8",
+        "loss": "7b5e1650e3567b75ef1833bdcab843a8a3830c5d",
+        "corners": "d0271ea01f2c447b3e81d652c09fcf2e2abf7cfa",
+        "anchor": "0x1.3a09d674527b9p+1",
+    },
+    "asp/optimized": {
+        "paper": "a7eaf6a2a22f539619e356e647b7a56ee8c053fb",
+        "dense": "99384d8c8013106454c70935e867f6e45fdfa3d8",
+        "loss": "6813f7ac3c75f410afe407593fd6b636ec5ef98b",
+        "corners": "a56e069147589b821af95e2a150597970e33d995",
+        "anchor": "0x1.172867bb66bbfp+0",
+    },
+    "fft/unoptimized": {
+        "paper": "eb27595bebf655e4a6a158531f0ca0a98d827108",
+        "dense": "4266c3c42b2c8ddbdd52388df48b33aa89a41978",
+        "loss": "c5811114f8b7cbf0f7ea122f2e8a250fecdbb15d",
+        "corners": "24d713ba2c4549e04b165993f1d5c3bdc096a831",
+        "anchor": "0x1.ae967f0a359a4p+1",
+    },
+    "fft/optimized": {
+        "paper": "eb27595bebf655e4a6a158531f0ca0a98d827108",
+        "dense": "4266c3c42b2c8ddbdd52388df48b33aa89a41978",
+        "loss": "c5811114f8b7cbf0f7ea122f2e8a250fecdbb15d",
+        "corners": "24d713ba2c4549e04b165993f1d5c3bdc096a831",
+        "anchor": "0x1.ae967f0a359a4p+1",
+    },
+}
+
+
+@pytest.mark.parametrize("app,variant", COMPILABLE)
+def test_frozen_prices_are_bitwise_pinned(app, variant):
+    assert frozen_digests(app, variant) == FROZEN_PINS[f"{app}/{variant}"]
+
+
+# ----------------------------------------------------------------------
+# Input validation: one refusal, in the shared axis -> terms helper
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("bws,lats,losses,named", [
+    ([-1.0, 1.0], [-5.0], None, "bandwidth -1.0"),
+    ([0.0], [1.0], None, "bandwidth 0.0"),
+    ([float("nan")], [1.0], None, "bandwidth nan"),
+    ([float("inf")], [1.0], None, "bandwidth inf"),
+    ([1.0], [-5.0], None, "latency -5.0"),
+    ([1.0], [float("inf")], None, "latency inf"),
+    ([1.0], [float("nan")], None, "latency nan"),
+    ([1.0], [1.0], [float("nan")], "loss rate nan"),
+    ([1.0], [1.0], [-0.01], "loss rate -0.01"),
+])
+def test_unpriceable_axis_values_are_refused_by_name(program, bws, lats,
+                                                     losses, named):
+    np = require_numpy()
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=named):
+        program.price_grid(bws, lats, loss_rates=losses)
+    if losses is None:
+        with pytest.raises(ValueError, match=named):
+            program.price_points([(bws[0], lats[0])])
+
+
+def test_zero_latency_and_empty_axes_still_price(program):
+    assert program.price_grid([1.0], [0.0]).shape == (1, 1)
+    assert program.price_grid([], []).shape == (0, 0)
+    assert program.price_grid([1.0], []).shape == (0, 1)
+    assert program.price_grid([], [1.0], loss_rates=[0.0, 0.01]).shape == \
+        (2, 1, 0)
+    assert program.price_points([]).shape == (0,)
+
+
+def test_price_refuses_a_bad_loss_rate_at_a_topology(program):
+    with pytest.raises(ValueError, match="loss rate 0.7"):
+        program.price(grids.multi_cluster(1.0, 1.0), loss_rate=0.7)
+
+
+# ----------------------------------------------------------------------
+# The per-thread workspace
+# ----------------------------------------------------------------------
+def poison_workspace():
+    """Overwrite whatever the calling thread's workspace retains."""
+    if program_module._WORKSPACE.buf is not None:
+        program_module._WORKSPACE.buf.fill(float("nan"))
+
+
+def reachable_arrays(obj, seen=None):
+    """Every ndarray reachable from ``obj`` through attributes, slots
+    and plain containers."""
+    np = require_numpy()
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, (str, bytes, int, float)):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        if obj.base is not None:
+            yield from reachable_arrays(obj.base, seen)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from reachable_arrays(value, seen)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from reachable_arrays(value, seen)
+    else:
+        for name in list(getattr(obj, "__dict__", ())) + \
+                list(getattr(type(obj), "__slots__", ())):
+            yield from reachable_arrays(getattr(obj, name, None), seen)
+
+
+def test_interleaved_point_counts_read_no_stale_buffer():
+    """P = 4, 1, 42, 256 on one program, the workspace poisoned between
+    calls, against the fresh-program digests pinned above."""
+    recording = record_app("asp", "unoptimized")
+    prog = compile_recording(recording)
+    bws, lats = grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS
+    want = FROZEN_PINS["asp/unoptimized"]
+    for _ in range(2):
+        poison_workspace()
+        assert sha1(prog.price_points(corner_points(bws, lats))) == \
+            want["corners"]
+        poison_workspace()
+        assert prog.price(recording.topology).hex() == want["anchor"]
+        poison_workspace()
+        assert sha1(prog.price_grid(bws, lats)) == want["paper"]
+        poison_workspace()
+        assert sha1(prog.price_grid(*dense_axes())) == want["dense"]
+
+
+def test_programs_keep_no_point_sized_array_and_the_workspace_is_bounded():
+    np = require_numpy()
+    axes = dense_axes()
+    programs = [compile_recording(record_app(app, variant))
+                for app in ("asp", "barnes")
+                for variant in ("optimized", "unoptimized")]
+    for prog in programs:
+        prog.price_grid(*axes)
+    fft = record_app("fft", "unoptimized")
+    adaptive = compile_dag(fft.dag, fft.topology, adaptive=True)
+    adaptive.price_grid_adaptive(grids.BANDWIDTHS_MBYTE_S,
+                                 grids.LATENCIES_MS)
+    for prog in programs + [adaptive]:
+        # the stacked layout is (2N, 4); anything (N, P)-sized is scratch
+        biggest = max(a.size for a in reachable_arrays(prog))
+        assert biggest <= 8 * prog.num_nodes, biggest
+        assert not hasattr(prog, "_lock") and not hasattr(prog, "_plan")
+    retained = program_module._WORKSPACE.buf
+    assert retained.dtype == np.float64
+    assert 0 < retained.nbytes <= program_module.WORKSPACE_BYTES
+
+
+def test_request_over_the_bound_is_served_without_being_kept(monkeypatch):
+    monkeypatch.setattr(program_module, "WORKSPACE_BYTES", 1 << 20)
+    monkeypatch.setattr(program_module._WORKSPACE, "buf", None)
+    prog = compile_recording(record_app("barnes", "optimized"))
+    bws, lats = grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS
+    prog.price_points(corner_points(bws, lats))      # 4 points: 192 kB
+    kept = program_module._WORKSPACE.buf
+    assert kept is not None and kept.nbytes <= 1 << 20
+    size = kept.nbytes
+    want = FROZEN_PINS["barnes/optimized"]
+    assert sha1(prog.price_grid(*dense_axes())) == want["dense"]   # 12 MB
+    assert program_module._WORKSPACE.buf is kept and kept.nbytes == size
+    assert sha1(prog.price_points(corner_points(bws, lats))) == \
+        want["corners"]
+
+
+def test_two_threads_price_two_programs_concurrently():
+    """Workspaces are per thread and programs hold no call state: a
+    frozen dense grid and an adaptive paper grid priced side by side
+    equal their serial results, every round."""
+    rounds = 20
+    frozen = compile_recording(record_app("asp", "optimized"))
+    fft = record_app("fft", "unoptimized")
+    adaptive = compile_dag(fft.dag, fft.topology, adaptive=True)
+    axes = dense_axes()
+    bws, lats = grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS
+
+    def adaptive_bits():
+        result = adaptive.price_grid_adaptive(bws, lats)
+        return (sha1(result.runtimes), result.iterations.tolist(),
+                result.converged.tolist(), result.order_changes)
+
+    jobs = {"frozen": lambda: sha1(frozen.price_grid(*axes)),
+            "adaptive": adaptive_bits}
+    serial = {name: job() for name, job in jobs.items()}
+    assert serial["frozen"] == FROZEN_PINS["asp/optimized"]["dense"]
+    got = {name: [] for name in jobs}
+    errors = []
+    adaptive_done = threading.Event()
+
+    def worker(name):
+        # the frozen thread keeps pricing while the adaptive one runs
+        try:
+            while len(got[name]) < rounds or not (
+                    name == "adaptive" or adaptive_done.is_set()):
+                got[name].append(jobs[name]())
+        except Exception as err:         # surfaced by the assert below
+            errors.append(err)
+        finally:
+            if name == "adaptive":
+                adaptive_done.set()
+
+    threads = [threading.Thread(target=worker, args=(name,))
+               for name in jobs]
+    # numpy releases the interpreter lock inside every large gather,
+    # add and maximum, so the two sweeps genuinely overlap
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert got["adaptive"] == [serial["adaptive"]] * rounds
+    assert len(got["frozen"]) >= rounds
+    assert set(got["frozen"]) == {serial["frozen"]}
