@@ -6,6 +6,7 @@ Lists and dispatches the experiment harnesses (see EXPERIMENTS.md).
 from __future__ import annotations
 
 import sys
+from functools import partial
 
 from .experiments import (
     ablations,
@@ -30,7 +31,6 @@ from .lint import cli as lint_cli
 from .obs import cli as trace_cli
 from .replay import cli as replay_cli
 from .serve import cli as serve_cli
-from .whatif import cli as whatif_cli
 
 COMMANDS = {
     "table1": (table1.main, "Table 1: single-cluster speedups/traffic/runtime"),
@@ -47,8 +47,9 @@ COMMANDS = {
     "algselect": (algselect.main, "Collective algorithm selection across the gap"),
     "trace": (trace_cli.main, "Run one app instrumented; write Perfetto trace + report"),
     "profile": (profile_cli.main, "Critical-path profile: time attribution + WAN blame"),
-    "whatif": (whatif_cli.main, "Record-once what-if analysis: predicted Figure-3 grid"),
-    "replay": (replay_cli.main, "Vectorized Figure-3 grid from a compiled replay program"),
+    "whatif": (partial(replay_cli.main, entry="predict"),
+               "Record-once what-if analysis: Figure-3 grid from the recorded DAG"),
+    "replay": (replay_cli.main, "The same from the top of the ladder: compiled replay programs"),
     "cache": (cache_cli.main, "Inspect/clear the on-disk simulation result cache"),
     "bench": (bench.main, "Performance ledger runs; record/check BENCH_simperf.json"),
     "lint": (lint_cli.main, "Static determinism/protocol lint over app modules"),

@@ -64,8 +64,7 @@ def main(argv: Optional[list] = None) -> None:
 
     rows = []
     for app in grids.APPS:
-        for variant in (["unoptimized"] if app == "fft"
-                        else ["unoptimized", "optimized"]):
+        for variant in grids.variants(app):
             b = measure(app, variant, args.bw, args.lat, args.scale)
             rows.append([
                 f"{app} {variant[:5]}",

@@ -43,15 +43,17 @@ def measure(app: str, variant: str, scale: str = "bench",
 
 def main(argv: Optional[list] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--apps", nargs="*", default=["water", "asp", "barnes"])
-    parser.add_argument("--variant", default="optimized")
+    parser.add_argument("--apps", nargs="*", default=["water", "asp", "barnes"],
+                        choices=grids.APPS)
+    parser.add_argument("--variant", default="optimized",
+                        choices=grids.VARIANTS)
     parser.add_argument("--scale", default="bench", choices=["paper", "bench"])
     parser.add_argument("--wan-shape", default="full",
                         choices=["full", "star", "ring"])
     args = parser.parse_args(argv)
 
     for app in args.apps:
-        variant = args.variant if app != "fft" else "unoptimized"
+        variant = grids.resolve_variant(app, args.variant)
         rows = [[shape, f"{runtime:7.3f}", f"{pct:5.1f}%"]
                 for shape, runtime, pct in measure(app, variant, args.scale,
                                                    wan_shape=args.wan_shape)]

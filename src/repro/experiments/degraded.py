@@ -79,7 +79,8 @@ def overhead_rows(apps: List[str], variant: str, loss_rates: List[float],
 
 def main(argv: Optional[list] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--apps", nargs="*", default=list(grids.APPS))
+    parser.add_argument("--apps", nargs="*", default=list(grids.APPS),
+                        choices=grids.APPS)
     parser.add_argument("--variant", default="unoptimized",
                         choices=["unoptimized", "optimized"])
     parser.add_argument("--loss", nargs="*", type=float, default=[0.01],

@@ -63,8 +63,7 @@ def figure3_rows(apps: Optional[List[str]] = None,
     sweeper = Sweeper(scale=scale, seed=seed)
     rows = []
     for app in (apps or grids.APPS):
-        variants = ["unoptimized"] if app == "fft" else ["unoptimized", "optimized"]
-        for variant in variants:
+        for variant in grids.variants(app):
             grid = sweeper.speedup_grid(app, variant)
             for (bw, lat), point in sorted(grid.points.items()):
                 rows.append({
@@ -82,22 +81,17 @@ def figure4_rows(scale: str = "bench", seed: int = 0) -> List[Dict]:
     sweeper = Sweeper(scale=scale, seed=seed)
     rows = []
     for app in grids.APPS:
-        variant = "optimized" if app != "fft" else "unoptimized"
-        for bw in grids.BANDWIDTHS_MBYTE_S:
+        panels = [("bandwidth", bw, grids.FIGURE4_LATENCY_MS)
+                  for bw in grids.BANDWIDTHS_MBYTE_S]
+        panels += [("latency", grids.FIGURE4_BANDWIDTH, lat)
+                   for lat in grids.LATENCIES_MS]
+        for panel, bw, lat in panels:
             rows.append({
-                "app": app, "panel": "bandwidth",
-                "bandwidth_mbyte_s": bw, "latency_ms": grids.FIGURE4_LATENCY_MS,
+                "app": app, "panel": panel,
+                "bandwidth_mbyte_s": bw, "latency_ms": lat,
                 "communication_time_pct": round(
                     sweeper.communication_time_pct(
-                        app, variant, bw, grids.FIGURE4_LATENCY_MS), 2),
-            })
-        for lat in grids.LATENCIES_MS:
-            rows.append({
-                "app": app, "panel": "latency",
-                "bandwidth_mbyte_s": grids.FIGURE4_BANDWIDTH, "latency_ms": lat,
-                "communication_time_pct": round(
-                    sweeper.communication_time_pct(
-                        app, variant, grids.FIGURE4_BANDWIDTH, lat), 2),
+                        app, grids.paper_variant(app), bw, lat), 2),
             })
     return rows
 
@@ -116,7 +110,7 @@ def traffic_rows(apps: Optional[List[str]] = None,
     topo = grids.multi_cluster(grids.FIGURE1_BANDWIDTH, grids.FIGURE1_LATENCY_MS)
     rows = []
     for app in (apps or grids.APPS):
-        variant = "optimized" if app != "fft" else "unoptimized"
+        variant = grids.paper_variant(app)
         result = run_app(app, variant, topo, scale=scale, seed=seed,
                          faults=faults)
         stats = result.machine.stats
@@ -158,7 +152,8 @@ def main(argv: Optional[list] = None) -> None:
     parser.add_argument("--format", default="csv", choices=["csv", "json"])
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--scale", default=None, choices=[None, "paper", "bench"])
-    parser.add_argument("--apps", nargs="*", default=None)
+    parser.add_argument("--apps", nargs="*", default=None,
+                        choices=grids.APPS)
     parser.add_argument("--faults", type=float, default=None, metavar="LOSS",
                         help="traffic dataset only: run under uniform WAN "
                              "loss (probability) with the reliable transport")

@@ -9,6 +9,7 @@ Run:
     python -m repro.experiments.figure3                # all panels, bench scale
     python -m repro.experiments.figure3 --apps water asp --variant optimized
     python -m repro.experiments.figure3 --scale paper  # full step counts (slow)
+    python -m repro.experiments.figure3 --backend replay  # analytic panels
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Dict, List, Optional
 
 from . import grids
 from .report import render_series_chart, render_table
-from .runner import SpeedupGrid, Sweeper
+from .runner import BACKENDS, SpeedupGrid, Sweeper
 
 
 def render_panel(grid: SpeedupGrid) -> str:
@@ -43,21 +44,30 @@ def render_panel(grid: SpeedupGrid) -> str:
     return table + "\n\n" + chart
 
 
+def render_verdict(decision, tag: str) -> str:
+    """A walked ladder's verdict (``Decision.summary()``), one tagged
+    line per entry: the rung, each evidence report, the validation."""
+    summary = decision.summary()
+    summary.pop("fallback_reason", None)    # the validation line words it
+    return "\n".join(f"[{tag}] {name}: {text}"
+                     for name, text in summary.items())
+
+
 def main(argv: Optional[list] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--apps", nargs="*", default=list(grids.APPS))
+    parser.add_argument("--apps", nargs="*", default=list(grids.APPS),
+                        choices=grids.APPS)
     parser.add_argument("--variant", default=None,
-                        choices=[None, "unoptimized", "optimized"])
+                        choices=[None, *grids.VARIANTS])
     parser.add_argument("--scale", default="bench", choices=["paper", "bench"])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--predict", action="store_true",
-                        help="fill grids from a recorded communication DAG "
-                             "(validated; falls back to simulation per app)")
-    parser.add_argument("--replay", action="store_true",
-                        help="price grids from compiled replay programs "
-                             "(vectorized; needs numpy; falls back to the "
-                             "predict path or simulation per app — see "
-                             "docs/replay.md)")
+    parser.add_argument("--backend", default="simulate", choices=BACKENDS,
+                        help="where the sweep enters the fallback ladder: "
+                             "simulate every point, or price grids from a "
+                             "recorded communication DAG (predict) or its "
+                             "compiled vectorized program (replay; needs "
+                             "numpy) — corner-validated, falling back per "
+                             "app; see docs/replay.md")
     parser.add_argument("--workers", type=int, default=None,
                         help="simulate ground-truth grid points in N "
                              "parallel processes")
@@ -67,24 +77,17 @@ def main(argv: Optional[list] = None) -> None:
                              "repro.critpath)")
     args = parser.parse_args(argv)
 
-    backend = "replay" if args.replay else \
-        "predict" if args.predict else "simulate"
     sweeper = Sweeper(scale=args.scale, seed=args.seed,
-                      workers=args.workers, backend=backend)
+                      workers=args.workers, backend=args.backend)
     for app in args.apps:
-        variants = [args.variant] if args.variant else ["unoptimized", "optimized"]
-        if app == "fft":
-            variants = ["unoptimized"]  # the paper found no optimization
+        variants = grids.variants(app)
+        if args.variant:
+            variants = [grids.resolve_variant(app, args.variant)]
         for variant in variants:
             grid = sweeper.speedup_grid(app, variant)
             print(render_panel(grid))
-            if args.predict:
-                print(f"[whatif] {grid.validation.summary()}")
-            if args.replay:
-                print(f"[replay] backend={grid.backend}")
-                if grid.replay is not None:
-                    print(f"[replay] {grid.replay.summary()}")
-                print(f"[replay] {grid.validation.summary()}")
+            if grid.decision is not None:
+                print(render_verdict(grid.decision, args.backend))
             if args.blame:
                 from ..critpath.blame import blame_grid, render_blame_panel
 

@@ -16,31 +16,29 @@ from typing import Dict, List, Optional
 
 from . import grids
 from .report import render_series_chart, render_table
-from .runner import Sweeper
+from .runner import BACKENDS, Sweeper
+
+
+def _panel(sweeper: Sweeper, points) -> Dict[str, List[float]]:
+    """Communication-time % per app, in the variant the paper analyses,
+    at each ``(bandwidth, latency)`` of ``points``."""
+    return {app: [sweeper.communication_time_pct(
+                      app, grids.paper_variant(app), bw, lat)
+                  for bw, lat in points]
+            for app in grids.APPS}
 
 
 def bandwidth_panel(sweeper: Sweeper) -> Dict[str, List[float]]:
     """Communication-time % per app over the bandwidth grid at 3.3 ms."""
-    panel: Dict[str, List[float]] = {}
-    for app in grids.APPS:
-        variant = "optimized" if app != "fft" else "unoptimized"
-        panel[app] = [
-            sweeper.communication_time_pct(app, variant, bw, grids.FIGURE4_LATENCY_MS)
-            for bw in sorted(grids.BANDWIDTHS_MBYTE_S, reverse=True)
-        ]
-    return panel
+    return _panel(sweeper, [
+        (bw, grids.FIGURE4_LATENCY_MS)
+        for bw in sorted(grids.BANDWIDTHS_MBYTE_S, reverse=True)])
 
 
 def latency_panel(sweeper: Sweeper) -> Dict[str, List[float]]:
     """Communication-time % per app over the latency grid at 0.9 MByte/s."""
-    panel: Dict[str, List[float]] = {}
-    for app in grids.APPS:
-        variant = "optimized" if app != "fft" else "unoptimized"
-        panel[app] = [
-            sweeper.communication_time_pct(app, variant, grids.FIGURE4_BANDWIDTH, lat)
-            for lat in grids.LATENCIES_MS
-        ]
-    return panel
+    return _panel(sweeper, [(grids.FIGURE4_BANDWIDTH, lat)
+                            for lat in grids.LATENCIES_MS])
 
 
 def _print_panel(panel: Dict[str, List[float]], x_labels: List[str],
@@ -57,17 +55,14 @@ def main(argv: Optional[list] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", default="bench", choices=["paper", "bench"])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--predict", action="store_true",
-                        help="predict grid points from recorded communication "
-                             "DAGs where validated (see docs/whatif.md)")
-    parser.add_argument("--replay", action="store_true",
-                        help="price grid points from compiled replay programs "
-                             "(vectorized; needs numpy; see docs/replay.md)")
+    parser.add_argument("--backend", default="simulate", choices=BACKENDS,
+                        help="simulate every point, or price them from "
+                             "recorded communication DAGs (predict) or "
+                             "compiled replay programs (replay; needs "
+                             "numpy) where validated — see docs/replay.md")
     args = parser.parse_args(argv)
 
-    backend = "replay" if args.replay else \
-        "predict" if args.predict else "simulate"
-    sweeper = Sweeper(scale=args.scale, seed=args.seed, backend=backend)
+    sweeper = Sweeper(scale=args.scale, seed=args.seed, backend=args.backend)
     bw_labels = [f"{bw:g}" for bw in sorted(grids.BANDWIDTHS_MBYTE_S, reverse=True)]
     _print_panel(
         bandwidth_panel(sweeper), bw_labels,

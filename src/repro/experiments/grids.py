@@ -9,9 +9,11 @@ Section 3.2 and 0.5 ms in the figures; we follow the figures.)
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
-from ..network.topology import Topology, das_topology, single_cluster
+from ..apps.base import VARIANTS
+from ..network.linkspec import myrinet, wan
+from ..network.topology import Topology, single_cluster
 
 #: Figure 3 x-axis, MByte/s per WAN link.
 BANDWIDTHS_MBYTE_S: Tuple[float, ...] = (6.3, 2.6, 0.95, 0.3, 0.1, 0.03)
@@ -38,18 +40,32 @@ APPS: Tuple[str, ...] = ("water", "barnes", "tsp", "asp", "awari", "fft")
 #: Applications with a distinct optimized variant (FFT has none).
 OPTIMIZED_APPS: Tuple[str, ...] = ("water", "barnes", "tsp", "asp", "awari")
 
+# The FFT rule.  The app registry runs one driver under both names, so
+# every front end asks here which variants are distinct.
+def variants(app: str) -> Tuple[str, ...]:
+    """The distinct variants ``app`` has."""
+    return VARIANTS if app in OPTIMIZED_APPS else VARIANTS[:1]
+
+
+def paper_variant(app: str) -> str:
+    """The variant the paper analyses: the optimized one where it exists."""
+    return variants(app)[-1]
+
+
+def resolve_variant(app: str, variant: str) -> str:
+    """What a requested variant runs as: one ``app`` lacks is the paper's
+    (unknown names pass through, for the app registry to reject)."""
+    lacking = variant in VARIANTS and variant not in variants(app)
+    return paper_variant(app) if lacking else variant
+
 
 def multi_cluster(bandwidth_mbyte_s: float, latency_ms: float,
                   clusters: int = NUM_CLUSTERS,
                   cluster_size: int = CLUSTER_SIZE,
                   wan_shape: str = "full") -> Topology:
     """A Figure-3 grid point topology (optionally star/ring shaped)."""
-    from ..network.linkspec import wan
-    from ..network.topology import Topology as _Topology
-    from ..network.linkspec import myrinet
-
-    return _Topology(tuple([cluster_size] * clusters), myrinet(),
-                     wan(latency_ms, bandwidth_mbyte_s), wan_shape=wan_shape)
+    return Topology(tuple([cluster_size] * clusters), myrinet(),
+                    wan(latency_ms, bandwidth_mbyte_s), wan_shape=wan_shape)
 
 
 def baseline(num_ranks: int = NUM_RANKS) -> Topology:

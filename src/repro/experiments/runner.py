@@ -17,7 +17,7 @@ Three orthogonal accelerators (all off by default):
     prices an application — or whether it is simulated after all — is
     decided by :mod:`repro.replay.ladder` (table in ``docs/replay.md``)
     and reported as :attr:`SpeedupGrid.backend` and
-    :meth:`Sweeper.decision`.  The four grid-corner points of an
+    :attr:`SpeedupGrid.decision`.  The four grid-corner points of an
     analytic grid are always the *simulated* ground truth (they were
     computed for validation anyway), so spot-checking it against a full
     sweep at the corners compares identical floats.
@@ -57,6 +57,10 @@ from . import grids
 from .cache import SimCache, runtime_entry
 
 
+#: ``Sweeper(backend=)``: simulate, or the rung the ladder is entered at
+BACKENDS: Tuple[str, ...] = ("simulate", "predict", "replay")
+
+
 def relative_speedup_pct(baseline_runtime: float, runtime: float) -> float:
     """The paper's y-axis, ``T_L / T_M * 100``.  Every front end that
     reports a speedup calls this one float expression — which is why a
@@ -81,18 +85,12 @@ class SpeedupGrid:
     variant: str
     baseline_runtime: float
     points: Dict[Tuple[float, float], GridPoint] = field(default_factory=dict)
-    #: the :class:`repro.whatif.validate.ValidationReport` backing a
-    #: predicted grid (or explaining why prediction fell back), if any.
-    validation: Optional[object] = None
     #: the rung of the backend ladder that actually produced the points:
     #: "simulate", "predict", "vectorized-adaptive", or "replay".
     backend: str = "simulate"
-    #: the :class:`repro.replay.backend.ProbeReport` measured while
-    #: deciding a ``backend="replay"`` sweep, if one was run.
-    replay: Optional[object] = None
-    #: the :class:`repro.replay.backend.ConvergenceReport` measured for
-    #: a probe-unstable program, if the adaptive rung was tried.
-    convergence: Optional[object] = None
+    #: the :class:`repro.replay.ladder.Decision` of an analytic sweep:
+    #: evidence, corner validation, fallback reason (None: no walk).
+    decision: Optional[object] = None
     #: (bw, lat) points of a "vectorized-adaptive" grid that did not
     #: converge and were re-priced by the interpreted evaluator.
     downgraded_points: List[Tuple[float, float]] = field(default_factory=list)
@@ -232,10 +230,9 @@ class Sweeper:
                  tolerance_pp: float = 5.0,
                  faults=None,
                  backend: str = "simulate") -> None:
-        if backend not in ("simulate", "predict", "replay"):
-            raise ValueError(
-                f"unknown sweep backend {backend!r}: expected 'simulate', "
-                f"'predict', or 'replay'")
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown sweep backend {backend!r}: expected "
+                             f"one of {', '.join(BACKENDS)}")
         self.scale = scale
         self.seed = seed
         self.reporter = reporter
@@ -266,15 +263,6 @@ class Sweeper:
                 meta={"app": app, "variant": variant, "scale": self.scale,
                       "harness": "sweeper"}))
         return result
-
-    def run_on(self, app: str, variant: str, topo: Topology,
-               faults=None) -> RunResult:
-        """One reported run at this sweep's scale and seed on *any*
-        topology.  (Grid points and baselines are payloads and go
-        through :func:`run_ground_truth`.)"""
-        return self._reported(app, variant, run_app(
-            app, variant, topo, scale=self.scale, seed=self.seed,
-            faults=faults))
 
     def _payload(self, app: str, variant: str, bandwidth: Optional[float],
                  latency_ms: Optional[float], *shape) -> Dict[str, Any]:
@@ -344,10 +332,6 @@ class Sweeper:
         if memo_key not in self._decisions:
             from ..replay import ladder
 
-            def topology_for(bw: float, lat: float) -> Topology:
-                return grids.multi_cluster(bw, lat, clusters, cluster_size,
-                                           wan_shape)
-
             decision = ladder.walk(
                 self.backend, app, variant, scale=self.scale, seed=self.seed,
                 cache=self.cache, faulty=self._active_faults is not None,
@@ -357,7 +341,8 @@ class Sweeper:
                 simulate=lambda bw, lat: self._sim_runtime(self._payload(
                     app, variant, bw, lat, clusters, cluster_size,
                     wan_shape)),
-                topology_for=topology_for)
+                topology_for=lambda bw, lat: grids.multi_cluster(
+                    bw, lat, clusters, cluster_size, wan_shape))
             self._decisions[memo_key] = decision
             if self.reporter is not None:
                 self.reporter.emit(ladder.replay_record(
@@ -379,16 +364,7 @@ class Sweeper:
                               cluster_size, wan_shape),
                 faults=self._active_faults)
         else:
-            from ..whatif.evaluate import EvaluationError
-
-            topo = grids.multi_cluster(bandwidth, latency_ms, clusters,
-                                       cluster_size, wan_shape)
-            try:
-                runtime = decision.pricer.point(topo)
-            except EvaluationError:
-                # No trustworthy price on this rung here (an unconverged
-                # adaptive point): the interpreted evaluator prices it.
-                runtime = decision.backend.evaluator.evaluate(topo)
+            runtime = decision.price_point(bandwidth, latency_ms)
         return GridPoint(
             bandwidth_mbyte_s=bandwidth,
             latency_ms=latency_ms,
@@ -432,38 +408,25 @@ class Sweeper:
         """The full Figure-3 panel for one application variant."""
         base = self.baseline_runtime(app, variant)
         grid = SpeedupGrid(app=app, variant=variant, baseline_runtime=base)
-        decision = self.decision(app, variant)
+        decision = grid.decision = self.decision(app, variant)
         if decision is not None:
-            grid.validation = decision.validation
             grid.backend = decision.rung
-            grid.replay = decision.evidence.get("probe")
-            grid.convergence = decision.evidence.get("convergence")
         if decision is not None and decision.pricer is not None:
-            rows = decision.pricer.grid(bandwidths, latencies)
-            for i, lat in enumerate(latencies):
-                for j, bw in enumerate(bandwidths):
-                    runtime = rows[i][j]
-                    if runtime is None:
-                        # Per-point downgrade: a point the rung could not
-                        # price is re-priced by the interpreted evaluator
-                        # instead of trusting a capped value.
-                        grid.downgraded_points.append((bw, lat))
-                        runtime = decision.backend.evaluator.evaluate(
-                            grids.multi_cluster(bw, lat))
-                    grid.put(bw, lat, float(runtime))
+            runtimes, grid.downgraded_points = decision.price_grid(
+                bandwidths, latencies)
             # The validation corners were simulated anyway — splice the
             # ground truth in so analytic grids agree with full sweeps
             # bit-for-bit at the spot-check points.
             for vp in decision.validation.points:
-                if (vp.bandwidth_mbyte_s, vp.latency_ms) in grid.points:
-                    grid.put(vp.bandwidth_mbyte_s, vp.latency_ms,
-                             vp.simulated_runtime)
-            return grid
-
-        ordered = [(bw, lat) for lat in latencies for bw in bandwidths]
-        runtimes = self._simulate_grid(app, variant, ordered)
-        for bw, lat in ordered:
-            grid.put(bw, lat, runtimes[(bw, lat)])
+                if (vp.bandwidth_mbyte_s, vp.latency_ms) in runtimes:
+                    runtimes[(vp.bandwidth_mbyte_s, vp.latency_ms)] = \
+                        vp.simulated_runtime
+        else:
+            runtimes = self._simulate_grid(
+                app, variant,
+                [(bw, lat) for lat in latencies for bw in bandwidths])
+        for (bw, lat), runtime in runtimes.items():
+            grid.put(bw, lat, runtime)
         return grid
 
     # ------------------------------------------------------------------

@@ -46,7 +46,7 @@ def relative_speedup_with(app: str, variant: str, variability, scale: str,
 def sweep(app: str, kind: str, scale: str = "bench",
           seed: int = 0) -> List[float]:
     """Relative speedup across CVS for jitter ``kind`` ('latency'/'bandwidth')."""
-    variant = "optimized" if app != "fft" else "unoptimized"
+    variant = grids.paper_variant(app)
     out = []
     for cv in CVS:
         if cv == 0.0:
@@ -62,7 +62,8 @@ def sweep(app: str, kind: str, scale: str = "bench",
 def main(argv: Optional[list] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--apps", nargs="*",
-                        default=["water", "tsp", "asp", "awari"])
+                        default=["water", "tsp", "asp", "awari"],
+                        choices=grids.APPS)
     parser.add_argument("--scale", default="bench", choices=["paper", "bench"])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)

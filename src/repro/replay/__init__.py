@@ -46,56 +46,14 @@ def require_numpy():
         raise ReplayUnavailable(
             "the replay backend needs numpy (the vectorized grid sweep is "
             "built on it); install it with `pip install numpy` or use the "
-            "stdlib-only paths: Sweeper(backend=\"predict\") / --predict, or "
-            "full simulation") from exc
+            "stdlib-only paths: Sweeper(backend=\"predict\") / --backend "
+            "predict, or full simulation") from exc
     return numpy
 
 
-# The heavy re-exports resolve lazily (PEP 562): compile/backend pull in
-# the whatif stack and the numpy-backed app kernels, but a no-numpy
-# environment must still be able to ``import repro.replay`` and reach
-# ReplayUnavailable / require_numpy for the clear error above.
-_LAZY = {
-    "CompileError": "compile",
-    "compile_dag": "compile",
-    "compile_recording": "compile",
-    "ReplayProgram": "program",
-    "ReplayBackend": "backend",
-    "replay_record": "ladder",
-    "ADAPTIVE_FORMAT": "adaptive",
-    "AdaptiveProgram": "adaptive",
-    "AdaptiveResult": "adaptive",
-    "ConvergencePoint": "backend",
-    "ConvergenceReport": "backend",
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from importlib import import_module
-        module = import_module(f".{_LAZY[name]}", __name__)
-        value = getattr(module, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
-
-
-__all__ = [
-    "ADAPTIVE_FORMAT",
-    "AdaptiveProgram",
-    "AdaptiveResult",
-    "CompileError",
-    "ConvergencePoint",
-    "ConvergenceReport",
-    "ReplayBackend",
-    "ReplayProgram",
-    "ReplayUnavailable",
-    "compile_dag",
-    "compile_recording",
-    "replay_record",
-    "require_numpy",
-]
+# Nothing else is re-exported here: compile/backend pull in the whatif
+# stack and the numpy-backed app kernels, and a no-numpy environment
+# must still be able to ``import repro.replay`` and reach the clear
+# error above.  Import the rest from its module (``.compile``,
+# ``.program``, ``.adaptive``, ``.backend``, ``.ladder``).
+__all__ = ["ReplayUnavailable", "require_numpy"]

@@ -30,38 +30,35 @@ from .compile import CompileError
 class Pricer:
     """How one rung prices.
 
-    ``point(topology)`` returns a runtime or raises
-    :class:`~repro.whatif.evaluate.EvaluationError` — never an
+    ``evaluate(topology)`` (the surface
+    :func:`~repro.whatif.validate.validate` expects) returns a runtime
+    or raises :class:`~repro.whatif.evaluate.EvaluationError` — never an
     unconverged price.  ``grid(bandwidths, latencies, loss_rates=None)``
     returns ``[lat][bw]`` rows (``[loss][lat][bw]`` with a loss axis)
     holding ``None`` where the rung has no trustworthy price and the
     point must downgrade to the interpreted evaluator.
     """
 
-    point: Callable[[Topology], float]
+    evaluate: Callable[[Topology], float]
     grid: Callable[..., Sequence]
-
-    def evaluate(self, topology: Topology) -> float:
-        """The surface :func:`~repro.whatif.validate.validate` expects."""
-        return self.point(topology)
 
 
 def _frozen(backend: ReplayBackend, topology_for) -> Pricer:
     program = backend.prepare()
 
-    def point(topology: Topology) -> float:
+    def evaluate(topology: Topology) -> float:
         try:
             return program.price(topology)
         except ValueError as err:
             raise EvaluationError(str(err)) from err
 
-    return Pricer(point, backend.price_grid)
+    return Pricer(evaluate, backend.price_grid)
 
 
 def _adaptive(backend: ReplayBackend, topology_for) -> Pricer:
     program = backend.prepare_adaptive()
 
-    def point(topology: Topology) -> float:
+    def evaluate(topology: Topology) -> float:
         try:
             runtime, converged, _iters = program.price_adaptive(topology)
         except ValueError as err:
@@ -77,7 +74,7 @@ def _adaptive(backend: ReplayBackend, topology_for) -> Pricer:
                                              loss_rates)
         return require_numpy().where(result.converged, result.runtimes, None)
 
-    return Pricer(point, grid)
+    return Pricer(evaluate, grid)
 
 
 def _interpreted(backend: ReplayBackend, topology_for) -> Pricer:
@@ -121,14 +118,58 @@ class Decision:
     """Outcome of one walk: the ``rung`` that prices the grid (or
     ``"simulate"``), its ``pricer`` (None on ``"simulate"``), the
     ``evidence`` reports measured on the way down (``"probe"``,
-    ``"convergence"``), the ground-truth ``validation`` report, and the
-    :class:`ReplayBackend` (None when faults refused before recording)."""
+    ``"convergence"``), the ground-truth ``validation`` report, the
+    :class:`ReplayBackend` (None when faults refused before recording)
+    and the ``topology_for(bw, lat)`` the pricer was validated on."""
 
     rung: str
     validation: ValidationReport
     backend: Optional[ReplayBackend] = None
     evidence: Dict[str, Any] = field(default_factory=dict)
     pricer: Optional[Pricer] = None
+    topology_for: Callable[[float, float], Topology] = grids.multi_cluster
+
+    def price_point(self, bandwidth: float, latency_ms: float) -> float:
+        """The rung's runtime at one point; where it has no trustworthy
+        price (an unconverged adaptive point) the evaluator's."""
+        topology = self.topology_for(bandwidth, latency_ms)
+        try:
+            return self.pricer.evaluate(topology)
+        except EvaluationError:
+            return self.backend.evaluator.evaluate(topology)
+
+    def price_grid(self, bandwidths: Sequence[float],
+                   latencies: Sequence[float],
+                   loss_rate: Optional[float] = None):
+        """``({(bw, lat): runtime}, downgraded)`` in the sweep's serial
+        order: a point the rung could not price is re-priced by the
+        interpreted evaluator and listed, instead of trusting a capped
+        value.  The float walk has no loss term, so under a
+        ``loss_rate`` nothing downgrades and such a point stays None."""
+        losses = None if loss_rate is None else [loss_rate]
+        rows = self.pricer.grid(bandwidths, latencies, losses)
+        runtimes, downgraded = {}, []
+        for lat, row in zip(latencies, rows[0] if losses else rows):
+            for bw, runtime in zip(bandwidths, row):
+                if runtime is None and not losses:
+                    downgraded.append((bw, lat))
+                    runtime = self.backend.evaluator.evaluate(
+                        self.topology_for(bw, lat))
+                runtimes[bw, lat] = \
+                    runtime if runtime is None else float(runtime)
+        return runtimes, downgraded
+
+    def summary(self) -> Dict[str, Any]:
+        """The verdict, JSON-able: ``mode`` (the rung), a line per
+        evidence report, the ``validation`` line and, on a ``"simulate"``
+        landing, the bare ``fallback_reason``."""
+        out: Dict[str, Any] = {"mode": self.rung}
+        for name, report in self.evidence.items():
+            out[name] = report.summary()
+        out["validation"] = self.validation.summary()
+        if self.validation.fallback:
+            out["fallback_reason"] = self.validation.reason
+        return out
 
 
 def walk(entry: str, app: str, variant: str, *, scale: str, seed: int,
@@ -180,7 +221,8 @@ def walk(entry: str, app: str, variant: str, *, scale: str, seed: int,
         topology_for=topology_for)
     if report.fallback:
         return Decision("simulate", report, backend, evidence)
-    return Decision(accepted.name, report, backend, evidence, pricer)
+    return Decision(accepted.name, report, backend, evidence, pricer,
+                    topology_for)
 
 
 def replay_record(decision: Decision, app: str, variant: str, scale: str,
@@ -190,15 +232,11 @@ def replay_record(decision: Decision, app: str, variant: str, scale: str,
     walked ladder; ``replay.mode`` is the rung that produced the grid."""
     backend = decision.backend
     program = getattr(backend, "program", None)
-    replay: Dict[str, Any] = {
-        "mode": decision.rung,
-        "from_cache": backend.from_cache if backend is not None else False,
-        "program": program.stats() if program is not None else {},
-        "timings": dict(backend.timings) if backend is not None else {},
-    }
-    for name, report in decision.evidence.items():
-        replay[name] = report.summary()
-    replay["validation"] = decision.validation.summary()
+    replay: Dict[str, Any] = dict(
+        decision.summary(),
+        from_cache=backend.from_cache if backend is not None else False,
+        program=program.stats() if program is not None else {},
+        timings=dict(backend.timings) if backend is not None else {})
     if backend is not None and backend.static_hint is not None:
         replay["static_hint"] = backend.static_hint
     return {"kind": "replay", "meta": dict(meta or {}), "app": app,

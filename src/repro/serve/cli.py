@@ -150,17 +150,15 @@ def _build_spec(args: argparse.Namespace) -> Dict[str, Any]:
 def submit_main(argv: Optional[list] = None) -> int:
     from ..experiments.figure3 import render_panel
     from .client import ServeClient, ServeError, merge_grid
+    from .jobs import GRID_BACKENDS, KINDS
 
     parser = argparse.ArgumentParser(
         prog="python -m repro submit",
         description="Submit one job to a running repro.serve instance and "
                     "stream its results.")
     parser.add_argument("app", choices=list(grids.APPS))
-    parser.add_argument("--variant", default=None,
-                        choices=["optimized", "unoptimized"])
-    parser.add_argument("--kind", default="sweep",
-                        choices=["sweep", "whatif", "replay", "chaos",
-                                 "profile"])
+    parser.add_argument("--variant", default=None, choices=grids.VARIANTS)
+    parser.add_argument("--kind", default="sweep", choices=KINDS)
     parser.add_argument("--scale", default="bench",
                         choices=["paper", "bench"])
     parser.add_argument("--seed", type=int, default=0)
@@ -188,7 +186,7 @@ def submit_main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.variant is None:
-        args.variant = "unoptimized" if args.app == "fft" else "optimized"
+        args.variant = grids.paper_variant(args.app)
 
     client = ServeClient(args.connect)
     spec = _build_spec(args)
@@ -239,7 +237,8 @@ def submit_main(argv: Optional[list] = None) -> int:
         print(f"[{job['id']}] {state}: {end.get('points_done', 0)}/"
               f"{end.get('points_total', 0)} points, "
               f"hit rate {100.0 * end.get('hit_rate', 0.0):.0f}%")
-        if state == "done" and args.kind in ("sweep", "whatif", "replay"):
+        if state == "done" and (args.kind == "sweep"
+                                or args.kind in GRID_BACKENDS):
             try:
                 print()
                 print(render_panel(merge_grid(records)))

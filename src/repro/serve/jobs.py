@@ -55,6 +55,10 @@ from ..experiments.runner import baseline_key, point_key, point_payload
 #: Legal job kinds, in documentation order.
 KINDS: Tuple[str, ...] = ("sweep", "whatif", "replay", "chaos", "profile")
 
+#: grid-at-once (analytic) job kind -> the rung its Sweeper enters the
+#: fallback ladder at
+GRID_BACKENDS = {"whatif": "predict", "replay": "replay"}
+
 #: Job lifecycle states (see docs/serve.md for the transition diagram).
 QUEUED = "queued"
 RUNNING = "running"
@@ -219,9 +223,10 @@ class JobSpec:
             raise InvalidJob(f"unknown kind {kind!r} (one of {list(KINDS)})")
 
         app = payload.get("app")
-        variant = payload.get("variant", "optimized")
-        if app == "fft" and "variant" not in payload:
-            variant = "unoptimized"   # FFT has no optimized variant
+        # Canonical: fft/optimized is fft/unoptimized (one registered
+        # driver), so the two requests share a hash and every cache key.
+        variant = grids.resolve_variant(
+            app, payload.get("variant", grids.paper_variant(app)))
         from ..apps import get_builder
         try:
             get_builder(app, variant)
@@ -257,7 +262,7 @@ class JobSpec:
             raise InvalidJob(f"wan_shape must be full/star/ring, "
                              f"got {wan_shape!r}")
 
-        if kind in ("whatif", "replay") and (
+        if kind in GRID_BACKENDS and (
                 clusters, cluster_size, wan_shape) != (
                 grids.NUM_CLUSTERS, grids.CLUSTER_SIZE, "full"):
             raise InvalidJob(
@@ -268,7 +273,7 @@ class JobSpec:
         if kind == "chaos" and faults is None:
             raise InvalidJob("chaos jobs need a faults object "
                              "(e.g. {\"loss\": 0.01})")
-        if kind in ("whatif", "replay") and faults is not None:
+        if kind in GRID_BACKENDS and faults is not None:
             raise InvalidJob(
                 f"{kind} jobs cannot carry faults: recorded DAGs do not "
                 f"model the plan's seeded loss or retransmission")
@@ -350,7 +355,7 @@ class JobSpec:
     @property
     def needs_baseline(self) -> bool:
         """Sweep-like kinds report speedups, which need the baseline."""
-        return self.kind in ("sweep", "whatif", "replay")
+        return self.kind == "sweep" or self.kind in GRID_BACKENDS
 
     def total_points(self) -> int:
         """Units of simulation work the job will schedule (incl. baseline)."""
@@ -376,7 +381,7 @@ class JobSpec:
         the baseline of the analytic kinds."""
         if self.kind == "sweep":
             return not self.faults
-        return baseline and self.kind in ("whatif", "replay")
+        return baseline and self.kind in GRID_BACKENDS
 
     @cached_property
     def _suffix_of(self) -> Dict[bool, str]:

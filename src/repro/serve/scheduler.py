@@ -47,8 +47,8 @@ from ..experiments.runner import point_topology, relative_speedup_pct
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import RunReporter, serve_job_record
 from . import worker
-from .jobs import (CANCELLED, DONE, FAILED, PARTIAL, QUEUED, RUNNING,
-                   AdmissionError, Job, JobSpec, UnknownJob)
+from .jobs import (CANCELLED, DONE, FAILED, GRID_BACKENDS, PARTIAL, QUEUED,
+                   RUNNING, AdmissionError, Job, JobSpec, UnknownJob)
 
 
 #: Terminal jobs (and their ~45 result records each) the job table
@@ -386,7 +386,7 @@ class Scheduler:
         job.state = RUNNING
         cancel_event = self._cancel_events[job.id]
         try:
-            if job.spec.kind in ("whatif", "replay"):
+            if job.spec.kind in GRID_BACKENDS:
                 await self._run_whatif(job)
             else:
                 await self._run_pointwise(job)

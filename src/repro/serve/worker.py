@@ -19,7 +19,7 @@ from typing import Any, Dict
 
 from ..experiments.runner import (point_result, point_topology,
                                   run_ground_truth, simulate_point)
-from .jobs import build_fault_plan
+from .jobs import GRID_BACKENDS, build_fault_plan
 
 
 def run_point(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -71,10 +71,6 @@ def _run_profile(payload: Dict[str, Any], faults) -> Dict[str, Any]:
     }
 
 
-#: grid-at-once job kind -> the rung its Sweeper enters the ladder at
-GRID_BACKENDS = {"whatif": "predict", "replay": "replay"}
-
-
 def run_grid(payload: Dict[str, Any]) -> Dict[str, Any]:
     """The analytic fast paths for a whole grid, as one pool task.
 
@@ -97,20 +93,13 @@ def run_grid(payload: Dict[str, Any]) -> Dict[str, Any]:
     grid = sweeper.speedup_grid(payload["app"], payload["variant"],
                                 bandwidths=payload["bandwidths"],
                                 latencies=payload["latencies"])
-    decision = sweeper.decision(payload["app"], payload["variant"])
-    out: Dict[str, Any] = {
-        "baseline": grid.baseline_runtime,
-        "predicted": grid.predicted,
-        "mode": decision.rung,
-        "points": [{"bandwidth_mbyte_s": bw, "latency_ms": lat,
-                    "runtime": point.runtime}
-                   for (bw, lat), point in grid.points.items()],
-    }
-    for name, report in decision.evidence.items():
-        out[name] = report.summary()
+    out: Dict[str, Any] = dict(
+        grid.decision.summary(),
+        baseline=grid.baseline_runtime,
+        predicted=grid.predicted,
+        points=[{"bandwidth_mbyte_s": bw, "latency_ms": lat,
+                 "runtime": point.runtime}
+                for (bw, lat), point in grid.points.items()])
     if grid.downgraded_points:
         out["downgraded_points"] = [list(p) for p in grid.downgraded_points]
-    if decision.validation.fallback:
-        out["fallback_reason"] = decision.validation.reason or \
-            "validation error above tolerance"
     return out

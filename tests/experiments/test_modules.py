@@ -13,6 +13,7 @@ from repro.experiments import (
     figure1,
     figure3,
     figure4,
+    grids,
     magpie_bench,
     table1,
     table2,
@@ -80,6 +81,20 @@ def test_render_panel_takes_its_axes_from_the_grid():
     assert table[0].split("|")[1:] == [" 6.3    ", " 0.95  "]   # descending
     assert [row.split("|")[0].strip() for row in table[2:]] == \
         ["0.7 ms", "5 ms"]                                      # ascending
+
+
+def test_the_fft_rule_has_one_home():
+    for app in grids.OPTIMIZED_APPS:
+        assert grids.variants(app) == ("unoptimized", "optimized")
+        assert grids.paper_variant(app) == "optimized"
+        for variant in grids.VARIANTS:
+            assert grids.resolve_variant(app, variant) == variant
+    assert grids.variants("fft") == ("unoptimized",)
+    assert grids.paper_variant("fft") == "unoptimized"
+    assert grids.resolve_variant("fft", "optimized") == "unoptimized"
+    assert grids.resolve_variant("fft", "unoptimized") == "unoptimized"
+    # an unknown name is the app registry's to reject, not ours to map
+    assert grids.resolve_variant("fft", "bogus") == "bogus"
 
 
 def test_figure3_fft_has_single_variant(capsys):

@@ -33,8 +33,7 @@ class TestPredictMode:
         predicted = Sweeper(backend="predict").speedup_grid(
             "asp", "optimized", bandwidths=SMALL_BWS, latencies=SMALL_LATS)
         assert predicted.predicted
-        assert predicted.validation is not None
-        assert not predicted.validation.fallback
+        assert not predicted.decision.validation.fallback
         simulated = Sweeper().speedup_grid(
             "asp", "optimized", bandwidths=SMALL_BWS, latencies=SMALL_LATS)
         for key in simulated.points:
@@ -46,7 +45,7 @@ class TestPredictMode:
         grid = Sweeper(backend="predict").speedup_grid(
             "tsp", "optimized", bandwidths=SMALL_BWS, latencies=SMALL_LATS)
         assert not grid.predicted
-        assert grid.validation.fallback
+        assert grid.decision.validation.fallback
         assert len(grid.points) == 4  # still fully populated, via simulation
 
     def test_speedup_at_uses_predictor(self):

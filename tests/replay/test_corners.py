@@ -82,7 +82,7 @@ def test_corner_repr_equality_timing_dependent(app, variant, seed,
         app, variant, bandwidths=MILD_BWS, latencies=MILD_LATS)
     assert replayed.backend == "simulate"
     assert not replayed.predicted
-    assert replayed.validation is not None and replayed.validation.fallback
+    assert replayed.decision.validation.fallback
 
     truth = Sweeper(seed=seed, cache=shared_cache).speedup_grid(
         app, variant, bandwidths=MILD_BWS, latencies=MILD_LATS)

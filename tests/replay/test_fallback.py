@@ -36,10 +36,9 @@ def test_timing_sensitive_apps_fall_back_to_simulation(app):
         app, "optimized", bandwidths=BWS, latencies=LATS)
     assert grid.backend == "simulate"
     assert not grid.predicted
-    assert grid.validation is not None
-    assert grid.validation.fallback
-    assert "timing" in grid.validation.reason
-    assert grid.convergence is None
+    assert grid.decision.validation.fallback
+    assert "timing" in grid.decision.validation.reason
+    assert "convergence" not in grid.decision.evidence
     assert len(grid.points) == len(BWS) * len(LATS)
 
 
@@ -49,9 +48,9 @@ def test_lossy_fault_plan_falls_back_to_simulation():
         "asp", "optimized", bandwidths=BWS, latencies=LATS)
     assert grid.backend == "simulate"
     assert not grid.predicted
-    assert grid.validation.fallback
-    assert "fault" in grid.validation.reason
-    assert grid.convergence is None
+    assert grid.decision.validation.fallback
+    assert "fault" in grid.decision.validation.reason
+    assert "convergence" not in grid.decision.evidence
     assert len(grid.points) == len(BWS) * len(LATS)
 
 
@@ -62,9 +61,9 @@ def test_order_stable_apps_stay_on_plain_vectorized(app, variant):
         app, variant, bandwidths=BWS, latencies=LATS)
     assert grid.backend == "replay"
     assert grid.predicted
-    assert grid.replay is not None and grid.replay.stable
+    assert grid.decision.evidence["probe"].stable
     # the adaptive rung is never even tried for a stable program
-    assert grid.convergence is None
+    assert "convergence" not in grid.decision.evidence
 
 
 def test_fft_lands_on_vectorized_adaptive():
@@ -72,12 +71,12 @@ def test_fft_lands_on_vectorized_adaptive():
         "fft", "unoptimized", bandwidths=BWS, latencies=LATS)
     assert grid.backend == "vectorized-adaptive"
     assert grid.predicted
-    assert grid.replay is not None and not grid.replay.stable
-    assert grid.convergence is not None and grid.convergence.converged
+    assert not grid.decision.evidence["probe"].stable
+    assert grid.decision.evidence["convergence"].converged
     # every grid point converged: nothing fell back to the evaluator
     assert grid.downgraded_points == []
     # downgrade is not a fallback: the analytic path still validated
-    assert grid.validation is not None and not grid.validation.fallback
+    assert not grid.decision.validation.fallback
     assert len(grid.points) == len(BWS) * len(LATS)
 
 
@@ -89,12 +88,12 @@ def test_water_falls_through_to_predict():
         "water", "optimized", bandwidths=BWS, latencies=LATS)
     assert grid.backend == "predict"
     assert grid.predicted
-    assert grid.replay is not None and not grid.replay.stable
-    assert grid.convergence is not None
-    assert not grid.convergence.converged
-    assert not grid.convergence.all_converged
-    assert "adaptive-unconverged" in grid.convergence.summary()
-    assert grid.validation is not None and not grid.validation.fallback
+    assert not grid.decision.evidence["probe"].stable
+    convergence = grid.decision.evidence["convergence"]
+    assert not convergence.converged
+    assert not convergence.all_converged
+    assert "adaptive-unconverged" in convergence.summary()
+    assert not grid.decision.validation.fallback
 
 
 def test_missing_numpy_surfaces_as_replay_unavailable(monkeypatch):
@@ -139,7 +138,7 @@ def test_ladder_table(sweepers, entry, app, variant, rung):
     decision = sweeper.decision(app, variant)
     assert grid.backend == decision.rung == rung
     assert grid.predicted == (rung != "simulate")
-    assert grid.validation is decision.validation
+    assert grid.decision is decision
     assert decision.validation.fallback == (rung == "simulate")
     assert (decision.pricer is None) == (rung == "simulate")
     # evidence is measured only on the way down from the entry rung

@@ -37,6 +37,19 @@ def test_fft_defaults_to_unoptimized():
     assert JobSpec.from_json({"app": "fft"}).variant == "unoptimized"
 
 
+def test_fft_optimized_is_the_same_job_as_fft_unoptimized():
+    # apps/fft registers one driver under both names: one run, one key
+    asked = JobSpec.from_json({"app": "fft", "variant": "optimized"})
+    canonical = JobSpec.from_json({"app": "fft", "variant": "unoptimized"})
+    assert asked == canonical
+    assert asked.content_hash() == canonical.content_hash()
+    assert asked.cache_key(6.3, 0.5) == canonical.cache_key(6.3, 0.5)
+    assert asked.cache_key(None, None) == canonical.cache_key(None, None)
+    assert asked.point_payload(6.3, 0.5)["variant"] == "unoptimized"
+    # ... and only fft: every other app keeps the variant it names
+    assert spec_of(variant="unoptimized") != spec_of(variant="optimized")
+
+
 @pytest.mark.parametrize("payload,fragment", [
     ("not an object", "JSON object"),
     ({"app": "nope"}, "nope"),
