@@ -274,9 +274,11 @@ class Machine:
         Raises :class:`DeadlockError` if the event queue drains while main
         processes are still blocked (a protocol bug in the application);
         with the sanitizer attached the error carries the wait-for-cycle
-        report.  ``max_events`` bounds this call's event budget: exceeding
-        it with work still pending raises :class:`TimeoutError` (used by
-        the protocol fuzz tests to guard against runaway schedules).
+        report.  ``until`` and ``max_events`` bound this call's simulated
+        horizon and event budget: reaching either with events still
+        pending raises :class:`TimeoutError` (the protocol fuzz tests use
+        the budget to guard against runaway schedules); a queue that
+        drained inside the bound is still a deadlock.
         """
         eng = self.engine
         if self._live_main > 0:
@@ -286,17 +288,21 @@ class Machine:
             if self._live_main > 0:
                 # The engine returned on its own: it either drained, hit
                 # the horizon, or exhausted the event budget with main
-                # processes still blocked.
-                if until is not None:
-                    raise TimeoutError(
-                        f"simulation exceeded until={until}s with "
-                        f"{self._live_main} main processes still live"
-                    )
-                if max_events is not None and eng.pending > 0:
-                    raise TimeoutError(
-                        f"simulation exceeded the {max_events}-event budget "
-                        f"with {self._live_main} main processes still live"
-                    )
+                # processes still blocked.  Only events still pending make
+                # it a timeout: a drained queue is a deadlock whatever
+                # horizon or budget this call was given.
+                if eng.pending > 0:
+                    if until is not None:
+                        raise TimeoutError(
+                            f"simulation exceeded until={until}s with "
+                            f"{self._live_main} main processes still live"
+                        )
+                    if max_events is not None:
+                        raise TimeoutError(
+                            f"simulation exceeded the {max_events}-event "
+                            f"budget with {self._live_main} main processes "
+                            f"still live"
+                        )
                 blocked = [p.name for p in self._main_procs if not p.finished]
                 waiting = {
                     ep.rank: ep.waiting() for ep in self.endpoints if ep.waiting()

@@ -5,21 +5,17 @@ event is a ``(time, sequence, callback)`` entry; ties in time are broken
 by the monotonically increasing sequence number, so two runs of the same
 program produce identical event orders (see DESIGN.md section 6).
 
-Internally the entries live in three structures, merged on pop by their
+Internally the entries live in two structures, merged on pop by their
 ``(time, sequence)`` key — the observable order is exactly that of a
-single binary heap, but the common scheduling patterns skip the heap:
+single binary heap, but the dominant scheduling pattern skips the heap:
 
 - ``_ready`` — a FIFO of zero-delay events (:meth:`call_soon`, and
   :meth:`call_after` with ``delay == 0``).  Entries are appended with
   ``time == now``; since ``now`` and the sequence counter are both
   monotone the deque is already sorted, so push and pop are O(1).  This
   is the dominant pattern in process scheduling (start/resume/throw).
-- ``_sorted`` / ``_si`` — a sorted array walked by index.  When
-  :meth:`run` finds a large backlog (events scheduled before the run
-  started), it sorts the backlog once and then pops by incrementing an
-  index instead of paying an O(log n) heap sift per event.
-- ``_queue`` — the binary heap, used for everything scheduled at a
-  positive delay while the simulation runs.
+- ``_queue`` — the binary heap, used for every timed event, whether it
+  was scheduled before :meth:`Engine.run` or from inside a callback.
 
 The engine knows nothing about processes, networks or messages; those are
 layered on top (``repro.sim.process``, ``repro.runtime``).
@@ -31,14 +27,10 @@ import heapq
 import itertools
 import math
 from collections import deque
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-
-#: Heap size at :meth:`Engine.run` entry above which the backlog is
-#: sorted once and walked by index instead of heap-popped.
-_BATCH_THRESHOLD = 64
 
 
 class SimulationError(RuntimeError):
@@ -55,15 +47,13 @@ class Engine:
         eng.run()
     """
 
-    __slots__ = ("now", "_queue", "_ready", "_sorted", "_si", "_seq",
+    __slots__ = ("now", "_queue", "_ready", "_seq",
                  "_events_processed", "_running", "_stopped")
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._queue: List[Tuple[float, int, Callable[[], None]]] = []
         self._ready: deque = deque()
-        self._sorted: List[Tuple[float, int, Callable[[], None]]] = []
-        self._si = 0
         self._seq = itertools.count()
         self._events_processed = 0
         self._running = False
@@ -115,19 +105,6 @@ class Engine:
         """Pop the globally earliest entry, or None when idle."""
         ready = self._ready
         queue = self._queue
-        if self._si < len(self._sorted):
-            entry = self._sorted[self._si]
-            if ready and ready[0] < entry:
-                entry = ready[0]
-            if queue and queue[0] < entry:
-                return _heappop(queue)
-            if ready and entry is ready[0]:
-                return ready.popleft()
-            self._si += 1
-            if self._si == len(self._sorted):
-                self._sorted = []
-                self._si = 0
-            return entry
         if ready:
             if queue and queue[0] < ready[0]:
                 return _heappop(queue)
@@ -146,16 +123,6 @@ class Engine:
         entry[2]()
         return True
 
-    def _adopt_backlog(self) -> None:
-        """Move a large pre-run heap into the sorted batch array."""
-        batch = self._sorted
-        if self._si:
-            del batch[:self._si]
-            self._si = 0
-        batch.extend(self._queue)
-        batch.sort()
-        self._queue.clear()
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached,
         ``max_events`` have been processed in this call, or :meth:`stop`
@@ -169,34 +136,17 @@ class Engine:
             raise SimulationError("engine is not reentrant")
         self._running = True
         self._stopped = False
-        if len(self._queue) >= _BATCH_THRESHOLD:
-            self._adopt_backlog()
         # Locals for the hot loop: these bindings are stable for the whole
         # run (callbacks mutate the structures in place, never rebind them).
         queue = self._queue
         ready = self._ready
         popleft = ready.popleft
         pop = _heappop
-        batch = self._sorted
-        si = self._si
-        sn = len(batch)
         n = 0
         try:
             if until is None and max_events is None:
                 while True:
-                    if si < sn:
-                        entry = batch[si]
-                        if ready and ready[0] < entry:
-                            if queue and queue[0] < ready[0]:
-                                entry = pop(queue)
-                            else:
-                                entry = popleft()
-                        elif queue and queue[0] < entry:
-                            entry = pop(queue)
-                        else:
-                            si += 1
-                            self._si = si
-                    elif ready:
+                    if ready:
                         if queue and queue[0] < ready[0]:
                             entry = pop(queue)
                         else:
@@ -214,44 +164,26 @@ class Engine:
                 while not self._stopped:
                     if max_events is not None and n >= max_events:
                         break
-                    if si < sn:
-                        nxt = batch[si]
-                        if ready and ready[0] < nxt:
-                            nxt = ready[0]
-                        if queue and queue[0] < nxt:
-                            nxt = queue[0]
+                    from_heap = queue and (not ready or queue[0] < ready[0])
+                    if from_heap:
+                        when = queue[0][0]
                     elif ready:
-                        nxt = ready[0]
-                        if queue and queue[0] < nxt:
-                            nxt = queue[0]
-                    elif queue:
-                        nxt = queue[0]
+                        when = ready[0][0]
                     else:
-                        # Drained early: the horizon still passes.
+                        when = None
+                    if when is None or (until is not None and when > until):
+                        # Drained early, or the next event lies beyond the
+                        # horizon: the horizon still passes, but the clock
+                        # never moves backwards (``until`` may be < now).
                         if until is not None and until > self.now:
                             self.now = until
                         break
-                    if until is not None and nxt[0] > until:
-                        self.now = until
-                        break
-                    if si < sn and nxt is batch[si]:
-                        si += 1
-                        self._si = si
-                        entry = nxt
-                    elif ready and nxt is ready[0]:
-                        entry = popleft()
-                    else:
-                        entry = pop(queue)
+                    entry = pop(queue) if from_heap else popleft()
                     self.now = entry[0]
                     n += 1
                     entry[2]()
         finally:
             self._events_processed += n
-            if si == sn:
-                self._sorted = []
-                self._si = 0
-            else:
-                self._si = si
             self._running = False
 
     # ------------------------------------------------------------------
@@ -260,7 +192,7 @@ class Engine:
     @property
     def pending(self) -> int:
         """Number of events waiting in the queue."""
-        return len(self._queue) + len(self._ready) + len(self._sorted) - self._si
+        return len(self._queue) + len(self._ready)
 
     @property
     def events_processed(self) -> int:
@@ -269,19 +201,10 @@ class Engine:
 
     def peek(self) -> float:
         """Time of the next pending event (``inf`` when idle)."""
-        best = math.inf
-        if self._si < len(self._sorted):
-            best = self._sorted[self._si][0]
-        if self._ready and self._ready[0][0] < best:
-            best = self._ready[0][0]
+        best = self._ready[0][0] if self._ready else math.inf
         if self._queue and self._queue[0][0] < best:
             best = self._queue[0][0]
         return best
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Engine(now={self.now:.6f}, pending={self.pending})"
-
-
-def make_any_callback(fn: Callable[..., Any]) -> Callable[[], None]:
-    """Wrap an arbitrary callable as a zero-argument engine callback."""
-    return lambda: fn()

@@ -126,13 +126,6 @@ class Process:
             raise self.failed
         item.apply(self)
 
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
-        """Deliver ``value``/``exc`` to the body synchronously (compat shim
-        around :meth:`_hop`, the engine-scheduled fast path)."""
-        self._value = value
-        self._exc = exc
-        self._hop()
-
     def _finish(self, result: Any) -> None:
         self.finished = True
         self.result = result

@@ -56,6 +56,19 @@ def test_two_rank_cycle_names_every_rank_and_channel():
             if f.rule == "deadlock-cycle"]
 
 
+def test_cycle_report_is_attached_under_a_horizon():
+    """A deadlock inside ``run(until=...)`` carries the same wait-for
+    cycle as one inside an unbounded ``run()``."""
+    machine = make_machine(2)
+    spawn_all(machine, token_ring_then_deadlock)
+    with pytest.raises(DeadlockError, match="deadlock cycle"):
+        machine.run(until=10.0)
+
+    report = machine.sanitizer.deadlock_report
+    assert report.ranks_in_cycles() == {0, 1}
+    assert report.tags_in_cycles() == {("tok", 0), ("tok", 1)}
+
+
 def test_three_rank_cycle_names_every_rank_and_channel():
     machine = make_machine(3)
     spawn_all(machine, token_ring_then_deadlock)

@@ -66,6 +66,25 @@ def test_deadlock_detection():
         machine.run()
 
 
+@pytest.mark.parametrize("bound", [{}, {"max_events": 1000}, {"until": 10.0}],
+                         ids=["no-bound", "max_events", "until"])
+def test_deadlock_is_diagnosed_under_every_call_form(bound):
+    """Regression: a drained queue with blocked ranks is a deadlock whatever
+    horizon or budget ``run`` was given — ``until=`` used to report it as
+    ``TimeoutError`` and drop the blocked-tag map."""
+    machine = Machine(single_cluster(2))
+
+    def stuck(ctx):
+        yield ctx.recv("never")
+
+    machine.spawn(0, stuck)
+    machine.spawn(1, stuck)
+    with pytest.raises(DeadlockError, match="never") as err:
+        machine.run(**bound)
+    assert "rank0" in str(err.value) and "rank1" in str(err.value)
+    assert machine.engine.pending == 0
+
+
 def test_timeout_detection():
     machine = Machine(single_cluster(2))
 
@@ -73,8 +92,9 @@ def test_timeout_detection():
         yield ctx.compute(100.0)
 
     machine.spawn(0, slow)
-    with pytest.raises(TimeoutError):
+    with pytest.raises(TimeoutError, match="until=1.0"):
         machine.run(until=1.0)
+    assert machine.engine.pending > 0   # what tells it from a deadlock
 
 
 def test_daemon_does_not_keep_run_alive():

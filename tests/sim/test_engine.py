@@ -170,6 +170,28 @@ def test_run_until_advances_clock_when_queue_drains_early():
     assert eng.now == 9.0
 
 
+def test_run_until_in_the_past_leaves_the_clock_alone():
+    """Regression: ``run(until=t)`` with ``t < now`` rewound the clock when
+    events were still pending (the drained branch already guarded), after
+    which ``call_at`` accepted times before events that had already run."""
+    eng = Engine()
+    fired = []
+    eng.call_at(5.0, lambda: fired.append(5))
+    eng.call_at(9.0, lambda: fired.append(9))
+    eng.run(until=6.0)
+    assert (fired, eng.now, eng.pending) == ([5], 6.0, 1)
+    # Pending branch: the 9.0 event is still queued.
+    eng.run(until=3.0)
+    assert (fired, eng.now, eng.pending) == ([5], 6.0, 1)
+    with pytest.raises(SimulationError):
+        eng.call_at(4.0, lambda: None)
+    # Drained branch.
+    eng.run()
+    assert (fired, eng.now, eng.pending) == ([5, 9], 9.0, 0)
+    eng.run(until=3.0)
+    assert eng.now == 9.0
+
+
 def test_call_soon_runs_at_current_time_in_order():
     eng = Engine()
     trace = []
@@ -205,11 +227,11 @@ def test_ready_queue_and_heap_interleave_by_sequence_at_equal_times():
 
 
 def test_batched_backlog_interleaves_with_mid_run_events():
-    """A large pre-scheduled backlog (sorted-batch fast path) must still
-    interleave correctly with events scheduled while the run is underway."""
+    """A large backlog scheduled before ``run()`` must interleave
+    correctly with events scheduled while the run is underway."""
     eng = Engine()
     fired = []
-    n = 100  # above the internal batch-adoption threshold
+    n = 100
 
     def make(i):
         def cb():
