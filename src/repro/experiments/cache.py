@@ -35,7 +35,8 @@ tell apart is a file rewritten with the same size on a recycled inode
 within one filesystem timestamp tick, with no lookup in between.
 
 A file that is there but does not parse (truncated, garbled), or parses
-but holds no usable runtime where one is read, is counted as ``corrupt``
+but holds no usable runtime where one is read (no consistent program
+where :mod:`repro.replay` reads one), is counted as ``corrupt``
 — not folded into the misses, never served — so a damaged cache shows
 up in :meth:`SimCache.stats`, ``python -m repro cache ls`` and the
 service's ``serve.cache.corrupt`` counter instead of silently costing a
@@ -130,7 +131,7 @@ class SimCache:
         self.hits = 0
         self.misses = 0
         #: lookups that found a file that does not parse, or an entry
-        #: that is not a result
+        #: that is not a result (or not a program)
         self.corrupt = 0
         #: key -> (file stamp, entry text) of small entries already read
         self._memo: Dict[str, Tuple[Tuple[int, int, int], str]] = {}
@@ -200,11 +201,18 @@ class SimCache:
             return None
         if entry_runtime(entry) is None and not (
                 entry.get("kind") == "chaos" and entry.get("ok") is False):
-            self.hits -= 1          # lookup() took it for a hit
-            self.corrupt += 1
+            self.mark_corrupt()
             return None
         return {name: value for name, value in entry.items()
                 if name not in ATTRIBUTION}
+
+    def mark_corrupt(self) -> None:
+        """Re-count the hit :meth:`lookup` just returned as corrupt: the
+        entry parsed but does not hold what its key promises (a runtime
+        above; a consistent program for :mod:`repro.replay`).  The
+        caller recomputes it and stores over it."""
+        self.hits -= 1
+        self.corrupt += 1
 
     def get(self, app: str, variant: str, scale: str, seed: int,
             topology: Topology) -> Optional[float]:

@@ -1,9 +1,10 @@
 """Typed events published on the probe bus.
 
-Every event is a small frozen dataclass carrying simulated-time fields
-only — no wall-clock, no object references into mutable simulator state —
-so subscribers can buffer them safely and exports built from them are
-deterministic (same seed, same bytes).
+Every event is a small immutable record (a frozen dataclass; the
+per-operation ``OpEvent`` is a ``NamedTuple``) carrying simulated-time
+fields only — no wall-clock, no object references into mutable simulator
+state — so subscribers can buffer them safely and exports built from
+them are deterministic (same seed, same bytes).
 
 ``SendEvent``/``DeliverEvent``/``ComputeEvent`` are the classic trace
 stream (re-exported by :mod:`repro.trace` for backwards compatibility);
@@ -15,7 +16,7 @@ application-level collective phases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -180,8 +181,7 @@ class RetransmitEvent:
     tag: Any
 
 
-@dataclass(frozen=True)
-class OpEvent:
+class OpEvent(NamedTuple):
     """One application-level operation, in per-process program order.
 
     Published on the ``op`` topic by the :class:`~repro.runtime.context`
@@ -201,6 +201,10 @@ class OpEvent:
     - ``"poll"`` — a non-blocking receive (``detail`` is the hit flag);
     - ``"sleep"`` — a simulated-time timer (``duration``), no CPU charged;
     - ``"spawn"`` — a service process was started (``detail`` is its name).
+
+    The one event a recording run publishes per operation, so it is an
+    immutable ``NamedTuple`` rather than a frozen dataclass: same
+    fields, order and defaults, at a third of the construction cost.
     """
 
     time: float

@@ -65,12 +65,19 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..network.topology import Topology
 from . import require_numpy
-from .program import (_WORKSPACE, PROGRAM_FORMAT, ReplayProgram, _decode,
-                      _encode, _levelize)
+from .program import (_WORKSPACE, PROGRAM_FORMAT, ReplayProgram, _below,
+                      _decode_fields, _encode, _levelize)
 
 #: Bump when the group-array layout or the iteration semantics change;
 #: part of the adaptive cache key (alongside the base PROGRAM_FORMAT).
 ADAPTIVE_FORMAT = 2
+
+#: The queue-group arrays of an adaptive record, in constructor order:
+#: ``(name, dtype, row width)`` like the frozen ones.
+_GROUPS = (("grp_starts", "int32", 0), ("grp_seed_node", "int32", 0),
+           ("grp_seed_edge", "float64", 4), ("op_arr_pred", "int32", 0),
+           ("op_arr_edge", "float64", 4), ("op_cost", "float64", 4),
+           ("op_node", "int32", 0))
 
 #: Default iteration cap.  Measured fft grids converge exactly within
 #: 30 iterations (orders fix early, then value corrections drain
@@ -558,30 +565,41 @@ class AdaptiveProgram(ReplayProgram):
         record = super().to_record()
         record["adaptive_format"] = ADAPTIVE_FORMAT
         record["grp_kinds"] = list(self.grp_kinds)
-        for name in ("grp_starts", "grp_seed_node", "grp_seed_edge",
-                     "op_arr_pred", "op_arr_edge", "op_cost", "op_node"):
+        for name, _dtype, _width in _GROUPS:
             record[name] = _encode(getattr(self, name))
         return record
 
+    def _check(self, np) -> None:
+        """The frozen part's check, then: the groups partition the
+        ``M`` queue ops, and every seed, arrival and queue node exists."""
+        super()._check(np)
+        n, gs = self.num_nodes, self.grp_starts
+        k, m = self.num_groups, self.num_group_ops
+        if not (gs.shape[0] == k + 1 and gs[0] == 0 and gs[-1] == m
+                and bool((gs[1:] >= gs[:-1]).all())
+                and self.grp_seed_node.shape[0] == k
+                and self.grp_seed_edge.shape[0] == k
+                and self.op_arr_pred.shape[0] == m
+                and self.op_arr_edge.shape[0] == m
+                and self.op_cost.shape[0] == m
+                and all(_below(idx, n) for idx in (
+                    self.grp_seed_node, self.op_arr_pred, self.op_node))):
+            raise ValueError(f"queue-group arrays do not partition the "
+                             f"{m} queue ops of {k} groups over {n} nodes")
+
     @classmethod
     def from_record(cls, record: Dict[str, Any]) -> "AdaptiveProgram":
+        """Inverse of :meth:`to_record`, refusing what
+        :meth:`ReplayProgram.from_record` refuses and inconsistent queue
+        groups."""
         np = require_numpy()
-        if record.get("format") != PROGRAM_FORMAT or \
-                record.get("adaptive_format") != ADAPTIVE_FORMAT:
-            raise ValueError(
-                f"adaptive program format "
-                f"{record.get('format')!r}/{record.get('adaptive_format')!r}"
-                f" != {PROGRAM_FORMAT}/{ADAPTIVE_FORMAT}")
-        return cls(
-            _decode(np, record["pred_a"]), _decode(np, record["pred_b"]),
-            _decode(np, record["edge_a"]), _decode(np, record["edge_b"]),
-            _decode(np, record["level_starts"]),
-            _decode(np, record["fin_node"]), _decode(np, record["fin_edge"]),
-            dict(record["meta"]), list(record["grp_kinds"]),
-            _decode(np, record["grp_starts"]),
-            _decode(np, record["grp_seed_node"]),
-            _decode(np, record["grp_seed_edge"]),
-            _decode(np, record["op_arr_pred"]),
-            _decode(np, record["op_arr_edge"]),
-            _decode(np, record["op_cost"]),
-            _decode(np, record["op_node"]))
+        base = cls._base_fields(np, record, {
+            "format": PROGRAM_FORMAT, "adaptive_format": ADAPTIVE_FORMAT})
+        kinds = record.get("grp_kinds")
+        if not isinstance(kinds, list) or \
+                not all(isinstance(kind, str) for kind in kinds):
+            raise ValueError("program field 'grp_kinds' is not a list of "
+                             "strings")
+        program = cls(*base, kinds, *_decode_fields(np, record, _GROUPS))
+        program._check(np)
+        return program

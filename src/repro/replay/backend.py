@@ -44,7 +44,7 @@ from ..network.linkspec import wan
 from ..whatif.evaluate import Evaluator
 from ..whatif.record import Recording, record_app
 from ..whatif.validate import corner_points
-from .adaptive import ADAPTIVE_FORMAT, AdaptiveProgram
+from .adaptive import ADAPTIVE_FORMAT, DEFAULT_MAX_ITERS, AdaptiveProgram
 from .compile import compile_walk
 from .program import PROGRAM_FORMAT, ReplayProgram
 
@@ -53,6 +53,41 @@ from .program import PROGRAM_FORMAT, ReplayProgram
 #: between stable and unstable DAGs is wide (<0.3% vs >10%), so the
 #: exact threshold is not delicate.
 PROBE_REL_TOL = 0.02
+
+_NUMBER = (int, float)
+
+#: The per-corner fields of a program's evidence and the JSON types of
+#: their values, beside ``dag`` (the recording's digest) and ``points``:
+#: what the probe compares, and what the convergence check adds to it
+#: (with ``max_iters``, the iteration cap).
+_PROBE_EVIDENCE = {"evaluator": _NUMBER, "program": _NUMBER}
+_CONVERGENCE_EVIDENCE = dict(_PROBE_EVIDENCE, converged=(bool,),
+                             iterations=(int,))
+
+
+def _check_evidence(program: ReplayProgram) -> None:
+    """Raise ValueError unless the evidence ``program.meta`` carries, if
+    any, is well-formed: a digest string, ``[bandwidth, latency]``
+    points, and one value of the right type per point in every field
+    (``docs/replay.md``, "Programs are cache citizens")."""
+    evidence = program.meta.get("evidence")
+    if evidence is None:
+        return
+    adaptive = isinstance(program, AdaptiveProgram)
+    fields = _CONVERGENCE_EVIDENCE if adaptive else _PROBE_EVIDENCE
+    try:
+        points = evidence["points"]
+        ok = (isinstance(evidence["dag"], str)
+              and all(len(p) == 2 and all(type(x) in _NUMBER for x in p)
+                      for p in points)
+              and all(len(evidence[name]) == len(points)
+                      and all(type(x) in types for x in evidence[name])
+                      for name, types in fields.items())
+              and (not adaptive or type(evidence["max_iters"]) is int))
+    except (KeyError, TypeError):
+        ok = False
+    if not ok:
+        raise ValueError("malformed corner evidence in the program meta")
 
 
 @dataclass
@@ -191,6 +226,7 @@ class ReplayBackend:
         #: job results (record_s is the recording's own wall time).
         self.timings: Dict[str, float] = {"record_s": recording.wall_time}
         self._evaluator: Optional[Evaluator] = None
+        self._digest: Optional[str] = None
         self._corner_prices: Optional[Tuple[list, List[float]]] = None
         self._probe: Optional[ProbeReport] = None
         self._convergence: Optional[ConvergenceReport] = None
@@ -294,20 +330,40 @@ class ReplayBackend:
         self.timings[name] = \
             time.perf_counter() - t0  # lint: ignore[wall-clock]
 
+    def _dag_digest(self) -> str:
+        """The recording's :meth:`~repro.whatif.record.CommDag.digest`
+        (memoized): what a program's evidence is bound to."""
+        if self._digest is None:
+            self._digest = self.recording.dag.digest()
+        return self._digest
+
     def _load_or_compile(self, key: str, cls, adaptive: bool):
         """``(program, from_cache)``: the ``cls`` program cached under
-        ``key``, or a fresh compilation stored there."""
+        ``key``, or a fresh compilation stored there with its evidence.
+
+        An entry that does not decode to a consistent program with
+        well-formed evidence is counted corrupt; one whose evidence was
+        measured on another recording is not this recording's program.
+        Either is recompiled and stored over."""
         rec = self.recording
         prefix = "adaptive_" if adaptive else ""
         if self.cache is not None:
             program = None
             with self._stage(prefix + "load_s"):
                 entry = self.cache.lookup(key)
-                if entry is not None and "program" in entry:
+                if entry is not None:
                     try:
                         program = cls.from_record(entry["program"])
-                    except ValueError:
-                        pass              # stale format: recompile below
+                        _check_evidence(program)
+                    except (KeyError, TypeError, ValueError):
+                        program = None
+                        self.cache.mark_corrupt()
+                    else:
+                        evidence = program.meta.get("evidence")
+                        if evidence is not None and \
+                                evidence["dag"] != self._dag_digest():
+                            program = None    # another recording's
+                    del entry       # megabytes of text: not kept alive
             if program is not None:
                 return program, True
             del self.timings[prefix + "load_s"]   # a miss is not a load
@@ -317,6 +373,8 @@ class ReplayBackend:
             program = compile_walk(lambda: self.evaluator, rec.dag,
                                    rec.topology, adaptive)
         if self.cache is not None:
+            # Measured before the one write, so the entry carries it.
+            self._evidence(program)
             self.cache.store(key, {
                 "kind": "replay-adaptive" if adaptive else "replay",
                 "app": rec.app,
@@ -356,37 +414,83 @@ class ReplayBackend:
         return self.adaptive_program
 
     # ------------------------------------------------------------------
+    def _held(self, program: Optional[ReplayProgram]) -> Optional[dict]:
+        """``program``'s evidence if it was measured for this recording
+        at today's corners (and, adaptive, today's iteration cap), else
+        None."""
+        evidence = None if program is None else program.meta.get("evidence")
+        if evidence is None:
+            return None
+        current = (
+            evidence["dag"] == self._dag_digest()
+            and [tuple(p) for p in evidence["points"]] == corner_points(
+                grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS)
+            and evidence.get("max_iters", DEFAULT_MAX_ITERS)
+            == DEFAULT_MAX_ITERS)
+        return evidence if current else None
+
     def _corners(self):
         """The paper grid's corners — where the ladder checks a program —
         each with the interpreted evaluator's price there (memoized: the
-        probe and the convergence check ask about the same four).  The
+        probe and the convergence check ask about the same four), read
+        from either program's evidence when one holds it.  The
         evaluator prices what the program was compiled on: the recorded
         topology, WAN shape and overheads included, with only the wide
         link's latency and bandwidth replaced."""
         if self._corner_prices is None:
-            topology = self.recording.topology
-            wide = topology.wide
+            held = self._held(self.program) or \
+                self._held(self.adaptive_program)
             points = corner_points(grids.BANDWIDTHS_MBYTE_S,
                                    grids.LATENCIES_MS)
-            self._corner_prices = points, [
-                self.evaluator.evaluate(replace(topology, wide=wan(
-                    lat, bw, wide.send_overhead, wide.recv_overhead)))
-                for bw, lat in points]
+            if held is not None:
+                self._corner_prices = points, held["evaluator"]
+            else:
+                topology = self.recording.topology
+                wide = topology.wide
+                self._corner_prices = points, [
+                    self.evaluator.evaluate(replace(topology, wide=wan(
+                        lat, bw, wide.send_overhead, wide.recv_overhead)))
+                    for bw, lat in points]
         return self._corner_prices
 
+    def _evidence(self, program: ReplayProgram) -> dict:
+        """``program``'s corner evidence — the raw numbers its admission
+        check compares — from its ``meta`` when :meth:`_held` vouches
+        for it, else measured now (timed as the check's stage) and filed
+        there: evaluator and program prices at the corners, and for an
+        adaptive program its fixed point's flags, iterations and cap."""
+        evidence = self._held(program)
+        if evidence is not None:
+            return evidence
+        adaptive = isinstance(program, AdaptiveProgram)
+        with self._stage("convergence_s" if adaptive else "probe_s"):
+            points, evaluated = self._corners()
+            evidence = {"dag": self._dag_digest(),
+                        "points": [list(p) for p in points],
+                        "evaluator": list(evaluated)}
+            if adaptive:
+                result = program.price_points_adaptive(points)
+                evidence.update(program=result.runtimes.tolist(),
+                                converged=result.converged.tolist(),
+                                iterations=result.iterations.tolist(),
+                                max_iters=result.max_iters)
+            else:
+                evidence["program"] = program.price_points(points).tolist()
+            program.meta["evidence"] = evidence
+        return evidence
+
     def probe(self) -> ProbeReport:
-        """Frozen-order stability check at the grid corners (memoized)."""
+        """Frozen-order stability check at the grid corners (memoized),
+        its verdict derived with the live ``rel_tol``."""
         if self._probe is None:
-            program = self.prepare()
-            with self._stage("probe_s"):
-                points, evaluated = self._corners()
-                priced = program.price_points(points)
-                self._probe = ProbeReport(rel_tol=self.rel_tol, points=[
-                    ProbePoint(bandwidth_mbyte_s=bw, latency_ms=lat,
-                               replay_runtime=float(replayed),
-                               evaluator_runtime=expected)
-                    for (bw, lat), replayed, expected
-                    in zip(points, priced, evaluated)])
+            evidence = self._evidence(self.prepare())
+            self._probe = ProbeReport(rel_tol=self.rel_tol, points=[
+                ProbePoint(bandwidth_mbyte_s=bw, latency_ms=lat,
+                           replay_runtime=replayed,
+                           evaluator_runtime=expected)
+                for (bw, lat), replayed, expected in zip(
+                    evidence["points"], evidence["program"],
+                    evidence["evaluator"])])
         return self._probe
 
     def convergence_check(self) -> ConvergenceReport:
@@ -397,23 +501,22 @@ class ReplayBackend:
         prices against the interpreted evaluator.  Corners are the
         natural check points — they bracket the grid's order churn, and
         a corner that converges bounds the iteration budget the full
-        grid will need.
+        grid will need.  Like the probe, it reads the program's evidence
+        and derives the verdict with the live ``rel_tol``.
         """
         if self._convergence is None:
-            program = self.prepare_adaptive()
-            with self._stage("convergence_s"):
-                points, evaluated = self._corners()
-                result = program.price_points_adaptive(points)
-                self._convergence = ConvergenceReport(
-                    rel_tol=self.rel_tol, max_iters=result.max_iters,
-                    points=[
-                        ConvergencePoint(
-                            bandwidth_mbyte_s=bw, latency_ms=lat,
-                            adaptive_runtime=float(result.runtimes[i]),
-                            evaluator_runtime=evaluated[i],
-                            converged=bool(result.converged[i]),
-                            iterations=int(result.iterations[i]))
-                        for i, (bw, lat) in enumerate(points)])
+            evidence = self._evidence(self.prepare_adaptive())
+            self._convergence = ConvergenceReport(
+                rel_tol=self.rel_tol, max_iters=evidence["max_iters"],
+                points=[
+                    ConvergencePoint(
+                        bandwidth_mbyte_s=bw, latency_ms=lat,
+                        adaptive_runtime=runtime, evaluator_runtime=expected,
+                        converged=converged, iterations=iterations)
+                    for (bw, lat), runtime, expected, converged, iterations
+                    in zip(evidence["points"], evidence["program"],
+                           evidence["evaluator"], evidence["converged"],
+                           evidence["iterations"])])
         return self._convergence
 
     # ------------------------------------------------------------------

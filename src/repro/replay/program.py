@@ -185,6 +185,44 @@ def _decode(np, obj: Dict[str, Any]):
     return arr.reshape(obj["shape"]).copy()
 
 
+#: The arrays of a program record: ``(name, dtype, row width)``, width 0
+#: for a vector.
+_ARRAYS = (("pred_a", "int32", 0), ("pred_b", "int32", 0),
+           ("edge_a", "float64", 4), ("edge_b", "float64", 4),
+           ("level_starts", "int32", 0), ("fin_node", "int32", 0),
+           ("fin_edge", "float64", 4))
+
+#: The ``meta`` fields pricing reads.
+_META = ("num_nodes", "cluster_sizes", "wan_shape", "wan_hub", "local_spec",
+         "wide_overheads", "gateway_overhead_s", "wan_bytes",
+         "wan_traversals")
+
+
+def _decode_fields(np, record: Dict[str, Any], spec) -> list:
+    """The arrays ``spec`` names, decoded from ``record``; ValueError on
+    a field that is missing, does not decode, or has the wrong dtype or
+    rank."""
+    arrays = []
+    for name, dtype, width in spec:
+        try:
+            arr = _decode(np, record[name])
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(f"program field {name!r} does not decode: "
+                             f"{err!r}") from None
+        if arr.dtype != dtype or arr.ndim != (2 if width else 1) \
+                or (width and arr.shape[1] != width):
+            raise ValueError(f"program field {name!r} is {arr.dtype} "
+                             f"{arr.shape}, not {dtype} of width {width}")
+        arrays.append(arr)
+    return arrays
+
+
+def _below(idx, hi) -> bool:
+    """Whether every index is in ``[0, hi)`` (``hi`` a bound or one per
+    index)."""
+    return bool(((idx >= 0) & (idx < hi)).all())
+
+
 class ReplayProgram:
     """A compiled DAG, re-priceable across a whole grid in one pass."""
 
@@ -434,30 +472,59 @@ class ReplayProgram:
     # ------------------------------------------------------------------
     def to_record(self) -> Dict[str, Any]:
         """JSON-able form (arrays as base64) for SimCache storage."""
-        return {
-            "format": PROGRAM_FORMAT,
-            "meta": self.meta,
-            "pred_a": _encode(self.pred_a),
-            "pred_b": _encode(self.pred_b),
-            "edge_a": _encode(self.edge_a),
-            "edge_b": _encode(self.edge_b),
-            "level_starts": _encode(self.level_starts),
-            "fin_node": _encode(self.fin_node),
-            "fin_edge": _encode(self.fin_edge),
-        }
+        record = {"format": PROGRAM_FORMAT, "meta": self.meta}
+        for name, _dtype, _width in _ARRAYS:
+            record[name] = _encode(getattr(self, name))
+        return record
+
+    @staticmethod
+    def _base_fields(np, record: Dict[str, Any],
+                     formats: Dict[str, int]) -> list:
+        """The constructor arguments of the frozen part of ``record``,
+        ``meta`` last.  ValueError unless ``record`` is an object whose
+        format fields read ``formats``, and where a field is missing or
+        mistyped."""
+        if not isinstance(record, dict):
+            raise ValueError(f"a program record is a JSON object, not "
+                             f"{type(record).__name__}")
+        found = {name: record.get(name) for name in formats}
+        if found != formats:
+            raise ValueError(f"replay program format {found} != {formats}")
+        meta = record.get("meta")
+        if not isinstance(meta, dict) or not all(k in meta for k in _META):
+            raise ValueError(f"program meta lacks one of {_META}")
+        return _decode_fields(np, record, _ARRAYS) + [dict(meta)]
+
+    def _check(self, np) -> None:
+        """Raise ValueError unless the arrays form one levelized program
+        of ``meta["num_nodes"]`` nodes: every join reads nodes of lower
+        levels and every finish stamp an existing node."""
+        n, ls = self.num_nodes, self.level_starts
+        ok = (self.meta["num_nodes"] == n
+              and self.pred_b.shape[0] == self.edge_a.shape[0]
+              == self.edge_b.shape[0] == n
+              and self.fin_edge.shape[0] == self.fin_node.shape[0]
+              and ls.shape[0] >= 2 and ls[0] == 0 and ls[-1] == n
+              and bool((ls[1:] >= ls[:-1]).all()))
+        if ok:
+            first = int(ls[1])                  # level 0 is the root
+            floor = ls[:-1].repeat(ls[1:] - ls[:-1])[first:]
+            ok = (_below(self.pred_a[first:], floor)
+                  and _below(self.pred_b[first:], floor)
+                  and _below(self.fin_node, n))
+        if not ok:
+            raise ValueError(
+                f"program arrays do not form one levelized program of "
+                f"meta num_nodes={self.meta['num_nodes']!r} nodes")
 
     @classmethod
     def from_record(cls, record: Dict[str, Any]) -> "ReplayProgram":
-        """Inverse of :meth:`to_record`; raises ValueError on a stale or
-        foreign format."""
+        """Inverse of :meth:`to_record`.  Raises ValueError on a stale or
+        foreign format and on a record that does not decode to one
+        consistent program: a missing or mistyped field, or arrays that
+        disagree with ``meta["num_nodes"]`` or with each other."""
         np = require_numpy()
-        if record.get("format") != PROGRAM_FORMAT:
-            raise ValueError(
-                f"replay program format {record.get('format')!r} != "
-                f"{PROGRAM_FORMAT}")
-        return cls(
-            _decode(np, record["pred_a"]), _decode(np, record["pred_b"]),
-            _decode(np, record["edge_a"]), _decode(np, record["edge_b"]),
-            _decode(np, record["level_starts"]),
-            _decode(np, record["fin_node"]), _decode(np, record["fin_edge"]),
-            dict(record["meta"]))
+        program = cls(*cls._base_fields(np, record,
+                                        {"format": PROGRAM_FORMAT}))
+        program._check(np)
+        return program

@@ -22,6 +22,8 @@ flagged ``timing_sensitive`` and callers fall back to full simulation
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -87,6 +89,19 @@ class CommDag:
                 elif op[0] == OP_MCAST:
                     n += len(op[1])
         return n
+
+    def digest(self) -> str:
+        """Hex blake2b of everything the DAG prices by: two DAGs with
+        the same digest evaluate and compile identically.  Channel tags
+        are left out (debugging only, and of any type); marshal version
+        2 is used because its bytes depend on values alone (version 3
+        and later also encode object identity and string interning)."""
+        body = (self.cluster_sizes,
+                [(src, dst) for src, dst, _tag in self.channels],
+                [(p.name, p.rank, p.daemon, p.spawned_by, p.ops)
+                 for p in self.procs])
+        return hashlib.blake2b(marshal.dumps(body, 2),
+                               digest_size=16).hexdigest()
 
 
 class Recorder:
