@@ -3,22 +3,12 @@
 Each benchmark regenerates (a reduced version of) one of the paper's
 tables or figures and asserts its headline *shape* — who wins, by
 roughly what factor, where the cliffs are.  Absolute times are simulated
-and calibrated (see DESIGN.md).  pytest-benchmark only hosts the single
-round (``run_once``): nothing it times is recorded anywhere — host
-performance is the ledger's business (``python -m repro bench``).
+and calibrated (see DESIGN.md).  Each measurement runs once (simulations
+are deterministic) and nothing here times it: host performance is the
+ledger's business (``python -m repro bench``).
 """
 
 import time
-
-import pytest
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Benchmark ``fn`` with a single round (simulations are deterministic,
-    so repeated rounds only measure engine wall-time jitter)."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1, warmup_rounds=0)
-
 
 #: rounds of a speed-ratio guard
 ROUNDS = 5

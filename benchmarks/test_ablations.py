@@ -13,18 +13,16 @@ from repro.experiments.ablations import (
     water_coordinator,
 )
 
-from conftest import run_once
-
 
 def as_floats(rows, col=-1):
     return [float(r[col].rstrip("%")) for r in rows]
 
 
-def test_awari_combining_has_a_sweet_spot(benchmark):
+def test_awari_combining_has_a_sweet_spot():
     """More combining masks per-message overhead — until batches are held
     so long that the stage pipeline starves (the paper's load-imbalance
     warning): the relay curve must turn over."""
-    rows = run_once(benchmark, awari_combining)
+    rows = awari_combining()
     per_dest = as_floats([r for r in rows if r[0] == "per-destination"])
     relay = as_floats([r for r in rows if r[0] == "relay (jumbo)"])
     # Per-destination combining: monotone improvement over this range.
@@ -36,10 +34,10 @@ def test_awari_combining_has_a_sweet_spot(benchmark):
     assert relay[-1] < peak - 5.0
 
 
-def test_barnes_ingredients_fix_different_regimes(benchmark):
+def test_barnes_ingredients_fix_different_regimes():
     """Relaxed barriers rescue the latency-bound point; cluster combining
     rescues the bandwidth-bound point; together they fix both."""
-    rows = run_once(benchmark, barnes_decompose)
+    rows = barnes_decompose()
     table = {r[0]: (float(r[1].rstrip("%")), float(r[2].rstrip("%")))
              for r in rows}
     neither = table["neither (original)"]
@@ -57,18 +55,18 @@ def test_barnes_ingredients_fix_different_regimes(benchmark):
     assert both[1] >= max(neither[1], barriers[1]) - 2
 
 
-def test_tsp_stealing_rescues_imbalanced_start(benchmark):
-    rows = run_once(benchmark, tsp_stealing)
+def test_tsp_stealing_rescues_imbalanced_start():
+    rows = tsp_stealing()
     table = {r[0]: float(r[1].rstrip("%")) for r in rows}
     assert table["imbalanced start, no stealing"] < 35.0
     assert table["imbalanced start, steal 1/2"] > 75.0
     assert table["imbalanced start, steal 1/4"] > 70.0
 
 
-def test_water_coordinator_placement_not_critical(benchmark):
+def test_water_coordinator_placement_not_critical():
     """An honest negative result: with messaging offloaded to the NIC,
     concentrating the coordinator role on the leader costs almost
     nothing at bandwidth-bound points."""
-    rows = run_once(benchmark, water_coordinator)
+    rows = water_coordinator()
     values = as_floats(rows)
     assert abs(values[0] - values[1]) < 5.0

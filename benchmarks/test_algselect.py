@@ -4,11 +4,9 @@ import pytest
 
 from repro.experiments.algselect import winners
 
-from conftest import run_once
 
-
-def test_selection_table(benchmark):
-    best = run_once(benchmark, winners, 8192)
+def test_selection_table():
+    best = winners(8192)
     # Cluster-aware broadcast/allreduce win everywhere.
     for point in ("single cluster", "WAN 3.3ms/6MBs", "WAN 30ms/0.5MBs"):
         assert best[("bcast", point)] == "MagPIe"

@@ -5,11 +5,9 @@ import pytest
 
 from repro.experiments.figure1 import measure_all
 
-from conftest import run_once
 
-
-def test_figure1_scatter(benchmark):
-    points = run_once(benchmark, measure_all, "paper")
+def test_figure1_scatter():
+    points = measure_all("paper")
 
     # TSP sits in the low-volume corner...
     assert points["tsp"].mbyte_s_per_cluster < 0.3

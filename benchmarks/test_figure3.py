@@ -9,8 +9,6 @@ import pytest
 
 from repro.experiments.runner import Sweeper
 
-from conftest import run_once
-
 
 @pytest.fixture(scope="module")
 def sweeper():
@@ -21,7 +19,7 @@ def pct(sweeper, app, variant, bw, lat):
     return sweeper.speedup_at(app, variant, bw, lat).relative_speedup_pct
 
 
-def test_unoptimized_apps_collapse_beyond_one_order_of_magnitude(benchmark, sweeper):
+def test_unoptimized_apps_collapse_beyond_one_order_of_magnitude(sweeper):
     """Claim 1: for gaps > 1 order of magnitude (bandwidth < ~5 MByte/s,
     latency > ~2 ms), conventional applications deteriorate rapidly."""
     def measure():
@@ -29,11 +27,11 @@ def test_unoptimized_apps_collapse_beyond_one_order_of_magnitude(benchmark, swee
             app: pct(sweeper, app, "unoptimized", 0.3, 30.0)
             for app in ("water", "asp", "barnes", "fft")
         }
-    at_large_gap = run_once(benchmark, measure)
+    at_large_gap = measure()
     assert all(v < 40.0 for v in at_large_gap.values()), at_large_gap
 
 
-def test_optimized_apps_bridge_larger_gaps(benchmark, sweeper):
+def test_optimized_apps_bridge_larger_gaps(sweeper):
     """Claim 2: with restructuring, four applications tolerate bandwidth
     gaps of ~2 orders of magnitude and latency gaps of ~3 orders
     (>= 50-60% of single-cluster speedup)."""
@@ -49,11 +47,11 @@ def test_optimized_apps_bridge_larger_gaps(benchmark, sweeper):
             "tsp_lat": pct(sweeper, "tsp", "optimized", 6.3, 30.0),
             "barnes_lat": pct(sweeper, "barnes", "optimized", 6.3, 30.0),
         }
-    vals = run_once(benchmark, measure)
+    vals = measure()
     assert all(v >= 50.0 for v in vals.values()), vals
 
 
-def test_optimizations_shift_curves_up(benchmark, sweeper):
+def test_optimizations_shift_curves_up(sweeper):
     """Optimized beats unoptimized at every non-trivial gap point."""
     def measure():
         out = {}
@@ -61,12 +59,12 @@ def test_optimizations_shift_curves_up(benchmark, sweeper):
             out[app] = (pct(sweeper, app, "unoptimized", 0.95, 10.0),
                         pct(sweeper, app, "optimized", 0.95, 10.0))
         return out
-    pairs = run_once(benchmark, measure)
+    pairs = measure()
     for app, (unopt, opt) in pairs.items():
         assert opt > unopt, f"{app}: {opt} !> {unopt}"
 
 
-def test_fft_never_reaches_quarter_speedup(benchmark, sweeper):
+def test_fft_never_reaches_quarter_speedup(sweeper):
     """Claim 4: 'For FFT the 25% point is not even reached.'
 
     In our model FFT touches ~45% at the single fastest grid point (the
@@ -78,11 +76,11 @@ def test_fft_never_reaches_quarter_speedup(benchmark, sweeper):
         return (pct(sweeper, "fft", "unoptimized", 2.6, 0.5),
                 pct(sweeper, "fft", "unoptimized", 0.95, 0.5),
                 pct(sweeper, "fft", "unoptimized", 6.3, 300.0))
-    vals = run_once(benchmark, measure)
+    vals = measure()
     assert all(v < 25.0 for v in vals), vals
 
 
-def test_tsp_latency_bound_asp_bandwidth_cliff(benchmark, sweeper):
+def test_tsp_latency_bound_asp_bandwidth_cliff(sweeper):
     """Claim 5: TSP is bandwidth-insensitive but latency-sensitive;
     optimized ASP tolerates 30 ms but falls off a cliff below 1 MByte/s."""
     def measure():
@@ -94,14 +92,14 @@ def test_tsp_latency_bound_asp_bandwidth_cliff(benchmark, sweeper):
             asp_above_cliff=pct(sweeper, "asp", "optimized", 0.95, 0.5),
             asp_below_cliff=pct(sweeper, "asp", "optimized", 0.3, 0.5),
         )
-    v = run_once(benchmark, measure)
+    v = measure()
     assert v["tsp_low_bw"] > 0.75 * v["tsp_high_bw"]      # flat in bandwidth
     assert v["tsp_high_lat"] < 0.5 * v["tsp_high_bw"]     # steep in latency
     assert v["asp_30ms"] > 60.0
     assert v["asp_below_cliff"] < 0.6 * v["asp_above_cliff"]
 
 
-def test_extreme_gaps_worse_than_one_cluster(benchmark, sweeper):
+def test_extreme_gaps_worse_than_one_cluster(sweeper):
     """'For extreme bandwidths and latencies (30 KByte/s or 300 ms)
     relative speedup drops below 25%' — i.e. extra clusters hurt."""
     def measure():
@@ -110,5 +108,5 @@ def test_extreme_gaps_worse_than_one_cluster(benchmark, sweeper):
             pct(sweeper, "asp", "optimized", 6.3, 300.0),
             pct(sweeper, "barnes", "unoptimized", 0.03, 300.0),
         ]
-    vals = run_once(benchmark, measure)
+    vals = measure()
     assert all(v < 35.0 for v in vals), vals

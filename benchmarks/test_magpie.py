@@ -4,13 +4,11 @@ import pytest
 
 from repro.experiments.magpie_bench import compare_all, latency_sweep
 
-from conftest import run_once
 
-
-def test_magpie_vs_mpich_at_paper_operating_point(benchmark):
+def test_magpie_vs_mpich_at_paper_operating_point():
     """10 ms / 1 MByte/s: MagPIe wins the latency-sensitive operations
     (several-fold on the broadcast/reduce family), never loses badly."""
-    rows = run_once(benchmark, compare_all, 1024)
+    rows = compare_all(1024)
     ratios = {name: ratio for name, _, _, ratio in rows}
     assert ratios["bcast"] > 1.5
     assert ratios["allgather"] > 2.5
@@ -23,8 +21,8 @@ def test_magpie_vs_mpich_at_paper_operating_point(benchmark):
     assert min(ratios.values()) > 0.85
 
 
-def test_magpie_absolute_advantage_grows_with_latency(benchmark):
-    sweep = run_once(benchmark, latency_sweep, "bcast")
+def test_magpie_absolute_advantage_grows_with_latency():
+    sweep = latency_sweep("bcast")
     savings = [tf - tm for _, tf, tm in sweep]
     assert savings == sorted(savings)  # monotone in latency
     assert all(s > 0 for s in savings)

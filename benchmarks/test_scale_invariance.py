@@ -12,8 +12,6 @@ import pytest
 
 from repro.experiments.runner import Sweeper
 
-from conftest import run_once
-
 POINTS = [(6.3, 3.3), (0.95, 0.5), (6.3, 30.0)]
 
 
@@ -23,7 +21,7 @@ POINTS = [(6.3, 3.3), (0.95, 0.5), (6.3, 30.0)]
     ("tsp", "unoptimized", 8.0),
     ("fft", "unoptimized", 5.0),
 ])
-def test_bench_scale_matches_paper_scale(benchmark, app, variant, tol):
+def test_bench_scale_matches_paper_scale(app, variant, tol):
     def measure():
         bench = Sweeper(scale="bench")
         paper = Sweeper(scale="paper")
@@ -34,12 +32,12 @@ def test_bench_scale_matches_paper_scale(benchmark, app, variant, tol):
             out.append((bw, lat, b, p))
         return out
 
-    pairs = run_once(benchmark, measure)
+    pairs = measure()
     for bw, lat, b, p in pairs:
         assert b == pytest.approx(p, abs=tol), (bw, lat, b, p)
 
 
-def test_asp_bench_understates_by_bounded_amount(benchmark):
+def test_asp_bench_understates_by_bounded_amount():
     """ASP's sequencer migration is a fixed cost: at bench scale (240
     rows) it weighs ~6x more than at paper scale (1500 rows), so bench
     may *understate* the optimized relative speedup — by a bounded
@@ -51,6 +49,6 @@ def test_asp_bench_understates_by_bounded_amount(benchmark):
         p = paper.speedup_at("asp", "optimized", 6.3, 30.0).relative_speedup_pct
         return b, p
 
-    b, p = run_once(benchmark, measure)
+    b, p = measure()
     assert b <= p + 3.0       # bench does not overstate
     assert p - b < 15.0       # and the understatement is bounded

@@ -5,8 +5,6 @@ import pytest
 
 from repro.experiments.table1 import PAPER_TABLE1, measure_app
 
-from conftest import run_once
-
 #: Acceptable relative deviation from the paper's cell values.  Awari and
 #: FFT carry wider bands (heavily machine-dependent effects: hash-load
 #: imbalance, superlinear caches) — see EXPERIMENTS.md.
@@ -21,8 +19,8 @@ TOLERANCES = {
 
 
 @pytest.mark.parametrize("app", list(PAPER_TABLE1))
-def test_table1_row(benchmark, app):
-    row = run_once(benchmark, measure_app, app, "paper")
+def test_table1_row(app):
+    row = measure_app(app, "paper")
     paper = PAPER_TABLE1[app]
     tol = TOLERANCES[app]
     assert row.speedup_32 == pytest.approx(paper["sp32"], rel=tol)
@@ -31,12 +29,9 @@ def test_table1_row(benchmark, app):
     assert row.traffic_mbyte_s == pytest.approx(paper["traffic"], rel=max(tol, 0.5))
 
 
-def test_table1_orderings(benchmark):
+def test_table1_orderings():
     """Cross-app structure: Awari's speedup is by far the worst; FFT's
     single-cluster speedup is the best (near-linear)."""
-    rows = run_once(
-        benchmark,
-        lambda: {app: measure_app(app, "paper") for app in ("water", "awari", "fft")},
-    )
+    rows = {app: measure_app(app, "paper") for app in ("water", "awari", "fft")}
     assert rows["awari"].speedup_32 < rows["water"].speedup_32 / 2
     assert rows["fft"].speedup_32 > 25

@@ -5,8 +5,6 @@ import pytest
 
 from repro.experiments.table2 import wan_messages
 
-from conftest import run_once
-
 
 @pytest.mark.parametrize("app,min_cut", [
     ("water", 2.0),    # coordinator caching + reduction tree
@@ -15,17 +13,11 @@ from conftest import run_once
     ("asp", 1.2),      # only the sequencer RPCs disappear; rows still cross
     ("awari", 3.0),    # relay-level combining
 ])
-def test_optimizations_cut_wan_messages(benchmark, app, min_cut):
-    unopt, opt = run_once(
-        benchmark,
-        lambda: (wan_messages(app, "unoptimized"), wan_messages(app, "optimized")),
-    )
+def test_optimizations_cut_wan_messages(app, min_cut):
+    unopt, opt = wan_messages(app, "unoptimized"), wan_messages(app, "optimized")
     assert unopt / opt >= min_cut
 
 
-def test_fft_has_no_optimization(benchmark):
-    unopt, opt = run_once(
-        benchmark,
-        lambda: (wan_messages("fft", "unoptimized"), wan_messages("fft", "optimized")),
-    )
+def test_fft_has_no_optimization():
+    unopt, opt = wan_messages("fft", "unoptimized"), wan_messages("fft", "optimized")
     assert unopt == opt

@@ -25,12 +25,10 @@ from typing import Optional
 
 import argparse
 
-from ..apps import app_names, default_config, get_builder
+from ..apps import app_names
 from ..experiments import grids
-from ..obs.bus import ProbeBus
 from ..obs.report import RunReporter, run_record
-from ..runtime.run import run_spmd
-from .profile import Profiler
+from .profile import profile_app
 
 
 def main(argv: Optional[list] = None) -> None:
@@ -74,20 +72,16 @@ def main(argv: Optional[list] = None) -> None:
 
         faults = FaultPlan.wan_loss(args.faults)
 
-    bus = ProbeBus()
-    profiler = Profiler(topo)
-    bus.attach(profiler)
     perfetto = None
     if args.out:
         from ..obs.perfetto import PerfettoTrace
 
         perfetto = PerfettoTrace(topology=topo)
-        bus.attach(perfetto)
 
-    config = default_config(args.app, args.scale)
-    body = get_builder(args.app, args.variant)(config)
-    result = run_spmd(topo, body, seed=args.seed, bus=bus, faults=faults)
-    profile = profiler.finalize(result.machine)
+    result, profile = profile_app(
+        args.app, args.variant, topo, scale=args.scale, seed=args.seed,
+        faults=faults,
+        extra_subscribers=() if perfetto is None else (perfetto,))
     path = profile.critical_path()
 
     meta = {"app": args.app, "variant": args.variant, "scale": args.scale,

@@ -227,7 +227,6 @@ class Sweeper:
                  reporter: Optional[RunReporter] = None,
                  workers: Optional[int] = None,
                  cache: Optional[SimCache] = None,
-                 tolerance_pp: float = 5.0,
                  faults=None,
                  backend: str = "simulate") -> None:
         if backend not in BACKENDS:
@@ -239,7 +238,6 @@ class Sweeper:
         self.backend = backend
         self.workers = workers
         self.cache = cache
-        self.tolerance_pp = tolerance_pp
         self.faults = faults
         self._baseline_cache: Dict[Tuple[str, str, int], float] = {}
         #: (app, variant, clusters, cluster_size, wan_shape) -> memoized
@@ -335,7 +333,6 @@ class Sweeper:
             decision = ladder.walk(
                 self.backend, app, variant, scale=self.scale, seed=self.seed,
                 cache=self.cache, faulty=self._active_faults is not None,
-                tolerance_pp=self.tolerance_pp,
                 baseline=lambda: self.baseline_runtime(
                     app, variant, clusters * cluster_size),
                 simulate=lambda bw, lat: self._sim_runtime(self._payload(

@@ -5,9 +5,9 @@
 - :func:`proto_findings` — the three analyses folded into ordinary
   :class:`~repro.lint.rules.Finding` objects for the lint CLI.
 - :func:`classification_table` — the per-app order-stability table.
-- :func:`order_stability_label` — the single-label lookup the replay
-  ladder uses as its pre-recording hint (never raises; returns None
-  when analysis is unavailable).
+- :func:`order_stability_label` — the single-label lookup for one
+  app/variant (never raises; returns None when analysis is
+  unavailable).  The replay ladder does not call it.
 - :func:`verify_superset` — the runtime cross-validation harness:
   every observed (src, dst) send pair of a clean run must be permitted
   by the static channel graph.
@@ -61,9 +61,9 @@ def classify_all(modset: Optional[ModuleSet] = None
 
 
 def order_stability_label(app: str, variant: str) -> Optional[str]:
-    """The static label for the replay ladder's pre-recording hint.
+    """The static order-stability label of one app/variant (memoized).
 
-    Defensive by design: the ladder must keep working when the static
+    Defensive by design: a caller must keep working when the static
     analyzer cannot (sources unavailable, unregistered app), so this
     returns ``None`` instead of raising.
     """

@@ -19,10 +19,9 @@ import json
 import sys
 from typing import Optional
 
-from ..apps import app_names, default_config, get_builder
+from ..apps import app_names, run_app
 from ..experiments import grids
 from ..experiments.report import render_table
-from ..runtime.run import run_spmd
 from ..trace import Tracer, render_timeline, utilization
 from .bus import ProbeBus
 from .metrics import MetricsCollector
@@ -74,13 +73,11 @@ def main(argv: Optional[list] = None) -> None:
     bus.attach(metrics)
     bus.attach(perfetto)
 
-    config = default_config(args.app, args.scale)
-    body = get_builder(args.app, args.variant)(config)
     meta = {"app": args.app, "variant": args.variant, "scale": args.scale,
             "bandwidth_mbyte_s": args.bw, "latency_ms": args.lat,
             "harness": "trace"}
-    result = run_spmd(topo, body, seed=args.seed, bus=bus,
-                      sanitize=args.sanitize)
+    result = run_app(args.app, args.variant, topo, scale=args.scale,
+                     seed=args.seed, bus=bus, sanitize=args.sanitize)
     metrics.finalize(result.runtime)
 
     events = perfetto.write(out_path)

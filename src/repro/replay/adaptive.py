@@ -79,14 +79,16 @@ _GROUPS = (("grp_starts", "int32", 0), ("grp_seed_node", "int32", 0),
            ("op_arr_edge", "float64", 4), ("op_cost", "float64", 4),
            ("op_node", "int32", 0))
 
-#: Default iteration cap.  Measured fft grids converge exactly within
-#: 30 iterations (orders fix early, then value corrections drain
-#: through roughly one queue boundary per iteration); the cap bounds
-#: deep-feedback programs like water, whose correction depth exceeds
-#: any sensible cap and whose points downgrade honestly instead.
+#: The iteration cap of the three adaptive pricing entry points (read
+#: per call, like :data:`DEFAULT_ORDER_TOL`).  Measured fft grids
+#: converge exactly within 30 iterations (orders fix early, then value
+#: corrections drain through roughly one queue boundary per iteration);
+#: the cap bounds deep-feedback programs like water, whose correction
+#: depth exceeds any sensible cap and whose points downgrade honestly
+#: instead.
 DEFAULT_MAX_ITERS = 40
 
-#: Default order hysteresis: arrivals closer than this fraction of the
+#: The order hysteresis: arrivals closer than this fraction of the
 #: point's current runtime sort as ties (reference order wins).  Queues
 #: whose near-simultaneous arrivals permute under float jitter would
 #: otherwise flap between equivalent schedules forever.
@@ -517,35 +519,29 @@ class AdaptiveProgram(ReplayProgram):
     # ------------------------------------------------------------------
     def price_grid_adaptive(self, bandwidths_mbyte_s: Sequence[float],
                             latencies_ms: Sequence[float],
-                            loss_rates: Optional[Sequence[float]] = None,
-                            max_iters: int = DEFAULT_MAX_ITERS,
-                            order_tol: float = DEFAULT_ORDER_TOL
+                            loss_rates: Optional[Sequence[float]] = None
                             ) -> AdaptiveResult:
         """Adaptive runtimes for the full cartesian grid; shapes match
         :meth:`ReplayProgram.price_grid`."""
         np = require_numpy()
         terms, shape = self._grid_terms(np, bandwidths_mbyte_s,
                                         latencies_ms, loss_rates)
-        result = self._adaptive(np, *terms, max_iters, order_tol)
+        result = self._adaptive(np, *terms, DEFAULT_MAX_ITERS,
+                                DEFAULT_ORDER_TOL)
         for name in ("runtimes", "converged", "iterations"):
             arr = getattr(result, name).reshape(shape)
             setattr(result, name, arr if loss_rates is not None else arr[0])
         return result
 
     def price_points_adaptive(self, points: Sequence[Tuple[float, float]],
-                              loss_rate: float = 0.0,
-                              max_iters: int = DEFAULT_MAX_ITERS,
-                              order_tol: float = DEFAULT_ORDER_TOL
-                              ) -> AdaptiveResult:
+                              loss_rate: float = 0.0) -> AdaptiveResult:
         """Adaptive runtimes for arbitrary ``(bw_mbyte_s, lat_ms)``
         pairs, flat."""
         np = require_numpy()
         return self._adaptive(np, *self._points_terms(np, points, loss_rate),
-                              max_iters, order_tol)
+                              DEFAULT_MAX_ITERS, DEFAULT_ORDER_TOL)
 
-    def price_adaptive(self, topology: Topology, loss_rate: float = 0.0,
-                       max_iters: int = DEFAULT_MAX_ITERS,
-                       order_tol: float = DEFAULT_ORDER_TOL
+    def price_adaptive(self, topology: Topology, loss_rate: float = 0.0
                        ) -> Tuple[float, bool, int]:
         """One shape-checked point: ``(runtime, converged, iterations)``.
 
@@ -556,7 +552,8 @@ class AdaptiveProgram(ReplayProgram):
         """
         np = require_numpy()
         terms = self._topology_terms(np, topology, loss_rate)
-        result = self._adaptive(np, *terms, max_iters, order_tol)
+        result = self._adaptive(np, *terms, DEFAULT_MAX_ITERS,
+                                DEFAULT_ORDER_TOL)
         return (float(result.runtimes[0]), bool(result.converged[0]),
                 int(result.iterations[0]))
 

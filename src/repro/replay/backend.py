@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..experiments import grids
@@ -48,10 +48,11 @@ from .adaptive import ADAPTIVE_FORMAT, DEFAULT_MAX_ITERS, AdaptiveProgram
 from .compile import compile_walk
 from .program import PROGRAM_FORMAT, ReplayProgram
 
-#: Default maximum |program - evaluator| / evaluator runtime disagreement
-#: at a probe point before the DAG is declared order-unstable.  The gap
-#: between stable and unstable DAGs is wide (<0.3% vs >10%), so the
-#: exact threshold is not delicate.
+#: Maximum |program - evaluator| / evaluator runtime disagreement at a
+#: corner before the probe declares the DAG order-unstable (and the
+#: convergence check the adaptive engine diverged); read per verdict.
+#: The gap between stable and unstable DAGs is wide (<0.3% vs >10%), so
+#: the exact threshold is not delicate.
 PROBE_REL_TOL = 0.02
 
 _NUMBER = (int, float)
@@ -91,22 +92,49 @@ def _check_evidence(program: ReplayProgram) -> None:
 
 
 @dataclass
-class ProbePoint:
-    """Program vs evaluator at one grid point (both analytic)."""
+class CornerPoint:
+    """A program vs the evaluator at one grid corner (both analytic).
+    An adaptive program's fixed point also says whether it converged
+    there and after how many iterations; a frozen one iterates nothing."""
 
     bandwidth_mbyte_s: float
     latency_ms: float
-    replay_runtime: float
+    program_runtime: float
     evaluator_runtime: float
+    converged: bool = True
+    iterations: int = 0
 
     @property
     def rel_error(self) -> float:
-        return abs(self.replay_runtime - self.evaluator_runtime) \
+        return abs(self.program_runtime - self.evaluator_runtime) \
             / self.evaluator_runtime
 
 
+def _points_from(evidence: dict) -> List[CornerPoint]:
+    """The :class:`CornerPoint` of every corner a program's evidence
+    holds (``converged``/``iterations`` only an adaptive one's)."""
+    n = len(evidence["points"])
+    return [CornerPoint(bw, lat, program, expected, converged, iterations)
+            for (bw, lat), program, expected, converged, iterations in zip(
+                evidence["points"], evidence["program"],
+                evidence["evaluator"], evidence.get("converged", [True] * n),
+                evidence.get("iterations", [0] * n))]
+
+
 @dataclass
-class ProbeReport:
+class _CornerReport:
+    """A verdict over the corner points, derived with ``rel_tol``."""
+
+    rel_tol: float
+    points: List[CornerPoint]
+
+    @property
+    def max_rel_error(self) -> float:
+        return max((p.rel_error for p in self.points), default=0.0)
+
+
+@dataclass
+class ProbeReport(_CornerReport):
     """Stability verdict for one compiled program.
 
     This is *not* the ground-truth validation (that stays
@@ -116,13 +144,6 @@ class ProbeReport:
     to the interpreted evaluator precisely when compilation, not
     recording, is what broke.
     """
-
-    rel_tol: float
-    points: List[ProbePoint] = field(default_factory=list)
-
-    @property
-    def max_rel_error(self) -> float:
-        return max((p.rel_error for p in self.points), default=0.0)
 
     @property
     def stable(self) -> bool:
@@ -139,24 +160,7 @@ class ProbeReport:
 
 
 @dataclass
-class ConvergencePoint:
-    """Adaptive engine vs evaluator at one grid corner."""
-
-    bandwidth_mbyte_s: float
-    latency_ms: float
-    adaptive_runtime: float
-    evaluator_runtime: float
-    converged: bool
-    iterations: int
-
-    @property
-    def rel_error(self) -> float:
-        return abs(self.adaptive_runtime - self.evaluator_runtime) \
-            / self.evaluator_runtime
-
-
-@dataclass
-class ConvergenceReport:
+class ConvergenceReport(_CornerReport):
     """Outcome of the adaptive corner check for one compiled program.
 
     The probe asked "does the frozen order hold?"; this asks the next
@@ -168,13 +172,7 @@ class ConvergenceReport:
     (not the iteration) is wrong there, and also fails the check.
     """
 
-    rel_tol: float
     max_iters: int
-    points: List[ConvergencePoint] = field(default_factory=list)
-
-    @property
-    def max_rel_error(self) -> float:
-        return max((p.rel_error for p in self.points), default=0.0)
 
     @property
     def max_iterations(self) -> int:
@@ -209,11 +207,9 @@ class ReplayBackend:
     """Compile-and-price harness for one recorded application."""
 
     def __init__(self, recording: Recording,
-                 cache: Optional[SimCache] = None,
-                 rel_tol: float = PROBE_REL_TOL) -> None:
+                 cache: Optional[SimCache] = None) -> None:
         self.recording = recording
         self.cache = cache
-        self.rel_tol = rel_tol
         self.program: Optional[ReplayProgram] = None
         self.from_cache = False
         #: the adaptive-mode compilation, kept separate from ``program``:
@@ -230,17 +226,15 @@ class ReplayBackend:
         self._corner_prices: Optional[Tuple[list, List[float]]] = None
         self._probe: Optional[ProbeReport] = None
         self._convergence: Optional[ConvergenceReport] = None
-        self._static_hint: Optional[str] = None
-        self._static_hint_known = False
 
     # ------------------------------------------------------------------
     @classmethod
     def for_app(cls, app: str, variant: str, scale: str = "bench",
-                seed: int = 0, cache: Optional[SimCache] = None,
-                rel_tol: float = PROBE_REL_TOL) -> "ReplayBackend":
+                seed: int = 0,
+                cache: Optional[SimCache] = None) -> "ReplayBackend":
         """Record ``app``/``variant`` at the reference point and wrap it."""
         recording = record_app(app, variant, scale=scale, seed=seed)
-        return cls(recording, cache=cache, rel_tol=rel_tol)
+        return cls(recording, cache=cache)
 
     # ------------------------------------------------------------------
     @property
@@ -250,56 +244,6 @@ class ReplayBackend:
         if self._evaluator is None:
             self._evaluator = Evaluator(self.recording.dag)
         return self._evaluator
-
-    @property
-    def static_hint(self) -> Optional[str]:
-        """Order-stability label from the static protocol analyzer.
-
-        The recording itself carries the pre-recording hint when
-        :func:`~repro.whatif.record.record_app` computed one; otherwise
-        it is looked up here (memoized).  Advisory only — the runtime
-        probe remains the arbiter of the fallback ladder — but reports
-        carry it so hint/probe disagreements are visible.
-        """
-        if self._static_hint_known:
-            return self._static_hint
-        hint = getattr(self.recording, "static_label", None)
-        if hint is None:
-            try:
-                from ..lint.proto.report import order_stability_label
-                hint = order_stability_label(self.recording.app,
-                                             self.recording.variant)
-            except Exception:
-                hint = None
-        self._static_hint = hint
-        self._static_hint_known = True
-        return hint
-
-    def hint_matches_probe(self) -> Optional[bool]:
-        """Did the measured probe agree with the static hint?
-
-        ``None`` when no probe has run yet, no hint is available, or
-        the hint is ``timing-sensitive`` (the ladder short-circuits to
-        simulation before probing those).
-
-        The hint forecasts the *ladder rung*, not the fixed point: an
-        ``unstable`` label predicts that the frozen order drifts and the
-        program needs per-point re-sorting — exactly the
-        vectorized-adaptive rung.  So when the adaptive convergence
-        check has run (it only runs on probe-unstable programs) and the
-        engine converged, an ``unstable`` hint is a *match*, never a
-        failure — even though the converged corner prices now agree
-        with the evaluator and a naive re-probe would read "stable".
-        """
-        hint = self.static_hint
-        if hint not in ("stable", "unstable"):
-            return None
-        if (hint == "unstable" and self._convergence is not None
-                and self._convergence.converged):
-            return True
-        if self._probe is None:
-            return None
-        return self._probe.stable == (hint == "stable")
 
     def cache_key(self) -> str:
         """Content-addressed :class:`SimCache` key of the compiled program.
@@ -481,16 +425,10 @@ class ReplayBackend:
 
     def probe(self) -> ProbeReport:
         """Frozen-order stability check at the grid corners (memoized),
-        its verdict derived with the live ``rel_tol``."""
+        its verdict derived with the live :data:`PROBE_REL_TOL`."""
         if self._probe is None:
-            evidence = self._evidence(self.prepare())
-            self._probe = ProbeReport(rel_tol=self.rel_tol, points=[
-                ProbePoint(bandwidth_mbyte_s=bw, latency_ms=lat,
-                           replay_runtime=replayed,
-                           evaluator_runtime=expected)
-                for (bw, lat), replayed, expected in zip(
-                    evidence["points"], evidence["program"],
-                    evidence["evaluator"])])
+            self._probe = ProbeReport(
+                PROBE_REL_TOL, _points_from(self._evidence(self.prepare())))
         return self._probe
 
     def convergence_check(self) -> ConvergenceReport:
@@ -502,21 +440,13 @@ class ReplayBackend:
         natural check points — they bracket the grid's order churn, and
         a corner that converges bounds the iteration budget the full
         grid will need.  Like the probe, it reads the program's evidence
-        and derives the verdict with the live ``rel_tol``.
+        and derives the verdict with the live :data:`PROBE_REL_TOL`.
         """
         if self._convergence is None:
             evidence = self._evidence(self.prepare_adaptive())
             self._convergence = ConvergenceReport(
-                rel_tol=self.rel_tol, max_iters=evidence["max_iters"],
-                points=[
-                    ConvergencePoint(
-                        bandwidth_mbyte_s=bw, latency_ms=lat,
-                        adaptive_runtime=runtime, evaluator_runtime=expected,
-                        converged=converged, iterations=iterations)
-                    for (bw, lat), runtime, expected, converged, iterations
-                    in zip(evidence["points"], evidence["program"],
-                           evidence["evaluator"], evidence["converged"],
-                           evidence["iterations"])])
+                PROBE_REL_TOL, _points_from(evidence),
+                evidence["max_iters"])
         return self._convergence
 
     # ------------------------------------------------------------------

@@ -59,10 +59,6 @@ def main(argv: Optional[list] = None, entry: str = "replay") -> int:
                         choices=grids.VARIANTS)
     parser.add_argument("--scale", default="bench", choices=["paper", "bench"])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tolerance-pp", type=float, default=5.0,
-                        help="max |priced - simulated| relative speedup "
-                             "(percentage points) at the validation corners "
-                             "before falling back")
     parser.add_argument("--cache", default=None, metavar="DIR",
                         help="SimCache directory: reuse/store the compiled "
                              "program and the corner simulations")
@@ -82,7 +78,6 @@ def main(argv: Optional[list] = None, entry: str = "replay") -> int:
               f"using {variant}\n")
 
     sweeper = Sweeper(scale=args.scale, seed=args.seed, backend=entry,
-                      tolerance_pp=args.tolerance_pp,
                       cache=SimCache(args.cache) if args.cache else None)
     # Host wall-time for the speed report, not simulated time.
     wall_start = time.perf_counter()  # lint: ignore[wall-clock]

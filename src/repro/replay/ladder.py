@@ -19,7 +19,8 @@ from typing import Any, Callable, Dict, Optional, Sequence
 from ..experiments import grids
 from ..network.topology import Topology
 from ..whatif.evaluate import EvaluationError
-from ..whatif.validate import ValidationReport, corner_points, validate
+from ..whatif.validate import (DEFAULT_TOLERANCE_PP, ValidationReport,
+                               corner_points, validate)
 from . import require_numpy
 from .adaptive import DEFAULT_MAX_ITERS
 from .backend import ReplayBackend
@@ -173,11 +174,12 @@ class Decision:
 
 
 def walk(entry: str, app: str, variant: str, *, scale: str, seed: int,
-         cache, faulty: bool, tolerance_pp: float,
+         cache, faulty: bool,
          baseline: Callable[[], float],
          simulate: Callable[[float, float], float],
          topology_for: Callable[[float, float], Topology]) -> Decision:
-    """Walk the ladder from the rung named ``entry`` for one recording.
+    """Walk the ladder from the rung named ``entry`` for one recording,
+    validating within :data:`~repro.whatif.validate.DEFAULT_TOLERANCE_PP`.
 
     Raises :class:`~repro.replay.ReplayUnavailable` when a vectorized
     rung is reached without numpy — a setup error, not a fallback
@@ -187,7 +189,7 @@ def walk(entry: str, app: str, variant: str, *, scale: str, seed: int,
 
     def refuse(reason: str, backend=None) -> Decision:
         return Decision("simulate", ValidationReport(
-            app=app, variant=variant, tolerance_pp=tolerance_pp,
+            app=app, variant=variant, tolerance_pp=DEFAULT_TOLERANCE_PP,
             fallback=True, reason=reason), backend, evidence)
 
     if faulty:
@@ -217,7 +219,7 @@ def walk(entry: str, app: str, variant: str, *, scale: str, seed: int,
     report = validate(
         backend.recording, baseline_runtime=baseline(), simulate=simulate,
         points=corner_points(grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS),
-        tolerance_pp=tolerance_pp, evaluator=pricer,
+        tolerance_pp=DEFAULT_TOLERANCE_PP, evaluator=pricer,
         topology_for=topology_for)
     if report.fallback:
         return Decision("simulate", report, backend, evidence)
@@ -237,8 +239,6 @@ def replay_record(decision: Decision, app: str, variant: str, scale: str,
         from_cache=backend.from_cache if backend is not None else False,
         program=program.stats() if program is not None else {},
         timings=dict(backend.timings) if backend is not None else {})
-    if backend is not None and backend.static_hint is not None:
-        replay["static_hint"] = backend.static_hint
     return {"kind": "replay", "meta": dict(meta or {}), "app": app,
             "variant": variant, "scale": scale, "seed": seed,
             "replay": replay}

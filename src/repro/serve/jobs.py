@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
@@ -179,9 +180,10 @@ def _grid_axis(raw: Any, name: str) -> Tuple[float, ...]:
         raise InvalidJob(f"{name} must be a non-empty array of numbers")
     out = []
     for value in raw:
-        if not _is_number(value) or value <= 0:
-            raise InvalidJob(f"{name} entries must be positive numbers, "
-                             f"got {value!r}")
+        # json.loads admits NaN and +-Infinity, which no run can price
+        if not _is_number(value) or not 0 < value < math.inf:
+            raise InvalidJob(f"{name} entries must be finite positive "
+                             f"numbers, got {value!r}")
         out.append(float(value))
     if len(set(out)) != len(out):
         raise InvalidJob(f"{name} contains duplicate values")

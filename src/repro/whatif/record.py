@@ -235,11 +235,6 @@ class Recording:
     runtime: float
     #: host seconds spent recording (simulation + DAG construction).
     wall_time: float
-    #: pre-recording order-stability hint from the static protocol
-    #: analyzer (``stable | unstable | timing-sensitive``), or None when
-    #: the analyzer could not label the app.  Advisory: the runtime
-    #: probe stays the arbiter of the replay ladder.
-    static_label: Optional[str] = None
 
     @property
     def timing_sensitive(self) -> bool:
@@ -269,10 +264,6 @@ def record_app(
         topology = grids.multi_cluster(*REFERENCE_POINT)
     if config is None:
         config = default_config(app, scale)
-    # Pre-recording hint from the static protocol analyzer (advisory;
-    # never blocks recording).
-    from ..lint.proto.report import order_stability_label
-    static_label = order_stability_label(app, variant)
     bus = ProbeBus()
     recorder = Recorder(topology)
     bus.subscribe("op", recorder.on_op)
@@ -289,5 +280,4 @@ def record_app(
         dag.sensitive_reasons.insert(
             0, "app registered with timing-dependent control flow")
     return Recording(dag=dag, app=app, variant=variant, scale=scale, seed=seed,
-                     topology=topology, runtime=result.runtime, wall_time=wall,
-                     static_label=static_label)
+                     topology=topology, runtime=result.runtime, wall_time=wall)

@@ -61,8 +61,8 @@ def test_labels_come_with_evidence():
 def test_replay_hint_lookup_matches_and_never_raises():
     for key, label in EXPECTED.items():
         assert order_stability_label(*key) == label
-    # Unknown apps degrade to None, not an exception: the replay ladder
-    # must keep working when the analyzer cannot label an app.
+    # Unknown apps degrade to None, not an exception: a caller must keep
+    # working when the analyzer cannot label an app.
     assert order_stability_label("no-such-app", "v") is None
 
 

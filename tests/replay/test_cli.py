@@ -79,6 +79,10 @@ def test_figure3_backend_prints_the_verdict(capsys):
     (["figure3", "--predict"], "unrecognized arguments: --predict"),
     (["figure4", "--replay"], "unrecognized arguments: --replay"),
     (["figure3", "--apps", "bogus"], "invalid choice: 'bogus'"),
+    (["replay", "asp", "--tolerance-pp", "1"],
+     "unrecognized arguments: --tolerance-pp"),
+    (["whatif", "asp", "--tolerance-pp", "1"],
+     "unrecognized arguments: --tolerance-pp"),
 ])
 def test_retired_flags_and_unknown_apps_are_usage_errors(capsys, argv,
                                                          fragment):

@@ -176,23 +176,24 @@ def test_digest_mismatch_recompiles_and_remeasures(tmp_path):
     ("asp", "optimized", 1e-6, False),      # 0.03 % frozen-order error
     ("water", "optimized", 0.5, True)])     # 32.8 %
 def test_rel_tol_rederives_the_verdict_from_cached_prices(
-        app, variant, rel_tol, stable, tmp_path, counts):
+        app, variant, rel_tol, stable, tmp_path, counts, monkeypatch):
     cache = SimCache(str(tmp_path / "c"))
     cold = ReplayBackend.for_app(app, variant, cache=cache).probe()
     counts.reset()
-    warm = ReplayBackend.for_app(app, variant, cache=cache,
-                                 rel_tol=rel_tol).probe()
+    monkeypatch.setattr("repro.replay.backend.PROBE_REL_TOL", rel_tol)
+    warm = ReplayBackend.for_app(app, variant, cache=cache).probe()
     assert counts["walk"] == 0
     assert warm.stable is stable and cold.stable is not stable
     assert warm.points == cold.points and warm.rel_tol == rel_tol
 
 
-def test_convergence_verdict_follows_the_live_tolerance(tmp_path):
+def test_convergence_verdict_follows_the_live_tolerance(tmp_path,
+                                                        monkeypatch):
     cache = SimCache(str(tmp_path / "c"))
     cold = ReplayBackend.for_app("fft", "unoptimized", cache=cache)
     assert cold.convergence_check().converged
-    warm = ReplayBackend.for_app("fft", "unoptimized", cache=cache,
-                                 rel_tol=-1.0)
+    monkeypatch.setattr("repro.replay.backend.PROBE_REL_TOL", -1.0)
+    warm = ReplayBackend.for_app("fft", "unoptimized", cache=cache)
     report = warm.convergence_check()
     assert warm.adaptive_from_cache
     assert report.all_converged and not report.converged

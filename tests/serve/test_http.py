@@ -128,6 +128,14 @@ def test_raw_protocol_errors_over_the_wire(harness):
     assert response.startswith(b"HTTP/1.1 400 ")
     assert b"invalid-json" in response
 
+    body = b'{"app": "water", "latencies": [0.5, Infinity]}'
+    response = raw_roundtrip(
+        harness.address,
+        b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+        % (len(body), body))
+    assert response.startswith(b"HTTP/1.1 400 ")
+    assert b"invalid-job" in response
+
     response = raw_roundtrip(
         harness.address,
         b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"

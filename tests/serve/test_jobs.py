@@ -74,6 +74,13 @@ def test_fft_optimized_is_the_same_job_as_fft_unoptimized():
     ({"app": "water", "kind": "whatif", "faults": {"loss": 0.1}},
      "whatif jobs cannot carry faults"),
     ({"app": "water", "kind": "whatif", "clusters": 2}, "4x8"),
+    # json.loads admits these three; no run can price them
+    ({"app": "water", "bandwidths": [float("nan")]}, "finite"),
+    ({"app": "water", "bandwidths": [6.3, float("inf")]}, "finite"),
+    ({"app": "water", "bandwidths": [float("-inf")]}, "finite"),
+    ({"app": "water", "latencies": [float("nan")]}, "finite"),
+    ({"app": "water", "latencies": [0.5, float("inf")]}, "finite"),
+    ({"app": "water", "latencies": [float("-inf")]}, "finite"),
 ])
 def test_invalid_submissions_raise_typed_errors(payload, fragment):
     with pytest.raises(InvalidJob) as err:
