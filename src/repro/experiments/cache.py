@@ -44,15 +44,18 @@ re-simulation.
 
 Entries carry an optional ``kind`` field (absent for plain runtime
 memos); :meth:`SimCache.stats` attributes entries and bytes per kind,
-and :meth:`SimCache.clear` can drop a single kind — compiled replay
-programs are two orders of magnitude larger than runtime memos, so
-"free the big entries, keep the sim results" is a real operation.
+and :meth:`SimCache.clear` can drop a single kind — compiled programs
+(kind ``replay`` for frozen ones, ``replay-adaptive`` for the
+order-adaptive ones) are two orders of magnitude larger than runtime
+memos, so "free the big entries, keep the sim results" is a real
+operation.
 
 Manage the cache from the command line::
 
     python -m repro cache ls                   # per app/variant + per-kind stats
     python -m repro cache clear                # drop every entry
-    python -m repro cache clear --kind replay  # drop only compiled programs
+    python -m repro cache clear --kind replay  # drop the frozen programs
+    python -m repro cache clear --kind replay-adaptive  # and the adaptive ones
 """
 
 from __future__ import annotations
@@ -350,7 +353,7 @@ def main(argv: Optional[list] = None) -> None:
     parser.add_argument("--kind", default=None,
                         help="restrict to one entry kind (plain runtime "
                              "memos are 'runtime'; compiled programs are "
-                             "'replay')")
+                             "'replay' (frozen) and 'replay-adaptive')")
     args = parser.parse_args(argv)
 
     cache = SimCache(args.root)
@@ -393,7 +396,7 @@ def main(argv: Optional[list] = None) -> None:
         for entry in group:
             kind = entry.get("kind")
             suffix = f" [{kind}]" if kind else ""
-            if kind == "replay" and "program" in entry:
+            if "program" in entry:
                 prog = entry.get("stats", {})
                 shown = (f"program {prog.get('nodes', '?')} nodes / "
                          f"{prog.get('levels', '?')} levels")

@@ -19,8 +19,9 @@ Three orthogonal accelerators (all off by default):
     and reported as :attr:`SpeedupGrid.backend` and
     :attr:`SpeedupGrid.decision`.  The four grid-corner points of an
     analytic grid are always the *simulated* ground truth (they were
-    computed for validation anyway), so spot-checking it against a full
-    sweep at the corners compares identical floats.
+    computed for validation anyway), in :meth:`Sweeper.speedup_grid` and
+    :meth:`Sweeper.speedup_at` alike, so spot-checking either against a
+    full sweep at the corners compares identical floats.
 
 ``workers=N``
     Run ground-truth grid simulations in a
@@ -411,13 +412,6 @@ class Sweeper:
         if decision is not None and decision.pricer is not None:
             runtimes, grid.downgraded_points = decision.price_grid(
                 bandwidths, latencies)
-            # The validation corners were simulated anyway — splice the
-            # ground truth in so analytic grids agree with full sweeps
-            # bit-for-bit at the spot-check points.
-            for vp in decision.validation.points:
-                if (vp.bandwidth_mbyte_s, vp.latency_ms) in runtimes:
-                    runtimes[(vp.bandwidth_mbyte_s, vp.latency_ms)] = \
-                        vp.simulated_runtime
         else:
             runtimes = self._simulate_grid(
                 app, variant,

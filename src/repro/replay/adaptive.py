@@ -60,6 +60,7 @@ recording whose schedule is that sensitive to the operating point.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -93,6 +94,16 @@ DEFAULT_MAX_ITERS = 40
 #: whose near-simultaneous arrivals permute under float jitter would
 #: otherwise flap between equivalent schedules forever.
 DEFAULT_ORDER_TOL = 1e-9
+
+#: Most bytes of workspace one fixed-point plan may take; more points
+#: are iterated in balanced blocks.  A plan costs about 1.5 MB a point
+#: on fft, and the thread's workspace keeps the largest plan it carved:
+#: 62.5 MB for the 42-point paper grid in one block.  16 MiB holds 11
+#: points, so that grid runs in four blocks and leaves 16.4 MB.  Chosen
+#: on that grid (2 vCPUs, CPU time against one block compacted at half,
+#: bandwidth-major): 8 MiB +10 %, 16 MiB -8 %, 32 MiB -11 % but a 31 MB
+#: plan kept.
+PLAN_BYTES = 16 << 20
 
 
 @dataclass
@@ -312,23 +323,34 @@ class AdaptiveProgram(ReplayProgram):
         }
         return self._static
 
+    def _plan_specs(self, np, P: int) -> list:
+        """The workspace specs of a ``P``-point :class:`_Plan`, in
+        :meth:`_carve_plan`'s unpacking order."""
+        N, M, K = self.num_nodes, self.num_group_ops, self.num_groups
+        f8, i4 = np.float64, np.int32
+        return [(N, P, f8), (N, P, f8), (2 * N, P, f8),
+                (2 * self._layout(np).max_width, P, f8), (K, P, f8),
+                *[(M, P, f8)] * 8,
+                (M, P, i4), (M, P, i4), (M, P, np.intp), (M, P, bool)]
+
+    def _block_points(self, np) -> int:
+        """Most points one plan may hold within :data:`PLAN_BYTES`
+        (at least one)."""
+        per_point = 8 * sum(_WORKSPACE.words(np, self._plan_specs(np, 1)))
+        return max(1, PLAN_BYTES // per_point)
+
     def _carve_plan(self, np, params, s_prev) -> _Plan:
         """A plan for the ``P`` points (columns) of ``params`` out of
         the thread's workspace, priced there and seeded with the serve
         orders ``s_prev`` (broadcast over the points)."""
         lay, st = self._layout(np), self._static_layout(np)
-        N, M, K = self.num_nodes, self.num_group_ops, self.num_groups
-        P = params.shape[1]
-        f8, i4 = np.float64, np.int32
         plan = _Plan()
-        plan.P = P
+        plan.P = params.shape[1]
         (plan.t, plan.t_prev, plan.cost_ab, arena, plan.seed_cost,
          plan.served_lv, plan.arr_costg, plan.costg, plan.arrg, plan.served,
          plan.a_s, plan.c_s, plan.s_excl, plan.s_prev, plan.s_new,
          plan.flat, plan.ok_rows) = _WORKSPACE.carve(
-            np, (N, P, f8), (N, P, f8), (2 * N, P, f8),
-            (2 * lay.max_width, P, f8), (K, P, f8), *[(M, P, f8)] * 8,
-            (M, P, i4), (M, P, i4), (M, P, np.intp), (M, P, bool))
+            np, *self._plan_specs(np, plan.P))
         plan.levels = lay.views(plan.t, plan.cost_ab, arena)
         plan.overrides = [ov and (ov[2], plan.served_lv[ov[0]:ov[1]])
                           for ov in st["ov_slices"]]
@@ -421,19 +443,13 @@ class AdaptiveProgram(ReplayProgram):
 
     # ------------------------------------------------------------------
     def _iterate(self, np, params, max_iters: int, order_tol: float):
-        """The fixed-point loop; returns flat per-point result arrays.
+        """The fixed-point loop over one block of points; returns flat
+        per-point result arrays.
 
         ``params`` is the ``(4, P)`` parameter matrix of
-        :meth:`ReplayProgram._sweep`.
+        :meth:`ReplayProgram._sweep`, C-contiguous.
         """
         P0 = params.shape[1]
-        if self.num_group_ops == 0 or max_iters < 1:
-            # With queues present, the base sweep alone prices a
-            # chainless (no-waiting) relaxation — never trustworthy.
-            ok = self.num_group_ops == 0
-            return (self._sweep(np, *params[1:]),
-                    np.full(P0, ok, dtype=bool),
-                    np.zeros(P0, dtype=np.int32), {})
         st = self._static_layout(np)
         gs = self.grp_starts
         fin_cost = self.fin_edge @ params
@@ -485,11 +501,11 @@ class AdaptiveProgram(ReplayProgram):
             nlive = int(active.sum())
             if nlive == 0:
                 break
-            if nlive <= plan.P // 2:
-                # Compact to the unconverged columns: iteration cost
-                # tracks the surviving points, not the original grid.
-                # The survivors' state is copied out, then the same
-                # workspace is re-carved for them.
+            if nlive < plan.P:
+                # Compact to the unconverged columns as soon as one
+                # converges: iteration cost tracks the surviving points,
+                # not the block.  The survivors' state is copied out,
+                # then the same workspace is re-carved for them.
                 cols = np.nonzero(active)[0]
                 live = live[cols]
                 params = np.ascontiguousarray(params[:, cols])
@@ -509,11 +525,42 @@ class AdaptiveProgram(ReplayProgram):
 
     def _adaptive(self, np, inv_bw, wlat, eloss, max_iters: int,
                   order_tol: float) -> AdaptiveResult:
+        """The fixed point at ``P`` points (all args shape ``(P,)``).
+
+        The points are iterated in balanced blocks of at most
+        :meth:`_block_points`, so the plan never outgrows
+        :data:`PLAN_BYTES`.  Every column of the fixed point is
+        independent, so blocking changes no bit of the pinned grids
+        (``tests/replay/test_adaptive.py``).  The one caveat is numpy's:
+        a one-column matmul takes the matrix-vector path, which under
+        loss can round a cost differently from a wider batch.
+        """
+        P = inv_bw.shape[0]
+        if self.num_group_ops == 0 or max_iters < 1:
+            # With queues present, the base sweep alone prices a
+            # chainless (no-waiting) relaxation — never trustworthy.
+            return AdaptiveResult(
+                runtimes=self._sweep(np, inv_bw, wlat, eloss),
+                converged=np.full(P, self.num_group_ops == 0, dtype=bool),
+                iterations=np.zeros(P, dtype=np.int32), max_iters=max_iters)
         params = np.stack([np.ones_like(inv_bw), inv_bw, wlat, eloss])
-        runtimes, converged, iters, flips = self._iterate(
-            np, params, max_iters, order_tol)
+        # A block iterates until its slowest point converges, and
+        # neighbouring operating points converge alike (fft's paper grid
+        # takes 9-12 iterations below 0.3 MByte/s and 29-30 at 0.95), so
+        # the blocks take the points bandwidth-major.
+        order = np.lexsort((eloss, wlat, inv_bw))
+        blocks = -(-P // self._block_points(np)) or 1
+        parts = [self._iterate(np, params[:, cols], max_iters, order_tol)
+                 for cols in np.array_split(order, blocks)]
+        order_changes: Counter = Counter()
+        for *_, flips in parts:
+            order_changes.update(flips)
+        caller = np.argsort(order)    # back in the caller's point order
+        runtimes, converged, iters = (np.concatenate(arrays)[caller]
+                                      for arrays in list(zip(*parts))[:3])
         return AdaptiveResult(runtimes=runtimes, converged=converged,
-                              iterations=iters, order_changes=flips,
+                              iterations=iters,
+                              order_changes=dict(order_changes),
                               max_iters=max_iters)
 
     # ------------------------------------------------------------------

@@ -130,9 +130,20 @@ class Decision:
     pricer: Optional[Pricer] = None
     topology_for: Callable[[float, float], Topology] = grids.multi_cluster
 
+    def _simulated(self) -> Dict[tuple, float]:
+        """``{(bw, lat): runtime}`` of the validated corners: they were
+        simulated anyway, so every price there is the ground truth and
+        agrees bit for bit with a full sweep."""
+        return {(vp.bandwidth_mbyte_s, vp.latency_ms): vp.simulated_runtime
+                for vp in self.validation.points}
+
     def price_point(self, bandwidth: float, latency_ms: float) -> float:
-        """The rung's runtime at one point; where it has no trustworthy
-        price (an unconverged adaptive point) the evaluator's."""
+        """The rung's runtime at one point: the simulated runtime at a
+        validated corner; where the rung has no trustworthy price (an
+        unconverged adaptive point) the evaluator's."""
+        simulated = self._simulated().get((bandwidth, latency_ms))
+        if simulated is not None:
+            return simulated
         topology = self.topology_for(bandwidth, latency_ms)
         try:
             return self.pricer.evaluate(topology)
@@ -146,9 +157,12 @@ class Decision:
         order: a point the rung could not price is re-priced by the
         interpreted evaluator and listed, instead of trusting a capped
         value.  The float walk has no loss term, so under a
-        ``loss_rate`` nothing downgrades and such a point stays None."""
+        ``loss_rate`` nothing downgrades and such a point stays None.
+        Without a loss rate the validated corners read their simulated
+        runtimes, as :meth:`price_point` does."""
         losses = None if loss_rate is None else [loss_rate]
         rows = self.pricer.grid(bandwidths, latencies, losses)
+        simulated = {} if losses else self._simulated()
         runtimes, downgraded = {}, []
         for lat, row in zip(latencies, rows[0] if losses else rows):
             for bw, runtime in zip(bandwidths, row):
@@ -156,8 +170,8 @@ class Decision:
                     downgraded.append((bw, lat))
                     runtime = self.backend.evaluator.evaluate(
                         self.topology_for(bw, lat))
-                runtimes[bw, lat] = \
-                    runtime if runtime is None else float(runtime)
+                runtimes[bw, lat] = simulated.get(
+                    (bw, lat), runtime if runtime is None else float(runtime))
         return runtimes, downgraded
 
     def summary(self) -> Dict[str, Any]:

@@ -157,6 +157,38 @@ def test_cli_reports_stats_and_cleared_bytes(cache, capsys):
     assert len(cache) == 0
 
 
+def program_entry(kind, nodes, levels):
+    """A compiled-program entry shaped like the replay backend's."""
+    return {"kind": kind, "app": "fft", "variant": "unoptimized",
+            "scale": "bench", "seed": 0, "ranks": 32,
+            "fingerprint": f"{kind}-fingerprint",
+            "stats": {"nodes": nodes, "levels": levels},
+            "program": {"format": 1}}
+
+
+def test_cli_ls_renders_both_program_kinds(cache, capsys):
+    cache.store("frozen", program_entry("replay", 69971, 9350))
+    cache.store("adaptive", program_entry("replay-adaptive", 15169, 101))
+    cache_main(["ls", "--root", cache.root])
+    out = capsys.readouterr().out
+    assert "ref fp=replay-finge -> program 69971 nodes / 9350 levels " \
+        "[replay]" in out
+    assert "ref fp=replay-adapt -> program 15169 nodes / 101 levels " \
+        "[replay-adaptive]" in out
+    assert "no usable runtime" not in out
+
+
+def test_cli_clear_drops_one_program_kind(cache, capsys):
+    cache.put("fft", "unoptimized", "bench", 0,
+              grids.multi_cluster(0.95, 3.3), 1.5)
+    cache.store("frozen", program_entry("replay", 69971, 9350))
+    cache.store("adaptive", program_entry("replay-adaptive", 15169, 101))
+    cache_main(["clear", "--root", cache.root, "--kind", "replay-adaptive"])
+    assert "removed 1 replay-adaptive entr(ies)" in capsys.readouterr().out
+    assert sorted(SimCache.entry_kind(e) for e in cache.entries()) == \
+        ["replay", "runtime"]
+
+
 # ----------------------------------------------------------------------
 # Read-through coherence: the in-process map never outlives the file
 # ----------------------------------------------------------------------

@@ -33,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import grids
+from repro.replay import adaptive as adaptive_module
 from repro.replay import program as program_module
 from repro.replay import require_numpy
 from repro.replay.adaptive import DEFAULT_MAX_ITERS, AdaptiveProgram
@@ -358,3 +359,98 @@ def test_adaptive_entry_points_refuse_unpriceable_axes(bws, lats, named):
     with pytest.raises(ValueError, match="loss rate 0.5"):
         prog.price_adaptive(grids.multi_cluster(1.0, 1.0), loss_rate=0.5)
     assert prog.price_grid_adaptive([], [1.0]).runtimes.shape == (1, 0)
+
+
+# ----------------------------------------------------------------------
+# Bounded point blocks: the plan never outgrows PLAN_BYTES, and the
+# blocks change no bit
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def fft_program():
+    return adaptive_program("fft", "unoptimized")
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """The point count of every block ``_iterate`` ran, in order."""
+    seen = []
+    iterate = AdaptiveProgram._iterate
+
+    def counting(self, np_, params, *args):
+        seen.append(params.shape[1])
+        return iterate(self, np_, params, *args)
+    monkeypatch.setattr(AdaptiveProgram, "_iterate", counting)
+    return seen
+
+
+def test_paper_grid_keeps_the_workspace_within_the_plan_budget(
+        fft_program, monkeypatch):
+    monkeypatch.setattr(program_module._WORKSPACE, "buf", None)
+    result = fft_program.price_grid_adaptive(grids.BANDWIDTHS_MBYTE_S,
+                                             grids.LATENCIES_MS)
+    assert result_digest(result) == FFT_GRID_PIN
+    assert program_module._WORKSPACE.buf.nbytes <= adaptive_module.PLAN_BYTES
+
+
+def flat_digest(results):
+    """Runtimes to the bit, converged flags and iterations of
+    ``results`` in order, and their summed order changes."""
+    changes = {}
+    for result in results:
+        for kind, n in result.order_changes.items():
+            changes[kind] = changes.get(kind, 0) + n
+    return ([float(x).hex() for r in results for x in r.runtimes.ravel()],
+            [bool(x) for r in results for x in r.converged.ravel()],
+            [int(x) for r in results for x in r.iterations.ravel()],
+            changes)
+
+
+def one_call_per_point(prog, points, loss_rate):
+    return flat_digest([prog.price_points_adaptive([point], loss_rate)
+                        for point in points])
+
+
+def test_blocked_grids_match_one_call_per_point(fft_program, monkeypatch,
+                                                blocks):
+    prog = fft_program
+    monkeypatch.setattr(adaptive_module, "PLAN_BYTES", 6 << 20)
+    assert prog._block_points(np) == 4                # 1.5 MB a point
+    bws, lats = (6.3, 0.95, 0.1), (0.5, 10.0, 300.0)
+    grid = prog.price_grid_adaptive(bws, lats)
+    assert blocks == [3, 3, 3]
+    points = [(bw, lat) for lat in lats for bw in bws]
+    assert flat_digest([grid]) == one_call_per_point(prog, points, 0.0)
+
+    rates = (0.0, 0.01, 0.05, 0.2)
+    blocks.clear()
+    lossy = prog.price_grid_adaptive(bws[:2], lats[:2], loss_rates=rates)
+    assert lossy.runtimes.shape == (4, 2, 2) and blocks == [4, 4, 4, 4]
+    solo = [one_call_per_point(prog, points[:2] + points[3:5], rate)
+            for rate in rates]
+    got = flat_digest([lossy])
+    assert got[:3] == tuple(sum((s[i] for s in solo), []) for i in range(3))
+    # Under loss a one-column matmul (numpy's matrix-vector path) rounds
+    # some arrival costs differently from a wider one: the fixed point
+    # does not move, but the order changes seen on the way can, so the
+    # tally is compared with one unblocked call instead.
+    monkeypatch.setattr(adaptive_module, "PLAN_BYTES", 1 << 40)
+    blocks.clear()
+    whole = prog.price_grid_adaptive(bws[:2], lats[:2], loss_rates=rates)
+    assert blocks == [16] and flat_digest([whole]) == got
+
+
+def test_empty_axes_price_to_empty_arrays(fft_program):
+    empty = fft_program.price_grid_adaptive([], [1.0], loss_rates=[0.0, 0.1])
+    assert empty.runtimes.shape == empty.iterations.shape == (2, 1, 0)
+    assert empty.order_changes == {} and empty.all_converged
+    assert fft_program.price_points_adaptive([]).runtimes.shape == (0,)
+
+
+def test_a_budget_below_one_point_prices_one_point_per_block(
+        fft_program, monkeypatch, blocks):
+    monkeypatch.setattr(adaptive_module, "PLAN_BYTES", 1)
+    assert fft_program._block_points(np) == 1
+    corners = corner_points(grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS)
+    result = fft_program.price_points_adaptive(corners)
+    assert blocks == [1, 1, 1, 1]
+    assert result_digest(result) == CORNER_PINS["fft/unoptimized"]

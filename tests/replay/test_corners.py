@@ -89,3 +89,18 @@ def test_corner_repr_equality_timing_dependent(app, variant, seed,
     assert repr(replayed.baseline_runtime) == repr(truth.baseline_runtime)
     for key, truth_point in truth.points.items():
         assert repr(replayed.points[key]) == repr(truth_point)
+
+
+@pytest.mark.parametrize("app,variant,rung", [
+    ("asp", "optimized", "replay"), ("water", "optimized", "predict")])
+def test_speedup_at_reads_the_grid_at_the_corners(app, variant, rung,
+                                                  shared_cache):
+    """Figure 4 and ``clusters`` read ``speedup_at``: at a validated
+    corner it must be the grid's simulated point, not the rung's price."""
+    sweeper = Sweeper(backend="replay", cache=shared_cache)
+    grid = sweeper.speedup_grid(app, variant)
+    assert grid.backend == rung
+    for bw in CORNER_BWS:
+        for lat in CORNER_LATS:
+            assert repr(sweeper.speedup_at(app, variant, bw, lat)) == \
+                repr(grid.points[bw, lat])
