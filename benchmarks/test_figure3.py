@@ -1,8 +1,8 @@
 """Figure 3 benchmark: the central sensitivity result, on a reduced grid.
 
 Each test regenerates the rows of one panel that carry the paper's
-claims and asserts the curve shapes; ``python -m repro.experiments.figure3``
-prints the full 6x7 panels.
+claims and asserts the curve shapes; ``python -m repro figure3`` prints
+the full 6x7 panels.
 """
 
 import pytest

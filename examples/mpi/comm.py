@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..magpie.interface import get_impl
-from ..runtime.context import Context
+from repro.magpie.interface import get_impl
+from repro.runtime.context import Context
 
 ANY_SOURCE: Optional[int] = None
 

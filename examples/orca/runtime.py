@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Iterable, List, Mapping, Optional, Tuple
 
-from ..runtime.context import CONTROL_BYTES, Context
+from repro.runtime.context import CONTROL_BYTES, Context
 from .objects import ObjectSpec, Placement
 
 ORCA_TAG = "orca-svc"

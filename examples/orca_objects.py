@@ -12,8 +12,8 @@ placement decision interacts with the NUMA gap.
 Run: ``python examples/orca_objects.py``
 """
 
+from orca import ObjectSpec, OrcaEnv, Placement, choose_placement
 from repro import das_topology
-from repro.orca import ObjectSpec, OrcaEnv, Placement, choose_placement
 from repro.runtime import Machine
 
 BOUND = ObjectSpec(

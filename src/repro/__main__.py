@@ -5,61 +5,69 @@ Lists and dispatches the experiment harnesses (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import importlib
 import sys
-from functools import partial
 
-from .experiments import (
-    ablations,
-    algselect,
-    bench,
-    breakdown,
-    clusters,
-    degraded,
-    export,
-    figure1,
-    figure3,
-    figure4,
-    magpie_bench,
-    table1,
-    table2,
-    variability,
-)
-from .critpath import cli as profile_cli
-from .experiments import cache as cache_cli
-from .faults import cli as chaos_cli
-from .lint import cli as lint_cli
-from .obs import cli as trace_cli
-from .replay import cli as replay_cli
-from .serve import cli as serve_cli
-
+#: name -> ("module:function", one-line help).  A command's module is
+#: imported only when that command runs.
 COMMANDS = {
-    "table1": (table1.main, "Table 1: single-cluster speedups/traffic/runtime"),
-    "table2": (table2.main, "Table 2: patterns, optimizations, WAN message cuts"),
-    "figure1": (figure1.main, "Figure 1: inter-cluster traffic scatter"),
-    "figure3": (figure3.main, "Figure 3: relative-speedup panels (the main result)"),
-    "figure4": (figure4.main, "Figure 4: communication-time percentages"),
-    "clusters": (clusters.main, "Section 5.1: 8x4 vs 4x8 cluster structure"),
-    "magpie": (magpie_bench.main, "Section 6: MagPIe vs MPICH collectives"),
-    "variability": (variability.main, "Further work: WAN latency/bandwidth jitter"),
-    "breakdown": (breakdown.main, "Per-rank time breakdown at a grid point"),
-    "ablations": (ablations.main, "Ablations of each optimization's ingredients"),
-    "export": (export.main, "Export experiment data as CSV/JSON"),
-    "algselect": (algselect.main, "Collective algorithm selection across the gap"),
-    "trace": (trace_cli.main, "Run one app instrumented; write Perfetto trace + report"),
-    "profile": (profile_cli.main, "Critical-path profile: time attribution + WAN blame"),
-    "whatif": (partial(replay_cli.main, entry="predict"),
-               "Record-once what-if analysis: Figure-3 grid from the recorded DAG"),
-    "replay": (replay_cli.main, "The same from the top of the ladder: compiled replay programs"),
-    "cache": (cache_cli.main, "Inspect/clear the on-disk simulation result cache"),
-    "bench": (bench.main, "Performance ledger runs; record/check BENCH_simperf.json"),
-    "lint": (lint_cli.main, "Static determinism/protocol lint over app modules"),
-    "protograph": (lint_cli.protograph_main,
+    "table1": ("repro.experiments.table1:main",
+               "Table 1: single-cluster speedups/traffic/runtime"),
+    "table2": ("repro.experiments.table2:main",
+               "Table 2: patterns, optimizations, WAN message cuts"),
+    "figure1": ("repro.experiments.figure1:main",
+                "Figure 1: inter-cluster traffic scatter"),
+    "figure3": ("repro.experiments.figure3:main",
+                "Figure 3: relative-speedup panels (the main result)"),
+    "figure4": ("repro.experiments.figure4:main",
+                "Figure 4: communication-time percentages"),
+    "clusters": ("repro.experiments.clusters:main",
+                 "Section 5.1: 8x4 vs 4x8 cluster structure"),
+    "magpie": ("repro.experiments.magpie_bench:main",
+               "Section 6: MagPIe vs MPICH collectives"),
+    "variability": ("repro.experiments.variability:main",
+                    "Further work: WAN latency/bandwidth jitter"),
+    "breakdown": ("repro.experiments.breakdown:main",
+                  "Per-rank time breakdown at a grid point"),
+    "ablations": ("repro.experiments.ablations:main",
+                  "Ablations of each optimization's ingredients"),
+    "export": ("repro.experiments.export:main",
+               "Export experiment data as CSV/JSON"),
+    "algselect": ("repro.experiments.algselect:main",
+                  "Collective algorithm selection across the gap"),
+    "trace": ("repro.obs.cli:main",
+              "Run one app instrumented; write Perfetto trace + report"),
+    "profile": ("repro.critpath.cli:main",
+                "Critical-path profile: time attribution + WAN blame"),
+    "whatif": ("repro.replay.cli:whatif_main",
+               "Record-once what-if analysis: Figure-3 grid from the "
+               "recorded DAG"),
+    "replay": ("repro.replay.cli:main",
+               "The same from the top of the ladder: compiled replay "
+               "programs"),
+    "cache": ("repro.experiments.cache:main",
+              "Inspect/clear the on-disk simulation result cache"),
+    "bench": ("repro.experiments.bench:main",
+              "Performance ledger runs; record/check BENCH_simperf.json"),
+    "lint": ("repro.lint.cli:main",
+             "Static determinism/protocol lint over app modules"),
+    "protograph": ("repro.lint.cli:protograph_main",
                    "Export static communication graphs + stability labels"),
-    "chaos": (chaos_cli.main, "Run one app under an injected WAN fault plan"),
-    "degraded": (degraded.main, "Figure 3 re-run under fixed WAN loss rates"),
-    "serve": (serve_cli.serve_main, "Run the simulation-as-a-service front end"),
-    "submit": (serve_cli.submit_main, "Submit a job to a running serve instance"),
+    "chaos": ("repro.faults.cli:main",
+              "Run one app under an injected WAN fault plan"),
+    "degraded": ("repro.experiments.degraded:main",
+                 "Figure 3 re-run under fixed WAN loss rates"),
+    "serve": ("repro.serve.cli:serve_main",
+              "Run the simulation-as-a-service front end"),
+    "submit": ("repro.serve.cli:submit_main",
+               "Submit a job to a running serve instance"),
 }
+
+
+def resolve(name: str):
+    """The entry function of command ``name``, importing its module."""
+    module, function = COMMANDS[name][0].split(":")
+    return getattr(importlib.import_module(module), function)
 
 
 def main(argv=None) -> int:
@@ -75,7 +83,7 @@ def main(argv=None) -> int:
         print(f"unknown experiment {name!r}; run `python -m repro --help`",
               file=sys.stderr)
         return 2
-    rc = COMMANDS[name][0](rest)
+    rc = resolve(name)(rest)
     return int(rc) if rc else 0
 
 

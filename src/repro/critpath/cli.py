@@ -109,7 +109,3 @@ def main(argv: Optional[list] = None) -> None:
         print(profile.render_text(top_edges=args.top))
         print(f"dominant bottleneck: {profile.dominant_bucket()}  "
               f"(attribution residual {profile.max_residual():.2e}s)")
-
-
-if __name__ == "__main__":
-    main()

@@ -1,6 +1,7 @@
 """Experiment harnesses regenerating every table and figure of the paper.
 
-Each module is runnable (``python -m repro.experiments.<name>``):
+Each module is one ``python -m repro <name>`` command (``magpie_bench``
+is ``magpie``):
 
 - ``table1``       — Table 1 single-cluster speedups/traffic/runtimes
 - ``table2``       — Table 2 patterns/optimizations + WAN message cuts

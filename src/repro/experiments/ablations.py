@@ -15,7 +15,7 @@ Four sweeps, each isolating one knob the paper's analysis hinges on:
   coordinator role across cluster members versus concentrating it on the
   leader rank.
 
-Run: ``python -m repro.experiments.ablations [which ...]``
+Run: ``python -m repro ablations [which ...]``
 """
 
 from __future__ import annotations
@@ -131,7 +131,3 @@ def main(argv: Optional[list] = None) -> None:
         fn, headers = ABLATIONS[name]
         print(render_table(headers, fn(args.scale), title=f"Ablation: {name}"))
         print()
-
-
-if __name__ == "__main__":
-    main()

@@ -7,7 +7,7 @@ broadcast, allgather and allreduce at three operating points (flat fast
 network, moderate WAN, harsh WAN) and prints the winner per cell — the
 tuning table a MagPIe-style library would ship.
 
-Run: ``python -m repro.experiments.algselect [--size 8192]``
+Run: ``python -m repro algselect [--size 8192]``
 """
 
 from __future__ import annotations
@@ -143,7 +143,3 @@ def main(argv: Optional[list] = None) -> None:
             for op in OPERATIONS]
     print(render_table(["operation"] + list(OPERATING_POINTS), rows,
                        title="Winner per cell"))
-
-
-if __name__ == "__main__":
-    main()

@@ -5,7 +5,7 @@ simulator's internal accounting: average per-rank shares of compute,
 receive-blocked time, and messaging overhead, plus load imbalance (the
 spread of per-rank compute), for each application at a chosen grid point.
 
-Run: ``python -m repro.experiments.breakdown [--bw 0.95] [--lat 10]``
+Run: ``python -m repro breakdown [--bw 0.95] [--lat 10]``
 """
 
 from __future__ import annotations
@@ -81,7 +81,3 @@ def main(argv: Optional[list] = None) -> None:
         title=(f"Per-rank time breakdown at {args.bw} MByte/s, "
                f"{args.lat} ms (4x8, mean over ranks)"),
     ))
-
-
-if __name__ == "__main__":
-    main()

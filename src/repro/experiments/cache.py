@@ -408,7 +408,3 @@ def main(argv: Optional[list] = None) -> None:
                 where = entry.get("topology", "?")
             print(f"    scale={entry.get('scale')} seed={entry.get('seed')} "
                   f"{where} -> {shown}{suffix}")
-
-
-if __name__ == "__main__":
-    main()

@@ -6,7 +6,7 @@ because the fully-connected WAN's bisection bandwidth grows with the
 cluster count (7 outgoing links per cluster instead of 3), and
 performance is limited by wide-area bandwidth.
 
-Run: ``python -m repro.experiments.clusters [--scale bench|paper]``
+Run: ``python -m repro clusters [--scale bench|paper]``
 """
 
 from __future__ import annotations
@@ -67,7 +67,3 @@ def main(argv: Optional[list] = None) -> None:
                    f"diminish or vanish on star/ring)"),
         ))
         print()
-
-
-if __name__ == "__main__":
-    main()

@@ -14,9 +14,9 @@ reference grid point and counts retransmissions, so the cost of loss is
 visible even where the panels look similar.
 
 Run:
-    python -m repro.experiments.degraded                   # 1% loss, all apps
-    python -m repro.experiments.degraded --loss 0.01 0.05 --apps water asp
-    python -m repro.experiments.degraded --skip-panels     # overhead table only
+    python -m repro degraded                   # 1% loss, all apps
+    python -m repro degraded --loss 0.01 0.05 --apps water asp
+    python -m repro degraded --skip-panels     # overhead table only
 """
 
 from __future__ import annotations
@@ -111,7 +111,3 @@ def main(argv: Optional[list] = None) -> None:
                       args.seed, blame=args.blame),
         title=(f"Runtime overhead of WAN loss at {REFERENCE_BANDWIDTH:g} "
                f"MByte/s, {REFERENCE_LATENCY_MS:g} ms ({args.variant})")))
-
-
-if __name__ == "__main__":
-    main()

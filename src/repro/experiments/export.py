@@ -3,8 +3,8 @@
 The terminal tables are for eyeballs; this module emits the same numbers
 in machine-readable form::
 
-    python -m repro.experiments.export figure3 --apps water --out water.csv
-    python -m repro.experiments.export table1 --format json
+    python -m repro export figure3 --apps water --out water.csv
+    python -m repro export table1 --format json
 
 Supported datasets: ``table1``, ``figure1``, ``figure3``, ``figure4``,
 and ``traffic`` (the per-app inter-cluster pair matrix).
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
@@ -147,24 +148,31 @@ def to_json(rows: List[Dict]) -> str:
 
 
 def main(argv: Optional[list] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="python -m repro export",
+                                     description=__doc__)
     parser.add_argument("dataset", choices=sorted(DATASETS))
     parser.add_argument("--format", default="csv", choices=["csv", "json"])
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--scale", default=None, choices=[None, "paper", "bench"])
+    parser.add_argument("--scale", default=None, choices=["paper", "bench"])
     parser.add_argument("--apps", nargs="*", default=None,
                         choices=grids.APPS)
     parser.add_argument("--faults", type=float, default=None, metavar="LOSS",
                         help="traffic dataset only: run under uniform WAN "
                              "loss (probability) with the reliable transport")
     args = parser.parse_args(argv)
+    for flag in ("apps", "faults"):
+        takers = [name for name, rows in sorted(DATASETS.items())
+                  if flag in inspect.signature(rows).parameters]
+        if getattr(args, flag) is not None and args.dataset not in takers:
+            parser.error(f"--{flag} applies only to "
+                         f"{' and '.join(takers)}, not {args.dataset}")
 
     kwargs = {}
     if args.scale:
         kwargs["scale"] = args.scale
-    if args.apps and args.dataset in ("figure3", "traffic"):
+    if args.apps:
         kwargs["apps"] = args.apps
-    if args.faults is not None and args.dataset == "traffic":
+    if args.faults is not None:
         from ..faults import FaultPlan
 
         kwargs["faults"] = FaultPlan.wan_loss(args.faults)
@@ -176,7 +184,3 @@ def main(argv: Optional[list] = None) -> None:
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     else:
         print(text, end="")
-
-
-if __name__ == "__main__":
-    main()

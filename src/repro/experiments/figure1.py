@@ -5,7 +5,7 @@ links, reporting MByte/s per cluster against messages/s per cluster —
 the scatter the paper uses to place the applications in communication
 space (TSP bottom-left, Awari far right, Barnes-Hut/FFT top).
 
-Run: ``python -m repro.experiments.figure1 [--scale paper|bench]``
+Run: ``python -m repro figure1 [--scale paper|bench]``
 """
 
 from __future__ import annotations
@@ -73,7 +73,3 @@ def main(argv: Optional[list] = None) -> None:
                f"(4x8, {grids.FIGURE1_BANDWIDTH} MByte/s, "
                f"{grids.FIGURE1_LATENCY_MS} ms, scale={args.scale})"),
     ))
-
-
-if __name__ == "__main__":
-    main()

@@ -6,10 +6,10 @@ all-Myrinet 32-processor cluster over the {6.3 .. 0.03} MByte/s x
 {0.5 .. 300} ms grid on 4 clusters of 8.
 
 Run:
-    python -m repro.experiments.figure3                # all panels, bench scale
-    python -m repro.experiments.figure3 --apps water asp --variant optimized
-    python -m repro.experiments.figure3 --scale paper  # full step counts (slow)
-    python -m repro.experiments.figure3 --backend replay  # analytic panels
+    python -m repro figure3                # all panels, bench scale
+    python -m repro figure3 --apps water asp --variant optimized
+    python -m repro figure3 --scale paper  # full step counts (slow)
+    python -m repro figure3 --backend replay  # analytic panels
 """
 
 from __future__ import annotations
@@ -96,7 +96,3 @@ def main(argv: Optional[list] = None) -> None:
                 print()
                 print(render_blame_panel(app, variant, letters))
             print()
-
-
-if __name__ == "__main__":
-    main()

@@ -6,7 +6,7 @@ The metric is the paper's ``(T_M - T_L) / T_M * 100`` — the fraction of
 the multi-cluster run time attributable to the slow interconnect.
 Optimized variants are used (FFT has none), as in the paper's analysis.
 
-Run: ``python -m repro.experiments.figure4 [--scale bench|paper]``
+Run: ``python -m repro figure4 [--scale bench|paper]``
 """
 
 from __future__ import annotations
@@ -73,7 +73,3 @@ def main(argv: Optional[list] = None) -> None:
         latency_panel(sweeper), lat_labels,
         f"Figure 4 (right) — communication time vs latency at "
         f"{grids.FIGURE4_BANDWIDTH} MByte/s", "latency ms")
-
-
-if __name__ == "__main__":
-    main()

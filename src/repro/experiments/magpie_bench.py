@@ -5,7 +5,7 @@ paper's operating point (10 ms one-way latency, 1 MByte/s per link) and
 reports the flat/MagPIe completion-time ratio, plus a latency sweep
 showing how the absolute advantage grows.
 
-Run: ``python -m repro.experiments.magpie_bench``
+Run: ``python -m repro magpie``
 """
 
 from __future__ import annotations
@@ -83,7 +83,3 @@ def main(argv: Optional[list] = None) -> None:
         sweep,
         title="Broadcast latency sweep — the absolute advantage grows with latency",
     ))
-
-
-if __name__ == "__main__":
-    main()

@@ -1,6 +1,6 @@
 """Table 1: single-cluster speedups, traffic and runtime at paper scale.
 
-Run: ``python -m repro.experiments.table1 [--scale paper|bench]``
+Run: ``python -m repro table1 [--scale paper|bench]``
 """
 
 from __future__ import annotations
@@ -75,7 +75,3 @@ def main(argv: Optional[list] = None) -> None:
         rows,
         title=f"Table 1 — measured (paper) at scale={args.scale}",
     ))
-
-
-if __name__ == "__main__":
-    main()

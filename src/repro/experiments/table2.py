@@ -4,7 +4,7 @@ The table itself is a design inventory; to make it verifiable we also
 print a measured fingerprint of each pattern — the WAN message reduction
 the optimization achieves at the Figure-1 reference point.
 
-Run: ``python -m repro.experiments.table2``
+Run: ``python -m repro table2``
 """
 
 from __future__ import annotations
@@ -51,7 +51,3 @@ def main(argv: Optional[list] = None) -> None:
         rows,
         title="Table 2 — patterns, optimizations, and measured WAN message cuts",
     ))
-
-
-if __name__ == "__main__":
-    main()

@@ -14,7 +14,7 @@ rows) degrade the most under latency jitter — each round trip waits for
 its own unlucky draws — while bandwidth fluctuation mostly hurts the
 volume-bound applications.
 
-Run: ``python -m repro.experiments.variability``
+Run: ``python -m repro variability``
 """
 
 from __future__ import annotations
@@ -80,7 +80,3 @@ def main(argv: Optional[list] = None) -> None:
                    f"(optimized apps, 10 ms / 1 MByte/s)"),
         ))
         print()
-
-
-if __name__ == "__main__":
-    main()

@@ -170,7 +170,3 @@ def main(argv: Optional[list] = None) -> int:
             return 1
         print("replay: identical")
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

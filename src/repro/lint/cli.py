@@ -198,7 +198,3 @@ def protograph_main(argv: Optional[list] = None) -> int:
     else:
         print(text)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -228,13 +228,11 @@ class ModuleSet:
         """Module set over the installed ``repro`` package sources.
 
         ``roots`` restricts to sub-packages (default: the interprocedural
-        surface named by the analyzer spec — apps, runtime, mpi, magpie,
-        orca).
+        surface named by the analyzer spec — apps, runtime, magpie).
         """
         pkg_dir = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
-        subdirs = list(roots) if roots else [
-            "apps", "runtime", "mpi", "magpie", "orca"]
+        subdirs = list(roots) if roots else ["apps", "runtime", "magpie"]
         files: List[Tuple[str, str]] = []
         for sub in subdirs:
             base = os.path.join(pkg_dir, sub)

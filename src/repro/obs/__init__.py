@@ -10,8 +10,8 @@ fast-path flag checks):
   the standard :class:`MetricsCollector` subscriber.
 - :mod:`repro.obs.perfetto` — Chrome/Perfetto ``trace_event`` JSON export.
 - :mod:`repro.obs.report` — JSON-lines run reports.
-- :mod:`repro.obs.cli` — the ``python -m repro trace`` command (imported
-  lazily by ``repro.__main__`` to avoid import cycles).
+- :mod:`repro.obs.cli` — the ``python -m repro trace`` command
+  (``repro.__main__`` imports it only when that command runs).
 
 Typical instrumented run::
 

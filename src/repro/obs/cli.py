@@ -118,7 +118,3 @@ def main(argv: Optional[list] = None) -> None:
             print("sanitizer: clean (FIFO, conservation, monotonicity)")
     print(f"wrote {events} trace events to {out_path}")
     print(f"wrote run report to {report_path}", file=sys.stderr)
-
-
-if __name__ == "__main__":
-    main()

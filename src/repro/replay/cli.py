@@ -48,6 +48,11 @@ def _loss_panel(grid: SpeedupGrid, loss_rate: float) -> Optional[str]:
     return render_panel(lossy)
 
 
+def whatif_main(argv: Optional[list] = None) -> int:
+    """``whatif``: the ladder entered at its ``predict`` rung."""
+    return main(argv, entry="predict")
+
+
 def main(argv: Optional[list] = None, entry: str = "replay") -> int:
     """Both command names: ``entry`` is the rung the ladder is entered
     at — ``"replay"`` for ``replay``, ``"predict"`` for ``whatif``."""

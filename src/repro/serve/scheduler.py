@@ -17,6 +17,8 @@ client of it; tests drive it directly):
 - **Sharding** — misses fan out over one persistent
   :class:`~concurrent.futures.ProcessPoolExecutor` shared by every job,
   so a long sweep and a one-point probe interleave at point granularity.
+  A pool that loses a worker is swapped for a fresh one: the points it
+  was running land as typed per-point failures, later points run.
 - **Streaming** — results are emitted as they land.  A job's record
   list is its only log: a subscriber is a cursor into it plus a wake-up
   flag, so attaching at any time first replays the history, a stream
@@ -36,8 +38,11 @@ grid point, and a terminal ``end`` carrying the final state.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import time
 from collections import deque
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import islice
 from typing import Any, AsyncIterator, Deque, Dict, List, Optional, Set
@@ -132,19 +137,27 @@ class Scheduler:
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
         if self._started:
             return
+        self._pool = self._new_pool()
+        self._started = True
+
+    def _new_pool(self) -> ProcessPoolExecutor:
         # "spawn", not the platform default "fork": forked children would
         # inherit dups of whatever connection sockets happen to be open at
         # first dispatch, and peers would never see EOF after the server
         # closes its side of those connections.
-        self._pool = ProcessPoolExecutor(
+        return ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=multiprocessing.get_context("spawn"))
-        self._started = True
+
+    def _renew_pool(self, broken: ProcessPoolExecutor) -> None:
+        """Swap ``broken`` (a pool that lost a worker) for a fresh one of
+        the same size, once however many of its futures report it."""
+        if self._pool is broken:
+            broken.shutdown(wait=False, cancel_futures=True)
+            self._pool = self._new_pool()
+            self.registry.counter("serve.pool.restarts").inc()
 
     async def stop(self) -> None:
         """Cancel everything in flight and shut the pool down."""
@@ -366,7 +379,23 @@ class Scheduler:
             payload["max_events"] = self.policy.effective_max_events(job.spec)
         job.dispatched += 1
         self.registry.counter("serve.points.dispatched").inc()
-        return asyncio.get_running_loop().run_in_executor(self._pool, fn, payload)
+        loop, pool = asyncio.get_running_loop(), self._pool
+        try:
+            future = loop.run_in_executor(pool, fn, payload)
+        except BrokenProcessPool:   # a worker died while the pool idled
+            self._renew_pool(pool)
+            pool = self._pool
+            future = loop.run_in_executor(pool, fn, payload)
+
+        def renew_if_broken(done: asyncio.Future) -> None:
+            # A worker died under this point: it fails (typed, per point)
+            # and the points after it get a working pool.
+            if not done.cancelled() and isinstance(done.exception(),
+                                                   BrokenProcessPool):
+                self._renew_pool(pool)
+
+        future.add_done_callback(renew_if_broken)
+        return future
 
     async def _await_or_cancel(self, job: Job, futures: Set[asyncio.Future]):
         """Wait for any future OR a cancel request; returns done set."""

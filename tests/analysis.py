@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..network.topology import Topology
+from repro.network.topology import Topology
 
 
 def wan_rtt(topo: Topology) -> float:

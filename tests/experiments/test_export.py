@@ -99,3 +99,28 @@ def test_traffic_rows_under_wan_loss_count_faults():
     assert len(drops) == 1 and drops.pop() > 0
     assert len(resent) == 1 and resent.pop() > 0
     assert all(r["acks"] > 0 for r in rows)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["figure4", "--apps", "water"],
+     "--apps applies only to figure3 and traffic, not figure4"),
+    (["table1", "--apps", "asp"],
+     "--apps applies only to figure3 and traffic, not table1"),
+    (["table1", "--faults", "0.01"],
+     "--faults applies only to traffic, not table1"),
+    (["figure3", "--faults", "0.01"],
+     "--faults applies only to traffic, not figure3"),
+    (["figure1", "--scale", "None"], "invalid choice: 'None'"),
+], ids=["figure4-apps", "table1-apps", "table1-faults", "figure3-faults",
+        "scale-None"])
+def test_flags_a_dataset_does_not_take_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_scale_help_offers_only_real_scales(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "{paper,bench}" in capsys.readouterr().out

@@ -3,7 +3,8 @@
 These drive the :class:`~repro.serve.scheduler.Scheduler` directly (no
 HTTP) on a thread pool, which runs the same picklable worker functions
 in-process — fast, and every code path except process spawning is the
-production one.
+production one.  The pool-recovery tests at the end use a real spawn
+pool, since what they test is a worker process dying.
 """
 
 import asyncio
@@ -15,8 +16,8 @@ import pytest
 
 from repro.experiments.cache import SimCache
 from repro.obs.report import RunReporter
-from repro.serve.jobs import (CANCELLED, DONE, QUEUED, AdmissionError,
-                              InvalidJob, UnknownJob)
+from repro.serve.jobs import (CANCELLED, DONE, FAILED, QUEUED,
+                              AdmissionError, InvalidJob, UnknownJob)
 from repro.serve.scheduler import AdmissionPolicy, Scheduler
 
 
@@ -569,3 +570,81 @@ def test_content_hash_is_derived_once_per_spec(tmp_path, monkeypatch):
         for bw, lat in job.spec.points():
             job.spec.cache_key(bw, lat)          # suffixed: chaos + faults
     assert len(calls) == 2                       # one hash, one key suffix
+
+
+# ----------------------------------------------------------------------
+# Pool recovery (a real spawn pool: the failure is a dead process)
+# ----------------------------------------------------------------------
+def point_runtimes(records):
+    return {(r["bandwidth_mbyte_s"], r["latency_ms"]): repr(r["runtime"])
+            for r in records if r["kind"] == "point"}
+
+
+async def kill_workers(scheduler):
+    """Kill every worker process of the scheduler's pool, and wait until
+    the pool itself has noticed."""
+    pool = scheduler._pool
+    processes = list(pool._processes.values())
+    assert processes
+    for process in processes:
+        process.kill()
+    for _ in range(3000):
+        if pool._broken:
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError("the pool never noticed its dead workers")
+
+
+def test_pool_with_dead_workers_is_renewed_between_jobs(tmp_path):
+    after = {"app": "water", "bandwidths": [0.95], "latencies": [5.0, 30.0]}
+
+    async def run():
+        scheduler = Scheduler(SimCache(str(tmp_path / "c")), workers=2)
+        await scheduler.start()
+        try:
+            first = await collect(scheduler, scheduler.submit(SPEC).id)
+            assert first[-1]["state"] == DONE
+            await kill_workers(scheduler)
+            second = await collect(scheduler, scheduler.submit(after).id)
+        finally:
+            await scheduler.stop()
+        clean = make_scheduler(tmp_path / "clean")
+        reference = await collect(clean, clean.submit(after).id)
+        await clean.stop()
+        return scheduler, second, reference
+
+    scheduler, second, reference = asyncio.run(run())
+    assert second[-1]["state"] == DONE
+    assert second[-1]["dispatched"] == 2 and second[-1]["failed_points"] == 0
+    assert point_runtimes(second) == point_runtimes(reference)
+    assert scheduler.registry.counter("serve.pool.restarts").value == 1
+
+
+def test_points_in_flight_on_dead_workers_fail_typed(tmp_path):
+    wide = {"app": "water", "bandwidths": [6.3, 0.95, 0.3],
+            "latencies": [0.5, 5.0, 30.0]}
+
+    async def run():
+        scheduler = Scheduler(SimCache(str(tmp_path / "c")), workers=2)
+        await scheduler.start()
+        try:
+            job = scheduler.submit(wide)
+            records = []
+            async for record in scheduler.stream(job.id):
+                records.append(record)
+                if record["kind"] == "baseline":  # points now dispatched
+                    await kill_workers(scheduler)
+            after = await collect(scheduler, scheduler.submit(SPEC).id)
+        finally:
+            await scheduler.stop()
+        return job, records, after
+
+    job, records, after = asyncio.run(run())
+    end = records[-1]
+    assert end["state"] == job.state == FAILED
+    assert end["points_done"] == end["points_total"] == 10
+    failed = [r for r in records
+              if r["kind"] == "point" and r.get("ok") is False]
+    assert failed and len(failed) == end["failed_points"]
+    assert {r["error"] for r in failed} == {"BrokenProcessPool"}
+    assert after[-1]["state"] == DONE and after[-1]["failed_points"] == 0

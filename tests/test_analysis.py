@@ -7,7 +7,15 @@ sanity anchor for all simulated numbers.
 
 import pytest
 
-from repro.analysis import (
+from repro.apps import run_app
+from repro.apps.asp import AspConfig
+from repro.apps.fft import FftConfig
+from repro.apps.tsp import TspConfig
+from repro.apps.water import WaterConfig
+from repro.network import das_topology
+from repro.runtime import Machine
+
+from .analysis import (
     gateway_bound,
     predict_asp_unoptimized,
     predict_fft,
@@ -16,13 +24,6 @@ from repro.analysis import (
     remote_fraction,
     wan_rtt,
 )
-from repro.apps import run_app
-from repro.apps.asp import AspConfig
-from repro.apps.fft import FftConfig
-from repro.apps.tsp import TspConfig
-from repro.apps.water import WaterConfig
-from repro.network import das_topology
-from repro.runtime import Machine
 
 
 def test_remote_fraction():

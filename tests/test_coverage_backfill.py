@@ -9,10 +9,10 @@ import operator
 
 import pytest
 
+from mpi import ANY_SOURCE, Communicator
+from orca import ObjectSpec, OrcaEnv, Placement
 from repro.magpie import hier
-from repro.mpi import ANY_SOURCE, Communicator
 from repro.network import das_topology, single_cluster
-from repro.orca import ObjectSpec, OrcaEnv, Placement
 from repro.runtime import Machine
 
 TWO_CLUSTERS = das_topology(clusters=2, cluster_size=3)

@@ -4,7 +4,7 @@ import operator
 
 import pytest
 
-from repro.mpi import ANY_SOURCE, Communicator
+from mpi import ANY_SOURCE, Communicator
 from repro.network import das_topology, single_cluster
 from repro.runtime import Machine
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orca import ObjectSpec, OrcaEnv, Placement, choose_placement
 from repro.network import das_topology, single_cluster
-from repro.orca import ObjectSpec, OrcaEnv, Placement, choose_placement
 from repro.runtime import Machine
 
 
