@@ -40,7 +40,6 @@ class AspConfig:
 
     n: int = 1500
     real_data: bool = False
-    seed: int = 0
     sec_per_cell: float = cal.ASP_SEC_PER_CELL
     row_bytes: int = cal.ASP_ROW_BYTES
 
@@ -55,7 +54,7 @@ def _make_driver(cfg: AspConfig, migrating: bool) -> Callable[[Context], Generat
 
         block = None
         if cfg.real_data:
-            full = kernel.random_graph(n, cfg.seed)
+            full = kernel.random_graph(n, ctx.machine.seed)
             block = full[mine.start:mine.stop].copy()
 
         # Sequencer placement: fixed on rank 0, or hosted by every cluster

@@ -65,7 +65,6 @@ class AwariConfig:
     #: Optional factory for a custom stage-DAG game (e.g. games.KaylesGame);
     #: overrides game_tokens/takes when set.
     game_factory: Optional[Callable[[], Any]] = None
-    seed: int = 0
     sec_per_eval: float = cal.AWARI_SEC_PER_EVAL
     sec_per_update: float = cal.AWARI_SEC_PER_UPDATE
     sec_per_pack: float = cal.AWARI_SEC_PER_PACK
@@ -80,7 +79,8 @@ class AwariConfig:
 # ----------------------------------------------------------------------
 # Synthetic workload (paper scale)
 # ----------------------------------------------------------------------
-def _seed_count(cfg: AwariConfig, rank: int, stage: int, p: int) -> int:
+def _seed_count(cfg: AwariConfig, seed: int, rank: int, stage: int,
+                p: int) -> int:
     """Per-rank state count for a stage: the rank's share of the stage's
     fixed total, scaled by a log-normal imbalance factor deterministic per
     (seed, stage, rank).  Real game stages hash unevenly onto processors;
@@ -93,7 +93,7 @@ def _seed_count(cfg: AwariConfig, rank: int, stage: int, p: int) -> int:
     # sample of the stage's states, so relative fluctuations scale like
     # sqrt(p).  ``imbalance_sigma`` is the value at 32 ranks.
     sigma = cfg.imbalance_sigma * math.sqrt(p / 32.0)
-    rng = make_rng(cfg.seed, f"awari-seeds-{stage}-{rank}")
+    rng = make_rng(seed, f"awari-seeds-{stage}-{rank}")
     factor = rng.lognormvariate(-sigma ** 2 / 2, sigma)
     return max(1, round(base * factor))
 
@@ -354,9 +354,9 @@ def _make_driver(cfg: AwariConfig, optimized: bool) -> Callable[[Context], Gener
                         updates.append((kernel.state_owner(pred, p),
                                         ("val", pred, value)))
             else:
-                evals = _seed_count(cfg, rank, stage, p)
+                evals = _seed_count(cfg, ctx.machine.seed, rank, stage, p)
                 yield ctx.compute(evals * cfg.sec_per_eval)
-                updates = _synthetic_updates(cfg.seed, stage, rank, p,
+                updates = _synthetic_updates(ctx.machine.seed, stage, rank, p,
                                              evals * cfg.fanout)
 
             received = yield from exchange(ctx, cfg, stage, updates)

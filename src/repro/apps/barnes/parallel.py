@@ -44,7 +44,6 @@ class BarnesConfig:
     iterations: int = 1
     theta: float = 0.6
     real_data: bool = False
-    seed: int = 0
     sec_per_interaction: float = cal.BARNES_SEC_PER_INTERACTION
     interactions_per_body: float = cal.BARNES_INTERACTIONS_PER_BODY
     sec_tree_per_body: float = cal.BARNES_SEC_TREE_PER_BODY
@@ -115,7 +114,8 @@ def _make_driver(cfg: BarnesConfig, optimized: bool) -> Callable[[Context], Gene
 
         pos = vel = mass = None
         if cfg.real_data:
-            all_pos, all_mass, all_vel = kernel.random_bodies(n, cfg.seed)
+            all_pos, all_mass, all_vel = kernel.random_bodies(
+                n, ctx.machine.seed)
             order = kernel.morton_order(all_pos)
             mine = partition(n, p, rank)
             sel = order[mine.start:mine.stop]

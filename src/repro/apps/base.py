@@ -19,6 +19,11 @@ AppBuilder = Callable[[Any], Callable[[Context], Generator]]
 
 VARIANTS = ("unoptimized", "optimized")
 
+#: ``--seed`` help of every command that runs an app
+SEED_HELP = ("run seed: names the problem instance (each app's input "
+             "data, TSP's job times, Awari's stage loads) and seeds the "
+             "fault and WAN-jitter streams")
+
 _REGISTRY: Dict[Tuple[str, str], AppBuilder] = {}
 _DEFAULT_CONFIGS: Dict[str, Callable[[str], Any]] = {}
 _TIMING_DEPENDENT: Dict[str, bool] = {}
@@ -91,6 +96,11 @@ def run_app(
     max_events: Optional[int] = None,
 ) -> RunResult:
     """Build and run one application variant on ``topology``.
+
+    ``seed`` is the one seed of a run (:attr:`Machine.seed
+    <repro.runtime.machine.Machine.seed>`): it names the problem
+    instance, which every app draws from ``ctx.machine.seed``, and the
+    fault and jitter streams.
 
     ``bus`` (a prepared :class:`~repro.obs.bus.ProbeBus`) instruments the
     run; active run reporters receive a record tagged with app/variant.

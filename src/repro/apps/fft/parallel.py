@@ -27,7 +27,6 @@ class FftConfig:
 
     points: int = 1 << 20
     real_data: bool = False
-    seed: int = 0
     sec_per_point_stage: float = cal.FFT_SEC_PER_BUTTERFLY
     element_bytes: int = cal.FFT_ELEMENT_BYTES
 
@@ -82,7 +81,7 @@ def make_driver(cfg: FftConfig) -> Callable[[Context], Generator]:
 
         block = None
         if cfg.real_data:
-            x = kernel.random_signal(n, cfg.seed)
+            x = kernel.random_signal(n, ctx.machine.seed)
             rows = partition(r, p, rank)
             block = x.reshape(r, c)[rows.start:rows.stop].copy()
 

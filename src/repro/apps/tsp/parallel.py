@@ -41,7 +41,6 @@ class TspConfig:
     job_depth: int = 5
     num_jobs: Optional[int] = 2048  # None = full enumeration (paper scale)
     real_data: bool = False
-    seed: int = 0
     mean_job_sec: float = cal.TSP_MEAN_JOB_SEC
     job_sigma: float = cal.TSP_JOB_SIGMA
     job_bytes: int = cal.TSP_JOB_BYTES
@@ -85,15 +84,11 @@ def _job_durations(seed: int, mean_job_sec: float, job_sigma: float,
                  for job in range(count))
 
 
-def _synthetic_durations(cfg: TspConfig) -> Tuple[float, ...]:
-    """Durations of the synthetic job list :func:`_make_jobs` builds."""
-    return _job_durations(cfg.seed, cfg.mean_job_sec, cfg.job_sigma,
+def _synthetic_durations(cfg: TspConfig, seed: int) -> Tuple[float, ...]:
+    """Durations of the synthetic job list :func:`_make_jobs` builds for
+    the instance ``seed`` names."""
+    return _job_durations(seed, cfg.mean_job_sec, cfg.job_sigma,
                           _synthetic_count(cfg))
-
-
-def _job_duration(cfg: TspConfig, job_index: int) -> float:
-    """Synthetic runtime of one job of ``cfg``'s job list."""
-    return _synthetic_durations(cfg)[job_index]
 
 
 def _work_on(ctx: Context, cfg: TspConfig, job, dist, bound,
@@ -111,10 +106,10 @@ def make_unoptimized(cfg: TspConfig) -> Callable[[Context], Generator]:
     def main(ctx: Context) -> Generator:
         dist = bound = durations = None
         if cfg.real_data:
-            dist = kernel.random_cities(cfg.cities, cfg.seed)
+            dist = kernel.random_cities(cfg.cities, ctx.machine.seed)
             bound = kernel.greedy_bound(dist)
         else:
-            durations = _synthetic_durations(cfg)
+            durations = _synthetic_durations(cfg, ctx.machine.seed)
         if ctx.rank == 0:
             service = CentralQueueService(_make_jobs(cfg), job_bytes=cfg.job_bytes)
             ctx.spawn_service(service.body, name="tsp-queue")
@@ -140,10 +135,10 @@ def make_optimized(cfg: TspConfig) -> Callable[[Context], Generator]:
         topo = ctx.topology
         dist = bound = durations = None
         if cfg.real_data:
-            dist = kernel.random_cities(cfg.cities, cfg.seed)
+            dist = kernel.random_cities(cfg.cities, ctx.machine.seed)
             bound = kernel.greedy_bound(dist)
         else:
-            durations = _synthetic_durations(cfg)
+            durations = _synthetic_durations(cfg, ctx.machine.seed)
 
         jobs = _make_jobs(cfg)
         leaders = [topo.cluster_leader(c) for c in topo.clusters()]

@@ -44,7 +44,6 @@ class WaterConfig:
     molecules: int = 1500
     iterations: int = 2
     real_data: bool = False
-    seed: int = 0
     sec_per_pair: float = cal.WATER_SEC_PER_PAIR
     sec_per_update: float = cal.WATER_SEC_PER_MOL_UPDATE
     sec_per_force_add: float = 0.2e-6
@@ -169,7 +168,8 @@ def make_unoptimized(cfg: WaterConfig) -> Callable[[Context], Generator]:
 
         pos = vel = None
         if cfg.real_data:
-            all_pos, all_vel = kernel.init_molecules(cfg.molecules, cfg.seed)
+            all_pos, all_vel = kernel.init_molecules(cfg.molecules,
+                                                     ctx.machine.seed)
             pos = all_pos[mine.start:mine.stop].copy()
             vel = all_vel[mine.start:mine.stop].copy()
 
@@ -361,7 +361,8 @@ def make_optimized(cfg: WaterConfig) -> Callable[[Context], Generator]:
 
         pos = vel = None
         if cfg.real_data:
-            all_pos, all_vel = kernel.init_molecules(cfg.molecules, cfg.seed)
+            all_pos, all_vel = kernel.init_molecules(cfg.molecules,
+                                                     ctx.machine.seed)
             pos = all_pos[mine.start:mine.stop].copy()
             vel = all_vel[mine.start:mine.stop].copy()
 

@@ -26,6 +26,7 @@ from typing import Optional
 import argparse
 
 from ..apps import app_names
+from ..apps.base import SEED_HELP
 from ..experiments import grids
 from ..obs.report import RunReporter, run_record
 from .profile import profile_app
@@ -47,7 +48,7 @@ def main(argv: Optional[list] = None) -> None:
     parser.add_argument("--cluster-size", type=int, default=grids.CLUSTER_SIZE)
     parser.add_argument("--wan-shape", default="full",
                         choices=["full", "star", "ring"])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     parser.add_argument("--faults", type=float, default=None, metavar="LOSS",
                         help="run under uniform WAN loss with the reliable "
                              "transport (probability, e.g. 0.01)")

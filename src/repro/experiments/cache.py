@@ -143,9 +143,14 @@ class SimCache:
     @staticmethod
     def key(app: str, variant: str, scale: str, seed: int,
             topology: Topology) -> str:
-        """Filename-safe cache key for one clean simulation."""
+        """Filename-safe cache key for one clean simulation.
+
+        ``i{seed}``: the seed names the problem instance.  Keys spelled
+        ``s{seed}`` date from when it did not (an entry for any seed
+        holds the seed-0 instance), so no reader looks them up.
+        """
         return (f"{app}-{variant}-{scale}-r{topology.num_ranks}"
-                f"-s{seed}-{topology.fingerprint()}")
+                f"-i{seed}-{topology.fingerprint()}")
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key + ".json")

@@ -25,6 +25,7 @@ import argparse
 from typing import List, Optional
 
 from ..apps import default_config, run_app
+from ..apps.base import SEED_HELP
 from ..faults.plan import FaultPlan
 from . import grids
 from .figure3 import render_panel
@@ -86,7 +87,7 @@ def main(argv: Optional[list] = None) -> None:
     parser.add_argument("--loss", nargs="*", type=float, default=[0.01],
                         help="WAN packet-loss rates to sweep")
     parser.add_argument("--scale", default="bench", choices=["paper", "bench"])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     parser.add_argument("--skip-panels", action="store_true",
                         help="only print the overhead table (much faster)")
     parser.add_argument("--blame", action="store_true",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 from typing import Dict, List, Optional
 
+from ..apps.base import SEED_HELP
 from . import grids
 from .report import render_series_chart, render_table
 from .runner import BACKENDS, SpeedupGrid, Sweeper
@@ -60,13 +61,13 @@ def main(argv: Optional[list] = None) -> None:
     parser.add_argument("--variant", default=None,
                         choices=[None, *grids.VARIANTS])
     parser.add_argument("--scale", default="bench", choices=["paper", "bench"])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     parser.add_argument("--backend", default="simulate", choices=BACKENDS,
                         help="where the sweep enters the fallback ladder: "
                              "simulate every point, or price grids from a "
                              "recorded communication DAG (predict) or its "
-                             "compiled vectorized program (replay; needs "
-                             "numpy) — corner-validated, falling back per "
+                             "compiled vectorized program (replay) — "
+                             "corner-validated, falling back per "
                              "app; see docs/replay.md")
     parser.add_argument("--workers", type=int, default=None,
                         help="simulate ground-truth grid points in N "

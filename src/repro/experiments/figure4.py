@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 from typing import Dict, List, Optional
 
+from ..apps.base import SEED_HELP
 from . import grids
 from .report import render_series_chart, render_table
 from .runner import BACKENDS, Sweeper
@@ -54,12 +55,12 @@ def _print_panel(panel: Dict[str, List[float]], x_labels: List[str],
 def main(argv: Optional[list] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", default="bench", choices=["paper", "bench"])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     parser.add_argument("--backend", default="simulate", choices=BACKENDS,
                         help="simulate every point, or price them from "
                              "recorded communication DAGs (predict) or "
-                             "compiled replay programs (replay; needs "
-                             "numpy) where validated — see docs/replay.md")
+                             "compiled replay programs (replay) where "
+                             "validated — see docs/replay.md")
     args = parser.parse_args(argv)
 
     sweeper = Sweeper(scale=args.scale, seed=args.seed, backend=args.backend)

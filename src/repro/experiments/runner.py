@@ -12,7 +12,7 @@ Three orthogonal accelerators (all off by default):
     simulating every point: ``"predict"`` re-prices the recorded
     communication DAG with the interpreted evaluator
     (:mod:`repro.whatif`), ``"replay"`` first tries the compiled
-    vectorized programs (:mod:`repro.replay`; needs numpy).  The name is
+    vectorized programs (:mod:`repro.replay`).  The name is
     where the sweep *enters* the fallback ladder; which rung actually
     prices an application — or whether it is simulated after all — is
     decided by :mod:`repro.replay.ladder` (table in ``docs/replay.md``)

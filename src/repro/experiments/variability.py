@@ -23,6 +23,7 @@ import argparse
 from typing import Dict, List, Optional
 
 from ..apps import default_config, run_app
+from ..apps.base import SEED_HELP
 from ..network import Variability, das_topology
 from . import grids
 from .report import render_table
@@ -65,7 +66,7 @@ def main(argv: Optional[list] = None) -> None:
                         default=["water", "tsp", "asp", "awari"],
                         choices=grids.APPS)
     parser.add_argument("--scale", default="bench", choices=["paper", "bench"])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     args = parser.parse_args(argv)
 
     for kind in ("latency", "bandwidth"):

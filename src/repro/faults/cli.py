@@ -25,6 +25,7 @@ import argparse
 from typing import Optional
 
 from ..apps import run_app
+from ..apps.base import SEED_HELP
 from ..network.topology import das_topology
 from ..runtime.machine import DeadlockError
 from ..runtime.transport import TransportError
@@ -108,7 +109,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--variant", default="unoptimized",
                         choices=["unoptimized", "optimized"])
     parser.add_argument("--scale", default="bench", choices=["paper", "bench"])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     parser.add_argument("--loss", type=float, default=0.0,
                         help="packet-loss probability on every WAN link")
     parser.add_argument("--spike", type=_parse_spike, action="append",

@@ -35,6 +35,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..static import (_GLOBAL_RNG_FNS, _NUMPY_RNG_FNS, _WALL_CLOCK_DT_FNS,
+                      _WALL_CLOCK_TIME_FNS)
 from .graph import (AV, Cell, ProcTrace, ProtoOp, Skeleton, WILD, const,
                     dst_category, join, tag_shape_of, top)
 
@@ -47,21 +49,14 @@ COLLECTIVE_MODULES = {
     "reduction": "reduction",
 }
 
-#: external callables whose results carry a determinism taint.
+#: external callables whose results carry a determinism taint, built
+#: from the static checker's wall-clock and global-RNG tables so that the
+#: list lives in one place.
 TAINT_SOURCES = {
-    "time.time": "wall-clock",
-    "time.monotonic": "wall-clock",
-    "time.perf_counter": "wall-clock",
-    "time.time_ns": "wall-clock",
-    "datetime.now": "wall-clock",
-    "datetime.utcnow": "wall-clock",
-    "random.random": "global-rng",
-    "random.randrange": "global-rng",
-    "random.randint": "global-rng",
-    "random.choice": "global-rng",
-    "random.shuffle": "global-rng",
-    "random.uniform": "global-rng",
-    "random.sample": "global-rng",
+    **{f"time.{fn}": "wall-clock" for fn in sorted(_WALL_CLOCK_TIME_FNS)},
+    **{f"datetime.{fn}": "wall-clock" for fn in sorted(_WALL_CLOCK_DT_FNS)},
+    **{f"random.{fn}": "global-rng" for fn in sorted(_GLOBAL_RNG_FNS)},
+    **{f"numpy.random.{fn}": "global-rng" for fn in sorted(_NUMPY_RNG_FNS)},
 }
 
 _CALL_DEPTH_CAP = 40
@@ -1210,8 +1205,6 @@ class Interpreter:
             return AV("extern", const=f"{value.const}.{attr}")
         if value.kind == "extern":
             return AV("extern", const=f"{value.const}.{attr}")
-        if value.kind == "rng":
-            return AV("rngmethod")
         if value.kind == "class":
             cls: ClassVal = value.payload
             method = cls.methods().get(attr)
@@ -1229,8 +1222,6 @@ class Interpreter:
             return AV("numranks")
         if attr == "cluster":
             return AV("cluster-own")
-        if attr == "rng":
-            return AV("rng")
         if attr == "now":
             return top()
         return AV("ctxmethod", const=attr)
@@ -1265,8 +1256,6 @@ class Interpreter:
             return self._call_topo(func.const, args)
         if kind == "cellmethod":
             return self._call_cell(func, args, kwargs)
-        if kind == "rngmethod":
-            return top(*args)
         if kind == "builtin":
             return self._call_builtin(func.const, args, kwargs)
         if kind == "class":

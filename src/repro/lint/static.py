@@ -521,8 +521,7 @@ class _ModuleLinter(ast.NodeVisitor):
             if fn in _GLOBAL_RNG_FNS:
                 self.report("global-rng", node,
                             f"global RNG call ({_call_name(node)}); use a "
-                            f"seeded stream from repro.sim.rng.make_rng "
-                            f"(or ctx.rng)")
+                            f"seeded stream from repro.sim.rng.make_rng")
                 return
             if fn == "Random" and not node.args and not node.keywords:
                 self.report("unseeded-rng", node,

@@ -20,6 +20,7 @@ import sys
 from typing import Optional
 
 from ..apps import app_names, run_app
+from ..apps.base import SEED_HELP
 from ..experiments import grids
 from ..experiments.report import render_table
 from ..trace import Tracer, render_timeline, utilization
@@ -45,7 +46,7 @@ def main(argv: Optional[list] = None) -> None:
     parser.add_argument("--cluster-size", type=int, default=grids.CLUSTER_SIZE)
     parser.add_argument("--wan-shape", default="full",
                         choices=["full", "star", "ring"])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     parser.add_argument("--sanitize", action="store_true",
                         help="attach the runtime protocol sanitizer "
                              "(repro.lint); prints its findings at the end")

@@ -22,38 +22,6 @@ the fallback ladder's decision (:mod:`repro.replay.ladder`; table in
 ``docs/replay.md``).  :class:`~repro.experiments.runner.Sweeper` enters
 it at the top as ``backend="replay"``.
 
-numpy is required only here: every pure-simulation path in the package
-stays stdlib-only, and requesting the replay backend without numpy
-raises a single clear :class:`ReplayUnavailable` error.
+The package re-exports nothing: import from its modules (``.compile``,
+``.program``, ``.adaptive``, ``.backend``, ``.ladder``).
 """
-
-from __future__ import annotations
-
-
-class ReplayUnavailable(RuntimeError):
-    """The replay backend was requested but numpy is not importable."""
-
-
-def require_numpy():
-    """Import and return numpy, or raise :class:`ReplayUnavailable`.
-
-    Centralized so the error message is identical everywhere the backend
-    can be reached (Sweeper, CLI, serve worker, cache loading).
-    """
-    try:
-        import numpy
-    except ImportError as exc:  # pragma: no cover - depends on environment
-        raise ReplayUnavailable(
-            "the replay backend needs numpy (the vectorized grid sweep is "
-            "built on it); install it with `pip install numpy` or use the "
-            "stdlib-only paths: Sweeper(backend=\"predict\") / --backend "
-            "predict, or full simulation") from exc
-    return numpy
-
-
-# Nothing else is re-exported here: compile/backend pull in the whatif
-# stack and the numpy-backed app kernels, and a no-numpy environment
-# must still be able to ``import repro.replay`` and reach the clear
-# error above.  Import the rest from its module (``.compile``,
-# ``.program``, ``.adaptive``, ``.backend``, ``.ladder``).
-__all__ = ["ReplayUnavailable", "require_numpy"]

@@ -64,8 +64,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..network.topology import Topology
-from . import require_numpy
 from .program import (_WORKSPACE, PROGRAM_FORMAT, ReplayProgram, _below,
                       _decode_fields, _encode, _levelize)
 
@@ -211,7 +212,6 @@ class AdaptiveProgram(ReplayProgram):
         ``(arrival_stamp, cost_row, node_id)`` in reference service
         order — the order that seeds the iteration and breaks ties.
         """
-        np = require_numpy()
         n = len(pa)
         order, remap, starts = _levelize(pa, pb)
         n_levels = len(starts) - 1
@@ -278,7 +278,7 @@ class AdaptiveProgram(ReplayProgram):
         return stats
 
     # ------------------------------------------------------------------
-    def _static_layout(self, np) -> dict:
+    def _static_layout(self) -> dict:
         """Point-count-independent queue layout, built once.
 
         Groups the queue ops by the level of their node, so served
@@ -323,34 +323,34 @@ class AdaptiveProgram(ReplayProgram):
         }
         return self._static
 
-    def _plan_specs(self, np, P: int) -> list:
+    def _plan_specs(self, P: int) -> list:
         """The workspace specs of a ``P``-point :class:`_Plan`, in
         :meth:`_carve_plan`'s unpacking order."""
         N, M, K = self.num_nodes, self.num_group_ops, self.num_groups
         f8, i4 = np.float64, np.int32
         return [(N, P, f8), (N, P, f8), (2 * N, P, f8),
-                (2 * self._layout(np).max_width, P, f8), (K, P, f8),
+                (2 * self._layout().max_width, P, f8), (K, P, f8),
                 *[(M, P, f8)] * 8,
                 (M, P, i4), (M, P, i4), (M, P, np.intp), (M, P, bool)]
 
-    def _block_points(self, np) -> int:
+    def _block_points(self) -> int:
         """Most points one plan may hold within :data:`PLAN_BYTES`
         (at least one)."""
-        per_point = 8 * sum(_WORKSPACE.words(np, self._plan_specs(np, 1)))
+        per_point = 8 * sum(_WORKSPACE.words(self._plan_specs(1)))
         return max(1, PLAN_BYTES // per_point)
 
-    def _carve_plan(self, np, params, s_prev) -> _Plan:
+    def _carve_plan(self, params, s_prev) -> _Plan:
         """A plan for the ``P`` points (columns) of ``params`` out of
         the thread's workspace, priced there and seeded with the serve
         orders ``s_prev`` (broadcast over the points)."""
-        lay, st = self._layout(np), self._static_layout(np)
+        lay, st = self._layout(), self._static_layout()
         plan = _Plan()
         plan.P = params.shape[1]
         (plan.t, plan.t_prev, plan.cost_ab, arena, plan.seed_cost,
          plan.served_lv, plan.arr_costg, plan.costg, plan.arrg, plan.served,
          plan.a_s, plan.c_s, plan.s_excl, plan.s_prev, plan.s_new,
          plan.flat, plan.ok_rows) = _WORKSPACE.carve(
-            np, *self._plan_specs(np, plan.P))
+            *self._plan_specs(plan.P))
         plan.levels = lay.views(plan.t, plan.cost_ab, arena)
         plan.overrides = [ov and (ov[2], plan.served_lv[ov[0]:ov[1]])
                           for ov in st["ov_slices"]]
@@ -359,10 +359,10 @@ class AdaptiveProgram(ReplayProgram):
         np.matmul(self.op_cost, params, out=plan.costg)
         np.matmul(self.grp_seed_edge, params, out=plan.seed_cost)
         plan.s_prev[:] = s_prev
-        self._flatten(np, plan, plan.s_prev)
+        self._flatten(plan, plan.s_prev)
         return plan
 
-    def _flatten(self, np, plan: _Plan, perm) -> None:
+    def _flatten(self, plan: _Plan, perm) -> None:
         """``plan.flat``: where, in a flattened ``(M, P)`` array, each
         slot of the per-queue serve permutations ``perm`` reads from —
         one ``np.take`` / ``np.put`` per gather instead of an index
@@ -372,7 +372,7 @@ class AdaptiveProgram(ReplayProgram):
         plan.flat += np.arange(plan.P)
         plan.stale = True
 
-    def _serve(self, np, plan: _Plan, order_tol: float, scale) -> bool:
+    def _serve(self, plan: _Plan, order_tol: float, scale) -> bool:
         """Re-sort and re-serve every queue from the current iterate;
         returns whether any queue was re-sorted.
 
@@ -413,7 +413,7 @@ class AdaptiveProgram(ReplayProgram):
                 p = np.argsort(plan.arrg[lo:hi], axis=0, kind="stable")
                 np.copyto(p, plan.s_prev[lo:hi], where=keep[k][None, :])
                 plan.s_new[lo:hi] = p
-            self._flatten(np, plan, plan.s_new)
+            self._flatten(plan, plan.s_new)
             np.take(plan.arrg, plan.flat, out=a_s, mode="clip")
 
         # Busy-period scan, segmented: exclusive cost prefix within each
@@ -442,7 +442,7 @@ class AdaptiveProgram(ReplayProgram):
         return resorted
 
     # ------------------------------------------------------------------
-    def _iterate(self, np, params, max_iters: int, order_tol: float):
+    def _iterate(self, params, max_iters: int, order_tol: float):
         """The fixed-point loop over one block of points; returns flat
         per-point result arrays.
 
@@ -450,7 +450,7 @@ class AdaptiveProgram(ReplayProgram):
         :meth:`ReplayProgram._sweep`, C-contiguous.
         """
         P0 = params.shape[1]
-        st = self._static_layout(np)
+        st = self._static_layout()
         gs = self.grp_starts
         fin_cost = self.fin_edge @ params
 
@@ -460,20 +460,20 @@ class AdaptiveProgram(ReplayProgram):
         order_changes: Dict[str, int] = {}
 
         # Serve orders seed from the compiler's reference order.
-        plan = self._carve_plan(np, params, st["local_slot"])
+        plan = self._carve_plan(params, st["local_slot"])
         live = np.arange(P0)           # global column of each plan column
         active = np.ones(P0, dtype=bool)
 
         # Iteration 0: the chainless relaxation (queues serve with no
         # waiting) seeds the arrivals.
-        self._sweep_levels(np, plan.t, plan.levels)
+        self._sweep_levels(plan.t, plan.levels)
         scale = (plan.t[self.fin_node] + fin_cost).max(axis=0)
 
         it = 0
         while it < max_iters:
             it += 1
             settled = active
-            if self._serve(np, plan, order_tol, scale):
+            if self._serve(plan, order_tol, scale):
                 gflips = np.logical_or.reduceat(plan.s_new != plan.s_prev,
                                                 gs[:-1], axis=0)
                 changed = gflips.any(axis=0)
@@ -489,7 +489,7 @@ class AdaptiveProgram(ReplayProgram):
             np.copyto(plan.t_prev, plan.t)
             np.take(plan.served, st["ov_order"], axis=0, out=plan.served_lv,
                     mode="clip")
-            self._sweep_levels(np, plan.t, plan.levels, plan.overrides)
+            self._sweep_levels(plan.t, plan.levels, plan.overrides)
             scale = (plan.t[self.fin_node] + fin_cost).max(axis=0)
             newly = (plan.t == plan.t_prev).all(axis=0) & settled
             if newly.any():
@@ -513,7 +513,7 @@ class AdaptiveProgram(ReplayProgram):
                 t_keep = plan.t[:, cols].copy()
                 s_keep = plan.s_prev[:, cols].copy()
                 scale = scale[cols].copy()
-                plan = self._carve_plan(np, params, s_keep)
+                plan = self._carve_plan(params, s_keep)
                 plan.t[:] = t_keep
                 active = np.ones(nlive, dtype=bool)
 
@@ -523,7 +523,7 @@ class AdaptiveProgram(ReplayProgram):
             out_iters[rest] = it
         return out_rt, out_conv, out_iters, order_changes
 
-    def _adaptive(self, np, inv_bw, wlat, eloss, max_iters: int,
+    def _adaptive(self, inv_bw, wlat, eloss, max_iters: int,
                   order_tol: float) -> AdaptiveResult:
         """The fixed point at ``P`` points (all args shape ``(P,)``).
 
@@ -540,7 +540,7 @@ class AdaptiveProgram(ReplayProgram):
             # With queues present, the base sweep alone prices a
             # chainless (no-waiting) relaxation — never trustworthy.
             return AdaptiveResult(
-                runtimes=self._sweep(np, inv_bw, wlat, eloss),
+                runtimes=self._sweep(inv_bw, wlat, eloss),
                 converged=np.full(P, self.num_group_ops == 0, dtype=bool),
                 iterations=np.zeros(P, dtype=np.int32), max_iters=max_iters)
         params = np.stack([np.ones_like(inv_bw), inv_bw, wlat, eloss])
@@ -549,8 +549,8 @@ class AdaptiveProgram(ReplayProgram):
         # takes 9-12 iterations below 0.3 MByte/s and 29-30 at 0.95), so
         # the blocks take the points bandwidth-major.
         order = np.lexsort((eloss, wlat, inv_bw))
-        blocks = -(-P // self._block_points(np)) or 1
-        parts = [self._iterate(np, params[:, cols], max_iters, order_tol)
+        blocks = -(-P // self._block_points()) or 1
+        parts = [self._iterate(params[:, cols], max_iters, order_tol)
                  for cols in np.array_split(order, blocks)]
         order_changes: Counter = Counter()
         for *_, flips in parts:
@@ -570,10 +570,9 @@ class AdaptiveProgram(ReplayProgram):
                             ) -> AdaptiveResult:
         """Adaptive runtimes for the full cartesian grid; shapes match
         :meth:`ReplayProgram.price_grid`."""
-        np = require_numpy()
-        terms, shape = self._grid_terms(np, bandwidths_mbyte_s,
+        terms, shape = self._grid_terms(bandwidths_mbyte_s,
                                         latencies_ms, loss_rates)
-        result = self._adaptive(np, *terms, DEFAULT_MAX_ITERS,
+        result = self._adaptive(*terms, DEFAULT_MAX_ITERS,
                                 DEFAULT_ORDER_TOL)
         for name in ("runtimes", "converged", "iterations"):
             arr = getattr(result, name).reshape(shape)
@@ -584,8 +583,7 @@ class AdaptiveProgram(ReplayProgram):
                               loss_rate: float = 0.0) -> AdaptiveResult:
         """Adaptive runtimes for arbitrary ``(bw_mbyte_s, lat_ms)``
         pairs, flat."""
-        np = require_numpy()
-        return self._adaptive(np, *self._points_terms(np, points, loss_rate),
+        return self._adaptive(*self._points_terms(points, loss_rate),
                               DEFAULT_MAX_ITERS, DEFAULT_ORDER_TOL)
 
     def price_adaptive(self, topology: Topology, loss_rate: float = 0.0
@@ -597,9 +595,8 @@ class AdaptiveProgram(ReplayProgram):
         contract (:class:`~repro.experiments.runner.Sweeper` swaps in
         the interpreted evaluator).
         """
-        np = require_numpy()
-        terms = self._topology_terms(np, topology, loss_rate)
-        result = self._adaptive(np, *terms, DEFAULT_MAX_ITERS,
+        terms = self._topology_terms(topology, loss_rate)
+        result = self._adaptive(*terms, DEFAULT_MAX_ITERS,
                                 DEFAULT_ORDER_TOL)
         return (float(result.runtimes[0]), bool(result.converged[0]),
                 int(result.iterations[0]))
@@ -613,10 +610,10 @@ class AdaptiveProgram(ReplayProgram):
             record[name] = _encode(getattr(self, name))
         return record
 
-    def _check(self, np) -> None:
+    def _check(self) -> None:
         """The frozen part's check, then: the groups partition the
         ``M`` queue ops, and every seed, arrival and queue node exists."""
-        super()._check(np)
+        super()._check()
         n, gs = self.num_nodes, self.grp_starts
         k, m = self.num_groups, self.num_group_ops
         if not (gs.shape[0] == k + 1 and gs[0] == 0 and gs[-1] == m
@@ -636,14 +633,13 @@ class AdaptiveProgram(ReplayProgram):
         """Inverse of :meth:`to_record`, refusing what
         :meth:`ReplayProgram.from_record` refuses and inconsistent queue
         groups."""
-        np = require_numpy()
-        base = cls._base_fields(np, record, {
+        base = cls._base_fields(record, {
             "format": PROGRAM_FORMAT, "adaptive_format": ADAPTIVE_FORMAT})
         kinds = record.get("grp_kinds")
         if not isinstance(kinds, list) or \
                 not all(isinstance(kind, str) for kind in kinds):
             raise ValueError("program field 'grp_kinds' is not a list of "
                              "strings")
-        program = cls(*base, kinds, *_decode_fields(np, record, _GROUPS))
-        program._check(np)
+        program = cls(*base, kinds, *_decode_fields(record, _GROUPS))
+        program._check()
         return program

@@ -19,6 +19,7 @@ import argparse
 import time
 from typing import Optional
 
+from ..apps.base import SEED_HELP
 from ..experiments import grids
 from ..experiments.cache import SimCache
 from ..experiments.figure3 import render_panel, render_verdict
@@ -63,7 +64,7 @@ def main(argv: Optional[list] = None, entry: str = "replay") -> int:
     parser.add_argument("--variant", default="optimized",
                         choices=grids.VARIANTS)
     parser.add_argument("--scale", default="bench", choices=["paper", "bench"])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     parser.add_argument("--cache", default=None, metavar="DIR",
                         help="SimCache directory: reuse/store the compiled "
                              "program and the corner simulations")

@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence
 
+import numpy as np
+
 from ..experiments import grids
 from ..network.topology import Topology
 from ..whatif.evaluate import EvaluationError
 from ..whatif.validate import (DEFAULT_TOLERANCE_PP, ValidationReport,
                                corner_points, validate)
-from . import require_numpy
 from .adaptive import DEFAULT_MAX_ITERS
 from .backend import ReplayBackend
 from .compile import CompileError
@@ -73,7 +74,7 @@ def _adaptive(backend: ReplayBackend, topology_for) -> Pricer:
     def grid(bandwidths, latencies, loss_rates=None):
         result = backend.price_grid_adaptive(bandwidths, latencies,
                                              loss_rates)
-        return require_numpy().where(result.converged, result.runtimes, None)
+        return np.where(result.converged, result.runtimes, None)
 
     return Pricer(evaluate, grid)
 
@@ -194,10 +195,6 @@ def walk(entry: str, app: str, variant: str, *, scale: str, seed: int,
          topology_for: Callable[[float, float], Topology]) -> Decision:
     """Walk the ladder from the rung named ``entry`` for one recording,
     validating within :data:`~repro.whatif.validate.DEFAULT_TOLERANCE_PP`.
-
-    Raises :class:`~repro.replay.ReplayUnavailable` when a vectorized
-    rung is reached without numpy — a setup error, not a fallback
-    condition.
     """
     evidence: Dict[str, Any] = {}
 

@@ -43,10 +43,11 @@ import base64
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..faults.plan import TransportConfig
 from ..network.linkspec import MBYTE, MS
 from ..network.topology import Topology
-from . import require_numpy
 
 #: Bump when the array layout or cost semantics change: the version is
 #: part of every cache key, so stale cached programs miss instead of
@@ -78,16 +79,16 @@ class _Workspace(threading.local):
     buf = None                    # flat float64
 
     @staticmethod
-    def words(np, specs) -> list:
+    def words(specs) -> list:
         """The 8-byte words :meth:`carve` gives each ``(rows, cols,
         dtype)`` spec."""
         return [-(-rows * cols * np.dtype(dtype).itemsize // 8)
                 for rows, cols, dtype in specs]
 
-    def carve(self, np, *specs):
+    def carve(self, *specs):
         """One uninitialised C-contiguous ``(rows, cols)`` array of
         ``dtype`` per ``(rows, cols, dtype)`` spec, 8-byte aligned."""
-        slots = self.words(np, specs)
+        slots = self.words(specs)
         need = sum(slots)
         buf = self.buf
         if buf is None or buf.size < need:
@@ -119,7 +120,7 @@ class _Layout:
 
     __slots__ = ("idx_ab", "edge_ab", "idx_lv", "spans", "max_width")
 
-    def __init__(self, np, program: "ReplayProgram") -> None:
+    def __init__(self, program: "ReplayProgram") -> None:
         ls = program.level_starts.astype(np.intp)
         widths = np.diff(ls)
         node = np.arange(program.num_nodes, dtype=np.intp)
@@ -186,7 +187,7 @@ def _encode(arr) -> Dict[str, Any]:
             "data": base64.b64encode(arr.tobytes()).decode("ascii")}
 
 
-def _decode(np, obj: Dict[str, Any]):
+def _decode(obj: Dict[str, Any]):
     arr = np.frombuffer(base64.b64decode(obj["data"]),
                         dtype=np.dtype(obj["dtype"]))
     return arr.reshape(obj["shape"]).copy()
@@ -205,14 +206,14 @@ _META = ("num_nodes", "cluster_sizes", "wan_shape", "wan_hub", "local_spec",
          "wan_traversals")
 
 
-def _decode_fields(np, record: Dict[str, Any], spec) -> list:
+def _decode_fields(record: Dict[str, Any], spec) -> list:
     """The arrays ``spec`` names, decoded from ``record``; ValueError on
     a field that is missing, does not decode, or has the wrong dtype or
     rank."""
     arrays = []
     for name, dtype, width in spec:
         try:
-            arr = _decode(np, record[name])
+            arr = _decode(record[name])
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"program field {name!r} does not decode: "
                              f"{err!r}") from None
@@ -257,7 +258,6 @@ class ReplayProgram:
         order (operands always exist first), so levels are one forward
         pass.
         """
-        np = require_numpy()
         n = len(pa)
         order, remap, starts = _levelize(pa, pb)
         n_levels = len(starts) - 1
@@ -300,7 +300,7 @@ class ReplayProgram:
         }
 
     # ------------------------------------------------------------------
-    def _loss_terms(self, np, inv_bw, wlat, loss):
+    def _loss_terms(self, inv_bw, wlat, loss):
         """Per-point (inv_bw_effective, expected retransmission delay)."""
         if not np.any(loss):
             return inv_bw, np.zeros_like(inv_bw)
@@ -329,7 +329,7 @@ class ReplayProgram:
                           - loss / (1.0 - loss)) / (b - 1.0)
         return inv_bw / (1.0 - loss), expected
 
-    def _terms(self, np, bandwidths, latencies, losses,
+    def _terms(self, bandwidths, latencies, losses,
                bw_unit: float = MBYTE, lat_unit: float = MS):
         """Per-point ``(1/wide_bw_effective, wide_lat, E_loss)`` rows for
         ``P`` points given as flat sequences (``losses`` may be one
@@ -354,11 +354,11 @@ class ReplayProgram:
         loss = np.broadcast_to(np.asarray(losses, dtype=np.float64),
                                bw.shape)
         wlat = lat * lat_unit
-        inv_bw, eloss = self._loss_terms(np, 1.0 / (bw * bw_unit), wlat,
+        inv_bw, eloss = self._loss_terms(1.0 / (bw * bw_unit), wlat,
                                          loss)
         return inv_bw, wlat, eloss
 
-    def _grid_terms(self, np, bandwidths_mbyte_s, latencies_ms, loss_rates):
+    def _grid_terms(self, bandwidths_mbyte_s, latencies_ms, loss_rates):
         """``(terms, shape)`` of the cartesian grid, loss-major, then
         latency, then bandwidth (the Figure-3 panel order)."""
         losses = (0.0,) if loss_rates is None else loss_rates
@@ -367,27 +367,27 @@ class ReplayProgram:
                            np.asarray(bandwidths_mbyte_s, dtype=np.float64),
                            indexing="ij")
         loss, lat, bw = (g.ravel() for g in grid)
-        return self._terms(np, bw, lat, loss), grid[0].shape
+        return self._terms(bw, lat, loss), grid[0].shape
 
-    def _points_terms(self, np, points, loss_rate: float):
+    def _points_terms(self, points, loss_rate: float):
         """``terms`` of ``(bandwidth_mbyte_s, latency_ms)`` pairs."""
-        return self._terms(np, [p[0] for p in points],
+        return self._terms([p[0] for p in points],
                            [p[1] for p in points], float(loss_rate))
 
-    def _topology_terms(self, np, topology: Topology, loss_rate: float):
+    def _topology_terms(self, topology: Topology, loss_rate: float):
         """``terms`` of one shape-checked topology (SI units already)."""
         self.check_topology(topology)
-        return self._terms(np, [topology.wide.bandwidth],
+        return self._terms([topology.wide.bandwidth],
                            [topology.wide.latency], float(loss_rate),
                            bw_unit=1.0, lat_unit=1.0)
 
     # ------------------------------------------------------------------
-    def _layout(self, np) -> _Layout:
+    def _layout(self) -> _Layout:
         if self._stacked is None:
-            self._stacked = _Layout(np, self)
+            self._stacked = _Layout(self)
         return self._stacked
 
-    def _sweep_levels(self, np, t, plan, overrides=None) -> None:
+    def _sweep_levels(self, t, plan, overrides=None) -> None:
         """The level sweep: fill ``t`` bottom-up, three numpy calls and
         no allocation per level.  ``overrides`` (the adaptive engine's)
         holds per level ``None`` or ``(nodes, values)`` to splice over
@@ -409,18 +409,18 @@ class ReplayProgram:
                 if over is not None:
                     t[over[0]] = over[1]
 
-    def _sweep(self, np, inv_bw, wlat, eloss):
+    def _sweep(self, inv_bw, wlat, eloss):
         """Runtime at each of P points (all args shape ``(P,)``)."""
         # Price every edge at every point with one matmul: rows of the
         # parameter matrix are (1, 1/wide_bw, wide_lat, E_loss).
         params = np.stack([np.ones_like(inv_bw), inv_bw, wlat, eloss])
-        lay = self._layout(np)
+        lay = self._layout()
         n, points = self.num_nodes, params.shape[1]
         t, cost_ab, arena = _WORKSPACE.carve(
-            np, (n, points, np.float64), (2 * n, points, np.float64),
+            (n, points, np.float64), (2 * n, points, np.float64),
             (2 * lay.max_width, points, np.float64))
         np.matmul(lay.edge_ab, params, out=cost_ab)
-        self._sweep_levels(np, t, lay.views(t, cost_ab, arena))
+        self._sweep_levels(t, lay.views(t, cost_ab, arena))
         finals = t[self.fin_node] + self.fin_edge @ params
         return finals.max(axis=0)
 
@@ -436,24 +436,21 @@ class ReplayProgram:
         n_bw)``.  Raises ValueError on an axis value that cannot be
         priced (see :meth:`_terms`).
         """
-        np = require_numpy()
-        terms, shape = self._grid_terms(np, bandwidths_mbyte_s,
+        terms, shape = self._grid_terms(bandwidths_mbyte_s,
                                         latencies_ms, loss_rates)
-        out = self._sweep(np, *terms).reshape(shape)
+        out = self._sweep(*terms).reshape(shape)
         return out[0] if loss_rates is None else out
 
     def price_points(self, points: Sequence[Tuple[float, float]],
                      loss_rate: float = 0.0):
         """Runtimes for arbitrary ``(bandwidth_mbyte_s, latency_ms)``
         pairs (not necessarily a cartesian grid) in one sweep."""
-        np = require_numpy()
-        return self._sweep(np, *self._points_terms(np, points, loss_rate))
+        return self._sweep(*self._points_terms(points, loss_rate))
 
     def price(self, topology: Topology, loss_rate: float = 0.0) -> float:
         """Runtime at a single topology (shape-checked single point)."""
-        np = require_numpy()
-        terms = self._topology_terms(np, topology, loss_rate)
-        return float(self._sweep(np, *terms)[0])
+        terms = self._topology_terms(topology, loss_rate)
+        return float(self._sweep(*terms)[0])
 
     def check_topology(self, topology: Topology) -> None:
         """Raise ValueError unless ``topology`` differs from the compiled
@@ -486,7 +483,7 @@ class ReplayProgram:
         return record
 
     @staticmethod
-    def _base_fields(np, record: Dict[str, Any],
+    def _base_fields(record: Dict[str, Any],
                      formats: Dict[str, int]) -> list:
         """The constructor arguments of the frozen part of ``record``,
         ``meta`` last.  ValueError unless ``record`` is an object whose
@@ -501,9 +498,9 @@ class ReplayProgram:
         meta = record.get("meta")
         if not isinstance(meta, dict) or not all(k in meta for k in _META):
             raise ValueError(f"program meta lacks one of {_META}")
-        return _decode_fields(np, record, _ARRAYS) + [dict(meta)]
+        return _decode_fields(record, _ARRAYS) + [dict(meta)]
 
-    def _check(self, np) -> None:
+    def _check(self) -> None:
         """Raise ValueError unless the arrays form one levelized program
         of ``meta["num_nodes"]`` nodes: every join reads nodes of lower
         levels and every finish stamp an existing node."""
@@ -531,8 +528,7 @@ class ReplayProgram:
         foreign format and on a record that does not decode to one
         consistent program: a missing or mistyped field, or arrays that
         disagree with ``meta["num_nodes"]`` or with each other."""
-        np = require_numpy()
-        program = cls(*cls._base_fields(np, record,
+        program = cls(*cls._base_fields(record,
                                         {"format": PROGRAM_FORMAT}))
-        program._check(np)
+        program._check()
         return program

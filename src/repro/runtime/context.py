@@ -29,7 +29,6 @@ from ..network.message import Message
 from ..obs.events import (BlockEvent, ComputeEvent, OpEvent, PhaseEvent,
                           UnblockEvent)
 from ..sim.process import Process, Syscall
-from ..sim.rng import make_rng
 from .machine import Machine
 
 #: Size in bytes of a bare control message (ack, token, seq request).
@@ -322,7 +321,6 @@ class Context:
         self.rank = rank
         self.process: Optional[Process] = None
         self._rpc_ids = itertools.count()
-        self._rng = None
         # Topology conveniences: fixed for the machine's life, and read by
         # the collectives on every call, so plain attributes.
         topo = machine.topology
@@ -347,16 +345,6 @@ class Context:
         self._recv = _Recv(self, None)
         self._recv_nowait = _RecvNowait(self, None)
         self._sleep = _Sleep(self, 0.0)
-
-    @property
-    def rng(self):
-        """This rank's seeded stream, ``make_rng(machine.seed, "rank<r>")``
-        — derived on first use: no shipped app draws from it, and a sweep
-        spawns some 50 contexts a run."""
-        rng = self._rng
-        if rng is None:
-            rng = self._rng = make_rng(self.machine.seed, f"rank{self.rank}")
-        return rng
 
     @property
     def now(self) -> float:

@@ -32,6 +32,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
+from ..apps.base import SEED_HELP
 from ..experiments import grids
 
 DEFAULT_PORT = 8642
@@ -161,7 +162,7 @@ def submit_main(argv: Optional[list] = None) -> int:
     parser.add_argument("--kind", default="sweep", choices=KINDS)
     parser.add_argument("--scale", default="bench",
                         choices=["paper", "bench"])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     parser.add_argument("--bandwidths", type=_csv_floats,
                         default=list(grids.BANDWIDTHS_MBYTE_S),
                         help="MByte/s, comma separated (default: Figure 3)")

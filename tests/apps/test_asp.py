@@ -84,7 +84,8 @@ class TestKernel:
 # ----------------------------------------------------------------------
 # Parallel correctness (real data)
 # ----------------------------------------------------------------------
-REAL_CFG = AspConfig(n=48, real_data=True, seed=6)
+REAL_CFG = AspConfig(n=48, real_data=True)
+REAL_SEED = 6
 
 
 @pytest.mark.parametrize("variant", ["unoptimized", "optimized"])
@@ -92,8 +93,8 @@ REAL_CFG = AspConfig(n=48, real_data=True, seed=6)
                                   das_topology(clusters=2, cluster_size=2),
                                   das_topology(clusters=4, cluster_size=2)])
 def test_parallel_matches_reference(variant, topo):
-    result = run_app("asp", variant, topo, config=REAL_CFG)
-    full = kernel.random_graph(REAL_CFG.n, REAL_CFG.seed)
+    result = run_app("asp", variant, topo, config=REAL_CFG, seed=REAL_SEED)
+    full = kernel.random_graph(REAL_CFG.n, REAL_SEED)
     expected = kernel.floyd_warshall(full)
     p = topo.num_ranks
     assembled = np.concatenate([result.results[r] for r in range(p)], axis=0)

@@ -62,7 +62,8 @@ class TestKernel:
 # ----------------------------------------------------------------------
 # Parallel correctness (real data: distributed retrograde analysis)
 # ----------------------------------------------------------------------
-REAL_CFG = AwariConfig(real_data=True, game_tokens=50, takes=(1, 2, 3), seed=1)
+REAL_CFG = AwariConfig(real_data=True, game_tokens=50, takes=(1, 2, 3))
+REAL_SEED = 1
 
 
 @pytest.mark.parametrize("variant", ["unoptimized", "optimized"])
@@ -70,7 +71,7 @@ REAL_CFG = AwariConfig(real_data=True, game_tokens=50, takes=(1, 2, 3), seed=1)
                                   das_topology(clusters=2, cluster_size=2),
                                   das_topology(clusters=3, cluster_size=2)])
 def test_distributed_solve_matches_serial(variant, topo):
-    result = run_app("awari", variant, topo, config=REAL_CFG)
+    result = run_app("awari", variant, topo, config=REAL_CFG, seed=REAL_SEED)
     game = kernel.SubtractionGame(REAL_CFG.game_tokens, REAL_CFG.takes)
     expected = kernel.retrograde_solve(game)
     merged = {}
@@ -81,9 +82,9 @@ def test_distributed_solve_matches_serial(variant, topo):
 
 @pytest.mark.parametrize("takes", [(1,), (2, 3), (1, 4, 5)])
 def test_distributed_solve_various_games(takes):
-    cfg = AwariConfig(real_data=True, game_tokens=36, takes=takes, seed=2)
+    cfg = AwariConfig(real_data=True, game_tokens=36, takes=takes)
     topo = das_topology(clusters=2, cluster_size=3)
-    result = run_app("awari", "optimized", topo, config=cfg)
+    result = run_app("awari", "optimized", topo, config=cfg, seed=2)
     game = kernel.SubtractionGame(cfg.game_tokens, takes)
     expected = kernel.retrograde_solve(game)
     merged = {}

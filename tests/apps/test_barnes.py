@@ -121,20 +121,19 @@ class TestMorton:
 # ----------------------------------------------------------------------
 # Parallel correctness (real data)
 # ----------------------------------------------------------------------
-REAL_CFG = BarnesConfig(bodies=192, iterations=2, real_data=True, seed=12,
-                        theta=0.5)
+REAL_CFG = BarnesConfig(bodies=192, iterations=2, real_data=True, theta=0.5)
+REAL_SEED = 12
 
 
 @pytest.mark.parametrize("variant", ["unoptimized", "optimized"])
 def test_parallel_physics_close_to_direct_sum(variant):
     """One iteration of the parallel code matches the direct O(n^2)
     integrator to Barnes-Hut accuracy."""
-    cfg = BarnesConfig(bodies=192, iterations=1, real_data=True, seed=12,
-                       theta=0.4)
+    cfg = BarnesConfig(bodies=192, iterations=1, real_data=True, theta=0.4)
     topo = das_topology(clusters=2, cluster_size=2)
-    result = run_app("barnes", variant, topo, config=cfg)
+    result = run_app("barnes", variant, topo, config=cfg, seed=REAL_SEED)
 
-    all_pos, all_mass, all_vel = kernel.random_bodies(cfg.bodies, cfg.seed)
+    all_pos, all_mass, all_vel = kernel.random_bodies(cfg.bodies, REAL_SEED)
     order = kernel.morton_order(all_pos)
     forces = kernel.direct_forces(all_pos, all_mass)
     ref_vel = all_vel + cfg.dt * forces
@@ -151,8 +150,10 @@ def test_variants_agree_to_bh_accuracy():
     stricter), so results differ from the unoptimized run only within
     Barnes-Hut approximation error."""
     topo = das_topology(clusters=2, cluster_size=2)
-    r_u = run_app("barnes", "unoptimized", topo, config=REAL_CFG)
-    r_o = run_app("barnes", "optimized", topo, config=REAL_CFG)
+    r_u = run_app("barnes", "unoptimized", topo, config=REAL_CFG,
+                  seed=REAL_SEED)
+    r_o = run_app("barnes", "optimized", topo, config=REAL_CFG,
+                  seed=REAL_SEED)
     for a, b in zip(r_u.results, r_o.results):
         assert np.allclose(a[0], b[0], atol=2e-3)
         assert np.allclose(a[1], b[1], atol=2e-3)

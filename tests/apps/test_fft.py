@@ -47,7 +47,8 @@ class TestKernel:
 # ----------------------------------------------------------------------
 # Parallel correctness (real data)
 # ----------------------------------------------------------------------
-REAL_CFG = FftConfig(points=1 << 12, real_data=True, seed=3)
+REAL_CFG = FftConfig(points=1 << 12, real_data=True)
+REAL_SEED = 3
 
 
 @pytest.mark.parametrize("topo", [single_cluster(4),
@@ -55,18 +56,19 @@ REAL_CFG = FftConfig(points=1 << 12, real_data=True, seed=3)
                                   das_topology(clusters=4, cluster_size=2),
                                   single_cluster(8)])
 def test_parallel_matches_numpy(topo):
-    result = run_app("fft", "unoptimized", topo, config=REAL_CFG)
+    result = run_app("fft", "unoptimized", topo, config=REAL_CFG,
+                     seed=REAL_SEED)
     assembled = np.concatenate([result.results[r] for r in range(topo.num_ranks)],
                                axis=0).reshape(-1)
-    x = kernel.random_signal(REAL_CFG.points, REAL_CFG.seed)
+    x = kernel.random_signal(REAL_CFG.points, REAL_SEED)
     # Final layout: C x R matrix whose flattening is the natural order.
     assert np.allclose(assembled, np.fft.fft(x), atol=1e-7)
 
 
 def test_both_variants_are_the_same_driver():
     topo = das_topology(clusters=2, cluster_size=2)
-    r1 = run_app("fft", "unoptimized", topo, config=REAL_CFG)
-    r2 = run_app("fft", "optimized", topo, config=REAL_CFG)
+    r1 = run_app("fft", "unoptimized", topo, config=REAL_CFG, seed=REAL_SEED)
+    r2 = run_app("fft", "optimized", topo, config=REAL_CFG, seed=REAL_SEED)
     assert r1.runtime == r2.runtime  # no optimization exists (paper)
 
 

@@ -24,34 +24,34 @@ UNEVEN = Topology((5, 2, 3), myrinet(), wan(3.0, 1.0))
 
 @pytest.mark.parametrize("variant", ["unoptimized", "optimized"])
 def test_water_on_uneven_clusters(variant):
-    cfg = WaterConfig(molecules=30, iterations=2, real_data=True, seed=2)
-    result = run_app("water", variant, UNEVEN, config=cfg)
-    ref, _ = water_kernel.serial_water(cfg.molecules, cfg.iterations, cfg.seed)
+    cfg = WaterConfig(molecules=30, iterations=2, real_data=True)
+    result = run_app("water", variant, UNEVEN, config=cfg, seed=2)
+    ref, _ = water_kernel.serial_water(cfg.molecules, cfg.iterations, 2)
     got = np.concatenate([result.results[r] for r in UNEVEN.ranks()])
     assert np.allclose(got, ref, atol=1e-8)
 
 
 @pytest.mark.parametrize("variant", ["unoptimized", "optimized"])
 def test_asp_on_uneven_clusters(variant):
-    cfg = AspConfig(n=40, real_data=True, seed=3)
-    result = run_app("asp", variant, UNEVEN, config=cfg)
-    expected = asp_kernel.floyd_warshall(asp_kernel.random_graph(cfg.n, cfg.seed))
+    cfg = AspConfig(n=40, real_data=True)
+    result = run_app("asp", variant, UNEVEN, config=cfg, seed=3)
+    expected = asp_kernel.floyd_warshall(asp_kernel.random_graph(cfg.n, 3))
     got = np.concatenate([result.results[r] for r in UNEVEN.ranks()], axis=0)
     assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("variant", ["unoptimized", "optimized"])
 def test_tsp_on_uneven_clusters(variant):
-    cfg = TspConfig(cities=7, job_depth=2, real_data=True, seed=4)
-    result = run_app("tsp", variant, UNEVEN, config=cfg)
-    dist = tsp_kernel.random_cities(cfg.cities, cfg.seed)
+    cfg = TspConfig(cities=7, job_depth=2, real_data=True)
+    result = run_app("tsp", variant, UNEVEN, config=cfg, seed=4)
+    dist = tsp_kernel.random_cities(cfg.cities, 4)
     assert result.results[0] == tsp_kernel.solve_serial(dist, depth=2)
 
 
 @pytest.mark.parametrize("variant", ["unoptimized", "optimized"])
 def test_awari_on_uneven_clusters(variant):
-    cfg = AwariConfig(real_data=True, game_tokens=30, takes=(1, 2), seed=5)
-    result = run_app("awari", variant, UNEVEN, config=cfg)
+    cfg = AwariConfig(real_data=True, game_tokens=30, takes=(1, 2))
+    result = run_app("awari", variant, UNEVEN, config=cfg, seed=5)
     game = awari_kernel.SubtractionGame(cfg.game_tokens, cfg.takes)
     expected = awari_kernel.retrograde_solve(game)
     merged = {}
@@ -64,9 +64,8 @@ def test_awari_on_uneven_clusters(variant):
 def test_barnes_on_uneven_clusters(variant):
     from repro.apps.barnes import BarnesConfig
 
-    cfg = BarnesConfig(bodies=100, iterations=1, real_data=True, seed=6,
-                       theta=0.4)
-    result = run_app("barnes", variant, UNEVEN, config=cfg)
+    cfg = BarnesConfig(bodies=100, iterations=1, real_data=True, theta=0.4)
+    result = run_app("barnes", variant, UNEVEN, config=cfg, seed=6)
     got = np.concatenate([result.results[r][0] for r in UNEVEN.ranks()])
     assert got.shape == (100, 3)
     assert np.all(np.isfinite(got))

@@ -104,10 +104,9 @@ class TestGrundy:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("variant", ["unoptimized", "optimized"])
 def test_distributed_kayles_matches_serial(variant):
-    cfg = AwariConfig(real_data=True, seed=8,
-                      game_factory=lambda: KaylesGame(10))
+    cfg = AwariConfig(real_data=True, game_factory=lambda: KaylesGame(10))
     topo = das_topology(clusters=2, cluster_size=3)
-    result = run_app("awari", variant, topo, config=cfg)
+    result = run_app("awari", variant, topo, config=cfg, seed=8)
     expected = kernel.retrograde_solve(KaylesGame(10))
     merged = {}
     for values in result.results:

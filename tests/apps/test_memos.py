@@ -90,13 +90,17 @@ def test_tsp_durations_are_keyed_on_every_field(field, value):
 
 def test_config_fields_reach_the_key():
     """A config edited between runs must not be served the old value —
-    the memo never sees the config object, only its fields."""
+    the memo never sees the config object, only its fields and the run
+    seed."""
     cfg = tsp.TspConfig(num_jobs=10)
-    before = [tsp._job_duration(cfg, j) for j in range(10)]
-    cfg.seed = 3
-    after = [tsp._job_duration(cfg, j) for j in range(10)]
-    assert before == reference_durations(0, cfg.mean_job_sec, cfg.job_sigma, 10)
-    assert after == reference_durations(3, cfg.mean_job_sec, cfg.job_sigma, 10)
+    before = list(tsp._synthetic_durations(cfg, 0))
+    other_seed = list(tsp._synthetic_durations(cfg, 3))
+    cfg.mean_job_sec *= 2
+    after = list(tsp._synthetic_durations(cfg, 0))
+    half = cfg.mean_job_sec / 2
+    assert before == reference_durations(0, half, cfg.job_sigma, 10)
+    assert other_seed == reference_durations(3, half, cfg.job_sigma, 10)
+    assert after == reference_durations(0, cfg.mean_job_sec, cfg.job_sigma, 10)
     assert tsp._make_jobs(cfg) == list(range(10))
 
 
@@ -208,13 +212,13 @@ def test_paper_scale_awari_stage_is_not_pinned():
 # ----------------------------------------------------------------------
 # A warm process reports what a fresh process reports
 # ----------------------------------------------------------------------
-#: (app, variant, app seed, machine seed, scale, cluster_size, bw, lat)
-FIRST = [("awari", "optimized", 0, 0, "bench", 8, 6.3, 0.5),
-         ("awari", "optimized", 0, 0, "bench", 8, 0.1, 300.0),
-         ("tsp", "optimized", 0, 0, "bench", 8, 6.3, 0.5),
-         ("tsp", "optimized", 0, 0, "bench", 8, 0.1, 300.0)]
-THEN = [("awari", "optimized", 5, 3, "paper", 4, 0.95, 3.3),
-        ("tsp", "optimized", 5, 3, "paper", 4, 0.95, 3.3)]
+#: (app, variant, seed, scale, cluster_size, bw, lat)
+FIRST = [("awari", "optimized", 0, "bench", 8, 6.3, 0.5),
+         ("awari", "optimized", 0, "bench", 8, 0.1, 300.0),
+         ("tsp", "optimized", 0, "bench", 8, 6.3, 0.5),
+         ("tsp", "optimized", 0, "bench", 8, 0.1, 300.0)]
+THEN = [("awari", "optimized", 5, "paper", 4, 0.95, 3.3),
+        ("tsp", "optimized", 5, "paper", 4, 0.95, 3.3)]
 
 
 def shrunk(app, cfg):
@@ -226,8 +230,8 @@ def shrunk(app, cfg):
 
 
 def observe(spec):
-    app, variant, app_seed, seed, scale, cluster_size, bw, lat = spec
-    cfg = dataclasses.replace(default_config(app, scale), seed=app_seed)
+    app, variant, seed, scale, cluster_size, bw, lat = spec
+    cfg = default_config(app, scale)
     if scale == "paper":
         cfg = shrunk(app, cfg)
     topo = das_topology(clusters=4, cluster_size=cluster_size,

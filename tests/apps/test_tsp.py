@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.apps import run_app
 from repro.apps.tsp import TspConfig, kernel
-from repro.apps.tsp.parallel import _job_duration
+from repro.apps.tsp.parallel import _synthetic_durations
 from repro.network import das_topology, single_cluster
 
 
@@ -73,22 +73,23 @@ class TestKernel:
 # ----------------------------------------------------------------------
 # Parallel correctness (real data)
 # ----------------------------------------------------------------------
-REAL_CFG = TspConfig(cities=8, job_depth=3, real_data=True, seed=4)
+REAL_CFG = TspConfig(cities=8, job_depth=3, real_data=True)
+REAL_SEED = 4
 
 
 @pytest.mark.parametrize("variant", ["unoptimized", "optimized"])
 @pytest.mark.parametrize("topo", [single_cluster(4),
                                   das_topology(clusters=2, cluster_size=2)])
 def test_parallel_finds_optimal_tour(variant, topo):
-    result = run_app("tsp", variant, topo, config=REAL_CFG)
-    dist = kernel.random_cities(REAL_CFG.cities, REAL_CFG.seed)
+    result = run_app("tsp", variant, topo, config=REAL_CFG, seed=REAL_SEED)
+    dist = kernel.random_cities(REAL_CFG.cities, REAL_SEED)
     assert result.results[0] == brute_force(dist)
 
 
 def test_job_durations_deterministic_and_positive():
-    cfg = TspConfig(seed=9)
-    d1 = [_job_duration(cfg, i) for i in range(50)]
-    d2 = [_job_duration(cfg, i) for i in range(50)]
+    cfg = TspConfig()
+    d1 = _synthetic_durations(cfg, 9)[:50]
+    d2 = _synthetic_durations(cfg, 9)[:50]
     assert d1 == d2
     assert all(d > 0 for d in d1)
     mean = sum(d1) / len(d1)

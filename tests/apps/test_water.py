@@ -128,7 +128,8 @@ class TestNeedSet:
 # ----------------------------------------------------------------------
 # Parallel vs. serial reference (real data, tiny scale)
 # ----------------------------------------------------------------------
-REAL_CFG = WaterConfig(molecules=24, iterations=3, real_data=True, seed=7)
+REAL_CFG = WaterConfig(molecules=24, iterations=3, real_data=True)
+REAL_SEED = 7
 
 
 def gathered_positions(result, n, p):
@@ -141,17 +142,19 @@ def gathered_positions(result, n, p):
                                   das_topology(clusters=2, cluster_size=2),
                                   das_topology(clusters=3, cluster_size=2)])
 def test_parallel_matches_serial_reference(variant, topo):
-    result = run_app("water", variant, topo, config=REAL_CFG)
+    result = run_app("water", variant, topo, config=REAL_CFG, seed=REAL_SEED)
     final = gathered_positions(result, REAL_CFG.molecules, topo.num_ranks)
     ref_pos, _ = kernel.serial_water(REAL_CFG.molecules, REAL_CFG.iterations,
-                                     REAL_CFG.seed)
+                                     REAL_SEED)
     assert np.allclose(final, ref_pos, atol=1e-8)
 
 
 def test_variants_agree_with_each_other():
     topo = das_topology(clusters=2, cluster_size=3)
-    r_unopt = run_app("water", "unoptimized", topo, config=REAL_CFG)
-    r_opt = run_app("water", "optimized", topo, config=REAL_CFG)
+    r_unopt = run_app("water", "unoptimized", topo, config=REAL_CFG,
+                      seed=REAL_SEED)
+    r_opt = run_app("water", "optimized", topo, config=REAL_CFG,
+                    seed=REAL_SEED)
     p = topo.num_ranks
     a = gathered_positions(r_unopt, REAL_CFG.molecules, p)
     b = gathered_positions(r_opt, REAL_CFG.molecules, p)

@@ -6,7 +6,8 @@ import os
 import pytest
 
 from repro.experiments import grids
-from repro.experiments.cache import SimCache, main as cache_main
+from repro.experiments.cache import SimCache, main as cache_main, runtime_entry
+from repro.experiments.runner import point_key
 
 
 @pytest.fixture
@@ -33,6 +34,18 @@ def test_key_distinguishes_every_parameter(cache):
     assert cache.key("water", "optimized", "bench", 0, t1) != base
     assert cache.key("asp", "optimized", "paper", 0, t1) != base
     assert cache.key("asp", "optimized", "bench", 7, t1) != base
+
+
+def test_entry_under_the_old_seed_spelling_is_not_served(cache):
+    """Keys once spelled the seed ``-s{seed}``, when every seed ran the
+    seed-0 instance: such an entry for seed 7 holds the wrong instance."""
+    topo = grids.multi_cluster(0.95, 10.0)
+    stale = f"tsp-optimized-bench-r32-s7-{topo.fingerprint()}"
+    cache.store(stale, runtime_entry("tsp", "optimized", "bench", 7, topo,
+                                     {"runtime": 0.3639}))
+    assert point_key("tsp", "optimized", "bench", 7, 0.95, 10.0) != stale
+    assert cache.get("tsp", "optimized", "bench", 7, topo) is None
+    assert cache.result(stale) is not None
 
 
 def test_entries_and_clear(cache):

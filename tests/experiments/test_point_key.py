@@ -102,4 +102,4 @@ def test_key_memo_is_bounded_hit_on_repeat_and_type_exact():
     # arguments of different types must not share a memo slot.
     as_int = point_key(**{**POINT, "seed": 1})
     assert point_key(**{**POINT, "seed": True}) != as_int
-    assert "-s1-" in as_int
+    assert "-i1-" in as_int

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import grids
+from repro.experiments.cache import SimCache
 from repro.experiments.runner import Sweeper
 
 
@@ -57,3 +58,30 @@ class TestSweeper:
         curve = [sweeper.speedup_at("asp", "unoptimized", 6.3, lat).relative_speedup_pct
                  for lat in (0.5, 10.0, 100.0)]
         assert curve[0] > curve[1] > curve[2]
+
+
+# ----------------------------------------------------------------------
+# The run seed names the problem instance
+# ----------------------------------------------------------------------
+#: Figure 3's middle: 0.95 MByte/s, 10 ms
+MIDDLE = (0.95, 10.0)
+#: apps whose timing depends on the instance; the other four get new
+#: data, but the cost model charges messages by size, not by value
+INSTANCE_TIMED = ("tsp", "awari")
+
+
+@pytest.mark.parametrize("app", sorted(grids.APPS))
+def test_seed_names_the_instance(app):
+    seed0 = Sweeper(seed=0).speedup_at(app, "optimized", *MIDDLE)
+    seed7 = Sweeper(seed=7).speedup_at(app, "optimized", *MIDDLE)
+    if app in INSTANCE_TIMED:
+        assert seed7.runtime != seed0.runtime
+    else:
+        assert repr(seed7) == repr(seed0)
+
+
+@pytest.mark.parametrize("app", INSTANCE_TIMED)
+def test_other_instances_still_land_on_simulate(app, tmp_path):
+    sweeper = Sweeper(seed=7, backend="replay",
+                      cache=SimCache(str(tmp_path)))
+    assert sweeper.decision(app, "optimized").rung == "simulate"

@@ -9,7 +9,8 @@ import textwrap
 
 from repro.lint.proto import (LABEL_STABLE, LABEL_TIMING, LABEL_UNSTABLE,
                               ModuleSet, ProtoGraph, analyze_app, classify,
-                              find_deadlocks, find_taints, find_unmatched)
+                              find_deadlocks, find_taints, find_unmatched,
+                              proto_findings)
 from repro.network.topology import das_topology
 
 
@@ -196,6 +197,29 @@ def test_wall_clock_taint_reaches_send_payload(tmp_path):
     assert flows, "wall-clock payload must be reported"
     assert any(f.sink == "payload" and "wall-clock" in f.source
                for f in flows)
+
+
+def test_every_static_rng_source_taints_a_send_size(tmp_path):
+    """The interpreter's taint sources are the static checker's tables:
+    ``random.gauss`` (absent from an older hand-kept subset) taints the
+    size it feeds, and the lint reports it as ``proto-taint``."""
+    sk = skeleton_for(tmp_path, """
+        import random
+
+        def make_main(cfg):
+            def main(ctx):
+                size = int(random.gauss(64, 8))
+                yield ctx.send(0, size, "g")
+                msg = yield ctx.recv("g")
+            return main
+
+        register_app("toy", "v1", make_main)
+    """)
+    flows = find_taints(sk)
+    assert any(f.sink == "size" and "random.gauss" in f.source
+               for f in flows), flows
+    findings = proto_findings([sk])
+    assert [f.rule for f in findings] == ["proto-taint"]
 
 
 def test_unmatched_recv_is_reported_symbolically(tmp_path):

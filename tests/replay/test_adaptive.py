@@ -28,6 +28,7 @@ meaningful.
 import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,13 +36,10 @@ from hypothesis import strategies as st
 from repro.experiments import grids
 from repro.replay import adaptive as adaptive_module
 from repro.replay import program as program_module
-from repro.replay import require_numpy
 from repro.replay.adaptive import DEFAULT_MAX_ITERS, AdaptiveProgram
 from repro.replay.compile import compile_dag
 from repro.whatif.record import record_app
 from repro.whatif.validate import corner_points
-
-np = require_numpy()
 
 #: plenty for feedforward circuits (depth <= number of groups)
 CAP = 64
@@ -129,7 +127,7 @@ def build(circuit) -> AdaptiveProgram:
 def run(prog, points, max_iters=CAP, order_tol=0.0):
     inv_bw = np.array([p[0] for p in points], dtype=np.float64)
     wlat = np.array([p[1] for p in points], dtype=np.float64)
-    return prog._adaptive(np, inv_bw, wlat, np.zeros_like(inv_bw),
+    return prog._adaptive(inv_bw, wlat, np.zeros_like(inv_bw),
                           max_iters, order_tol)
 
 
@@ -376,9 +374,9 @@ def blocks(monkeypatch):
     seen = []
     iterate = AdaptiveProgram._iterate
 
-    def counting(self, np_, params, *args):
+    def counting(self, params, *args):
         seen.append(params.shape[1])
-        return iterate(self, np_, params, *args)
+        return iterate(self, params, *args)
     monkeypatch.setattr(AdaptiveProgram, "_iterate", counting)
     return seen
 
@@ -414,7 +412,7 @@ def test_blocked_grids_match_one_call_per_point(fft_program, monkeypatch,
                                                 blocks):
     prog = fft_program
     monkeypatch.setattr(adaptive_module, "PLAN_BYTES", 6 << 20)
-    assert prog._block_points(np) == 4                # 1.5 MB a point
+    assert prog._block_points() == 4                # 1.5 MB a point
     bws, lats = (6.3, 0.95, 0.1), (0.5, 10.0, 300.0)
     grid = prog.price_grid_adaptive(bws, lats)
     assert blocks == [3, 3, 3]
@@ -449,7 +447,7 @@ def test_empty_axes_price_to_empty_arrays(fft_program):
 def test_a_budget_below_one_point_prices_one_point_per_block(
         fft_program, monkeypatch, blocks):
     monkeypatch.setattr(adaptive_module, "PLAN_BYTES", 1)
-    assert fft_program._block_points(np) == 1
+    assert fft_program._block_points() == 1
     corners = corner_points(grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS)
     result = fft_program.price_points_adaptive(corners)
     assert blocks == [1, 1, 1, 1]

@@ -10,11 +10,11 @@ every one of these.
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.experiments import grids
 from repro.experiments.cache import SimCache
-from repro.replay import require_numpy
 from repro.replay.adaptive import ADAPTIVE_FORMAT
 from repro.replay.backend import PROBE_REL_TOL, ReplayBackend
 from repro.replay.program import PROGRAM_FORMAT
@@ -28,7 +28,6 @@ def cache_root(tmp_path_factory):
 
 
 def test_prepare_compiles_then_loads_from_cache(cache_root):
-    np = require_numpy()
     cache = SimCache(cache_root)
     first = ReplayBackend.for_app("asp", "optimized", cache=cache)
     program = first.prepare()

@@ -3,8 +3,7 @@
 The replay backend is only allowed to be fast where it is provably
 safe.  Timing-sensitive DAGs (tsp's work stealing, awari's MARK
 protocol), fault-bearing sweeps, and order-unstable programs each have
-a designated landing rung, and a missing numpy must surface as the one
-clear :class:`ReplayUnavailable` error.
+a designated landing rung.
 
 With the vectorized-adaptive rung, the order-unstable landing spot
 splits by measured convergence: fft's re-sorted orders fix within the
@@ -15,14 +14,11 @@ Both outcomes are pinned here — water converging would be as much a
 behavior change as fft regressing to predict.
 """
 
-import sys
-
 import pytest
 
 from repro.experiments.cache import SimCache
 from repro.experiments.runner import Sweeper
 from repro.faults import FaultPlan, PacketLoss
-from repro.replay import ReplayUnavailable
 
 #: small axes: fallback rungs are decided before any pricing, so the
 #: grids here only need enough points to prove the decision stuck
@@ -94,13 +90,6 @@ def test_water_falls_through_to_predict():
     assert not convergence.all_converged
     assert "adaptive-unconverged" in convergence.summary()
     assert not grid.decision.validation.fallback
-
-
-def test_missing_numpy_surfaces_as_replay_unavailable(monkeypatch):
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    with pytest.raises(ReplayUnavailable):
-        Sweeper(backend="replay").speedup_grid(
-            "asp", "optimized", bandwidths=BWS, latencies=LATS)
 
 
 # ----------------------------------------------------------------------

@@ -10,13 +10,12 @@ with a hard guard at the divergence point.
 
 import hashlib
 import random
-import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.experiments import grids
-from repro.replay import ReplayUnavailable, require_numpy
 from repro.replay import program as program_module
 from repro.replay.compile import compile_dag, compile_recording
 from repro.replay.program import PROGRAM_FORMAT, ReplayProgram
@@ -49,7 +48,6 @@ def test_price_points_matches_grid(program):
 
 def test_runtime_monotone_in_each_axis(program):
     grid = program.price_grid(grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS)
-    np = require_numpy()
     # bandwidths are listed fastest-first, so runtime grows along the axis
     assert bool(np.all(np.diff(grid, axis=1) >= 0))
     # latencies are listed smallest-first
@@ -57,7 +55,6 @@ def test_runtime_monotone_in_each_axis(program):
 
 
 def test_serialization_roundtrip_is_bit_identical(program):
-    np = require_numpy()
     record = program.to_record()
     clone = ReplayProgram.from_record(record)
     for name in ("pred_a", "pred_b", "edge_a", "edge_b",
@@ -83,7 +80,6 @@ def test_stale_format_is_refused(program):
 # Loss axis
 # ----------------------------------------------------------------------
 def test_loss_axis_monotone_and_zero_consistent(program):
-    np = require_numpy()
     losses = (0.0, 0.01, 0.1)
     cube = program.price_grid(grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS,
                               loss_rates=losses)
@@ -103,7 +99,6 @@ def test_loss_terms_price_the_default_transport_bitwise(program):
     """The loss model reads its constants from ``TransportConfig()``;
     the literals below are the copy ``program.py`` used to keep, so the
     two must agree to the bit."""
-    np = require_numpy()
     inv_bw = 1.0 / (np.asarray(grids.BANDWIDTHS_MBYTE_S) * 1e6)
     wlat = np.full_like(inv_bw, 3.3e-3)
     loss = np.full_like(inv_bw, 0.1)
@@ -116,7 +111,7 @@ def test_loss_terms_price_the_default_transport_bitwise(program):
                                   + fixed))
     expected = rto * (2.0 * loss / (1.0 - 2.0 * loss)
                       - loss / (1.0 - loss)) / (2.0 - 1.0)
-    got_bw, got_expected = program._loss_terms(np, inv_bw, wlat, loss)
+    got_bw, got_expected = program._loss_terms(inv_bw, wlat, loss)
     assert got_expected.tobytes() == expected.tobytes()
     assert got_bw.tobytes() == (inv_bw / (1.0 - loss)).tobytes()
 
@@ -126,63 +121,6 @@ def test_loss_guard_at_divergence(program):
         program.price_grid(grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS,
                            loss_rates=[0.6])
     assert "loss" in str(err.value)
-
-
-# ----------------------------------------------------------------------
-# numpy guard
-# ----------------------------------------------------------------------
-def test_replay_unavailable_without_numpy(monkeypatch):
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    with pytest.raises(ReplayUnavailable) as err:
-        require_numpy()
-    message = str(err.value)
-    assert "numpy" in message
-    # the error must point at the stdlib-only alternatives
-    assert "predict" in message or "simulation" in message
-
-
-def test_package_import_stays_stdlib_safe():
-    """A no-numpy interpreter must still be able to ``import
-    repro.replay`` and get the *clear* :class:`ReplayUnavailable` error —
-    not a raw ImportError from deep inside the package."""
-    import os
-    import subprocess
-
-    import repro
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    code = (
-        "import sys; sys.modules['numpy'] = None\n"
-        "from repro.replay import ReplayUnavailable, require_numpy\n"
-        "try:\n"
-        "    require_numpy()\n"
-        "except ReplayUnavailable as err:\n"
-        "    assert 'numpy' in str(err)\n"
-        "    print('ok')\n"
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
-
-
-def test_replay_modules_never_import_numpy_at_module_scope():
-    """require_numpy() is the single chokepoint: no replay source file
-    may import numpy at module scope, or the guard can be bypassed."""
-    import os
-
-    import repro.replay
-
-    pkg_dir = os.path.dirname(os.path.abspath(repro.replay.__file__))
-    for name in sorted(os.listdir(pkg_dir)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(pkg_dir, name)) as handle:
-            for line in handle:
-                # column 0 only: function-scope imports are the pattern
-                assert not line.startswith(("import numpy", "from numpy")), \
-                    f"{name} imports numpy at module scope: {line.strip()!r}"
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +246,6 @@ def test_frozen_prices_are_bitwise_pinned(app, variant):
 ])
 def test_unpriceable_axis_values_are_refused_by_name(program, bws, lats,
                                                      losses, named):
-    np = require_numpy()
     with np.errstate(all="raise"), pytest.raises(ValueError, match=named):
         program.price_grid(bws, lats, loss_rates=losses)
     if losses is None:
@@ -342,7 +279,6 @@ def poison_workspace():
 def reachable_arrays(obj, seen=None):
     """Every ndarray reachable from ``obj`` through attributes, slots
     and plain containers."""
-    np = require_numpy()
     seen = set() if seen is None else seen
     if id(obj) in seen or isinstance(obj, (str, bytes, int, float)):
         return
@@ -383,7 +319,6 @@ def test_interleaved_point_counts_read_no_stale_buffer():
 
 
 def test_programs_keep_no_point_sized_array_and_the_workspace_is_bounded():
-    np = require_numpy()
     axes = dense_axes()
     programs = [compile_recording(record_app(app, variant))
                 for app in ("asp", "barnes")

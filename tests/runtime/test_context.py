@@ -208,24 +208,21 @@ def test_context_properties():
     assert CONTROL_BYTES == 64
 
 
-def test_topology_conveniences_and_lazy_rng():
-    """``cluster``/``num_ranks``/``topology`` are plain attributes and
-    ``rng`` is derived on first use — the same stream as ever."""
-    from repro.sim.rng import make_rng
-
+def test_topology_conveniences_are_attributes():
+    """``cluster``/``num_ranks``/``topology`` are plain attributes; the
+    only seed a rank reads is the machine's, which names the instance."""
     topo = das_topology(clusters=2, cluster_size=3)
     machine = Machine(topo, seed=11)
     seen = {}
 
     def body(ctx):
         seen[ctx.rank] = (ctx.topology, ctx.num_ranks, ctx.cluster,
-                          ctx.is_local(0), ctx._rng)
-        assert ctx.rng is ctx.rng
-        assert ctx.rng.random() == make_rng(11, f"rank{ctx.rank}").random()
+                          ctx.is_local(0), ctx.machine.seed)
+        assert not hasattr(ctx, "rng")
         yield ctx.compute(0)
 
     for r in topo.ranks():
         machine.spawn(r, body)
     machine.run()
-    assert seen[0] == (topo, 6, 0, True, None)
-    assert seen[4] == (topo, 6, 1, False, None)
+    assert seen[0] == (topo, 6, 0, True, 11)
+    assert seen[4] == (topo, 6, 1, False, 11)

@@ -55,15 +55,12 @@ def test_app_runs_are_bit_identical(app, variant):
 
 @pytest.mark.parametrize("app", ["tsp", "awari"])
 def test_different_workload_seeds_differ(app):
-    """The stochastic workloads actually consume the config seed (the run
-    seed only feeds per-rank RNG streams; workload shape is config-owned
-    so that the same problem can be run on different machines)."""
-    config_a = make_config(app)
-    config_b = make_config(app)
-    config_a.seed = 1
-    config_b.seed = 2
-    a = run_app(app, "unoptimized", TOPO, config=config_a)
-    b = run_app(app, "unoptimized", TOPO, config=config_b)
+    """The stochastic workloads actually consume the run seed: it names
+    the problem instance, so one config run at two seeds is two
+    instances."""
+    config = make_config(app)
+    a = run_app(app, "unoptimized", TOPO, config=config, seed=1)
+    b = run_app(app, "unoptimized", TOPO, config=config, seed=2)
     assert fingerprint(a) != fingerprint(b)
 
 
