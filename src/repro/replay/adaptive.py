@@ -47,11 +47,11 @@ adaptive compile emits **chainless** queue joins (both dependency
 columns point at the arrival), which collapses the level count by an
 order of magnitude (fft 1183 -> 101 levels) and keeps the sweep to a
 few milliseconds for the whole Figure-3 grid.  The sweep is the frozen
-program's own (:meth:`ReplayProgram._sweep_levels`: one stacked gather,
-one add, one maximum per level, buffers from the calling thread's
-workspace) with one extra scatter per level that splices the served
-starts in.  Measured on the Figure-3
-grid: fft converges bitwise-exactly (<= 1e-13 vs. the interpreted
+program's own (:meth:`ReplayProgram._sweep_levels`: one matmul per
+chunk of levels, then one stacked gather, one add, one maximum per
+level, buffers from the calling thread's workspace) with one extra
+scatter per level that splices the served starts in.  Measured on the
+Figure-3 grid: fft converges bitwise-exactly (<= 1e-13 vs. the interpreted
 evaluator) within 30 iterations; water's value feedback is hundreds of
 queue-crossings deep, so it never converges within any sensible cap
 and every point downgrades — which is the honest outcome for a
@@ -68,7 +68,7 @@ import numpy as np
 
 from ..network.topology import Topology
 from .program import (_WORKSPACE, PROGRAM_FORMAT, ReplayProgram, _below,
-                      _decode_fields, _encode, _levelize)
+                      _decode_fields, _encode, _levelize, _priced)
 
 #: Bump when the group-array layout or the iteration semantics change;
 #: part of the adaptive cache key (alongside the base PROGRAM_FORMAT).
@@ -97,13 +97,14 @@ DEFAULT_MAX_ITERS = 40
 DEFAULT_ORDER_TOL = 1e-9
 
 #: Most bytes of workspace one fixed-point plan may take; more points
-#: are iterated in balanced blocks.  A plan costs about 1.5 MB a point
-#: on fft, and the thread's workspace keeps the largest plan it carved:
-#: 62.5 MB for the 42-point paper grid in one block.  16 MiB holds 11
-#: points, so that grid runs in four blocks and leaves 16.4 MB.  Chosen
-#: on that grid (2 vCPUs, CPU time against one block compacted at half,
-#: bandwidth-major): 8 MiB +10 %, 16 MiB -8 %, 32 MiB -11 % but a 31 MB
-#: plan kept.
+#: are iterated in balanced blocks.  Blocks are sized by the one-point
+#: plan, 1.5 MB on fft (its edge-cost chunk is the whole program); a
+#: wider plan costs 1.3 MB a point, and the thread's workspace keeps the
+#: largest plan it carved: 53 MB for the 42-point paper grid in one
+#: block.  16 MiB holds 11 points, so that grid runs in four blocks and
+#: leaves 14.2 MB.  Chosen on that grid (2 vCPUs, CPU time against one
+#: block compacted at half, bandwidth-major): 8 MiB +10 %, 16 MiB -8 %,
+#: 32 MiB -11 % but a 31 MB plan kept.
 PLAN_BYTES = 16 << 20
 
 
@@ -169,7 +170,7 @@ class _Plan:
     re-carved in place when the iteration compacts to the survivors.
     """
 
-    __slots__ = ("P", "t", "t_prev", "cost_ab", "levels", "overrides",
+    __slots__ = ("P", "t", "t_prev", "levels", "overrides",
                  "served_lv", "arr_costg", "costg", "seed_cost",
                  "arrg", "served", "s_prev", "s_new", "flat",
                  "a_s", "c_s", "s_excl", "ok_rows", "stale")
@@ -327,9 +328,9 @@ class AdaptiveProgram(ReplayProgram):
         """The workspace specs of a ``P``-point :class:`_Plan`, in
         :meth:`_carve_plan`'s unpacking order."""
         N, M, K = self.num_nodes, self.num_group_ops, self.num_groups
-        f8, i4 = np.float64, np.int32
-        return [(N, P, f8), (N, P, f8), (2 * N, P, f8),
-                (2 * self._layout().max_width, P, f8), (K, P, f8),
+        f8, i4, lay = np.float64, np.int32, self._layout()
+        return [(N, P, f8), (N, P, f8), (lay.cost_rows(P), P, f8),
+                (2 * lay.max_width, P, f8), (K, P, f8),
                 *[(M, P, f8)] * 8,
                 (M, P, i4), (M, P, i4), (M, P, np.intp), (M, P, bool)]
 
@@ -341,23 +342,22 @@ class AdaptiveProgram(ReplayProgram):
 
     def _carve_plan(self, params, s_prev) -> _Plan:
         """A plan for the ``P`` points (columns) of ``params`` out of
-        the thread's workspace, priced there and seeded with the serve
-        orders ``s_prev`` (broadcast over the points)."""
+        the thread's workspace, its queue rows priced there and seeded
+        with the serve orders ``s_prev`` (broadcast over the points)."""
         lay, st = self._layout(), self._static_layout()
         plan = _Plan()
         plan.P = params.shape[1]
-        (plan.t, plan.t_prev, plan.cost_ab, arena, plan.seed_cost,
+        (plan.t, plan.t_prev, cost, arena, plan.seed_cost,
          plan.served_lv, plan.arr_costg, plan.costg, plan.arrg, plan.served,
          plan.a_s, plan.c_s, plan.s_excl, plan.s_prev, plan.s_new,
          plan.flat, plan.ok_rows) = _WORKSPACE.carve(
             *self._plan_specs(plan.P))
-        plan.levels = lay.views(plan.t, plan.cost_ab, arena)
+        plan.levels = lay.schedule(plan.t, cost, arena)
         plan.overrides = [ov and (ov[2], plan.served_lv[ov[0]:ov[1]])
                           for ov in st["ov_slices"]]
-        np.matmul(lay.edge_ab, params, out=plan.cost_ab)
-        np.matmul(self.op_arr_edge, params, out=plan.arr_costg)
-        np.matmul(self.op_cost, params, out=plan.costg)
-        np.matmul(self.grp_seed_edge, params, out=plan.seed_cost)
+        _priced(self.op_arr_edge, params, plan.arr_costg)
+        _priced(self.op_cost, params, plan.costg)
+        _priced(self.grp_seed_edge, params, plan.seed_cost)
         plan.s_prev[:] = s_prev
         self._flatten(plan, plan.s_prev)
         return plan
@@ -452,7 +452,7 @@ class AdaptiveProgram(ReplayProgram):
         P0 = params.shape[1]
         st = self._static_layout()
         gs = self.grp_starts
-        fin_cost = self.fin_edge @ params
+        fin_cost = _priced(self.fin_edge, params)
 
         out_rt = np.empty(P0, dtype=np.float64)
         out_conv = np.zeros(P0, dtype=bool)
@@ -466,7 +466,7 @@ class AdaptiveProgram(ReplayProgram):
 
         # Iteration 0: the chainless relaxation (queues serve with no
         # waiting) seeds the arrivals.
-        self._sweep_levels(plan.t, plan.levels)
+        self._sweep_levels(plan.t, params, plan.levels)
         scale = (plan.t[self.fin_node] + fin_cost).max(axis=0)
 
         it = 0
@@ -489,7 +489,7 @@ class AdaptiveProgram(ReplayProgram):
             np.copyto(plan.t_prev, plan.t)
             np.take(plan.served, st["ov_order"], axis=0, out=plan.served_lv,
                     mode="clip")
-            self._sweep_levels(plan.t, plan.levels, plan.overrides)
+            self._sweep_levels(plan.t, params, plan.levels, plan.overrides)
             scale = (plan.t[self.fin_node] + fin_cost).max(axis=0)
             newly = (plan.t == plan.t_prev).all(axis=0) & settled
             if newly.any():
@@ -531,9 +531,8 @@ class AdaptiveProgram(ReplayProgram):
         :meth:`_block_points`, so the plan never outgrows
         :data:`PLAN_BYTES`.  Every column of the fixed point is
         independent, so blocking changes no bit of the pinned grids
-        (``tests/replay/test_adaptive.py``).  The one caveat is numpy's:
-        a one-column matmul takes the matrix-vector path, which under
-        loss can round a cost differently from a wider batch.
+        (``tests/replay/test_adaptive.py``), down to a block of one
+        point.
         """
         P = inv_bw.shape[0]
         if self.num_group_ops == 0 or max_iters < 1:

@@ -17,7 +17,9 @@ dimension broadcast across the whole level — no per-event Python
 dispatch, three numpy kernel calls per dependency level (one stacked
 gather, one add, one maximum: :meth:`ReplayProgram._sweep_levels`, the
 one sweep the order-adaptive engine runs too) into buffers a per-thread
-workspace keeps between calls.
+workspace keeps between calls.  The edge costs are priced one chunk of
+levels at a time, just before the sweep reaches them, so no (edges x
+points) cost matrix is ever held.
 
 The loss-rate axis is an expected-value model of the reliable transport
 (:mod:`repro.runtime.transport`): each WAN traversal of a lossy link
@@ -60,11 +62,17 @@ _TRANSPORT = TransportConfig()
 
 #: Most bytes of sweep scratch one thread keeps between pricing calls.
 #: 128 MiB holds every shipped program on a 16 x 16 grid (the largest,
-#: water/unoptimized, asks for 100 MB; asp/unoptimized 82 MB); an
+#: water/unoptimized, asks for 34 MB; asp/unoptimized 28 MB); an
 #: adaptive plan asks for at most :data:`~repro.replay.adaptive.
 #: PLAN_BYTES`, whatever the grid.  A larger request is allocated for
 #: that call only.
 WORKSPACE_BYTES = 128 << 20
+
+#: Bytes of edge costs one sweep chunk prices at a time, rounded to
+#: whole levels.  512 KiB keeps every chunk's product under OpenBLAS's
+#: threading threshold (m*n*k <= 262144 with k = 4) and its costs in
+#: cache until the chunk's levels read them.
+CHUNK_BYTES = 512 << 10
 
 
 class _Workspace(threading.local):
@@ -137,21 +145,61 @@ class _Layout:
         self.idx_lv = [idx_ab[2 * lo:2 * hi] for lo, hi in self.spans]
         self.max_width = int(widths[1:].max()) if len(widths) > 1 else 0
 
-    def views(self, t, cost_ab, arena) -> list:
-        """Per-level operands of :meth:`ReplayProgram._sweep_levels` over
-        one call's buffers: ``(gather index, costs, gather buffer, its a
-        half, its b half, output)``.  The gather buffers are slices of
-        one ``(2 * max_width, P)`` arena, since levels run in turn."""
+    def chunk_rows(self, points: int) -> int:
+        """Most edge-cost rows one chunk groups at ``points`` points:
+        :data:`CHUNK_BYTES` of costs, in whole levels (a level wider
+        than that is a chunk of its own)."""
+        return CHUNK_BYTES // (8 * points) if points else len(self.edge_ab)
+
+    def cost_rows(self, points: int) -> int:
+        """Rows of the chunk buffer at ``points`` points: room for the
+        largest chunk, never more than the whole program's rows."""
+        return min(len(self.edge_ab),
+                   max(self.chunk_rows(points), 2 * self.max_width))
+
+    def schedule(self, t, cost, arena) -> list:
+        """The operands of :meth:`ReplayProgram._sweep_levels` over one
+        call's buffers, in chunks of whole levels: per chunk ``(edge
+        rows, their costs, levels)``, per level ``(gather index, costs,
+        gather buffer, its a half, its b half, output)``.  Chunks take
+        turns in ``cost`` (:meth:`cost_rows` rows), and levels in one
+        ``(2 * max_width, P)`` gather ``arena``."""
+        room = self.chunk_rows(t.shape[1])
         halves: Dict[int, tuple] = {}
-        plan = []
+        chunks, first, levels = [], 0, []     # chunks: (rows, levels)
         for idx, (lo, hi) in zip(self.idx_lv, self.spans):
+            if levels and 2 * hi - first > room:
+                chunks.append((slice(first, 2 * lo), levels))
+                levels = []
+            if not levels:
+                first = 2 * lo
             m = hi - lo
             bufs = halves.get(m)
             if bufs is None:
                 buf = arena[:2 * m]
                 bufs = halves[m] = (buf, buf[:m], buf[m:])
-            plan.append((idx, cost_ab[2 * lo:2 * hi], *bufs, t[lo:hi]))
-        return plan
+            levels.append((idx, cost[2 * lo - first:2 * hi - first], *bufs,
+                           t[lo:hi]))
+        if levels:
+            chunks.append((slice(first, 2 * self.spans[-1][1]), levels))
+        return [(self.edge_ab[rows], cost[:rows.stop - rows.start], levels)
+                for rows, levels in chunks]
+
+
+def _priced(rows, params, out=None):
+    """``rows @ params`` (into ``out`` when given) on numpy's
+    matrix-matrix path whatever the point count.  With one column numpy
+    takes its matrix-vector path, which rounds some rows differently
+    from a wider product; so one point is priced as two identical
+    columns and the first is kept, and a column's bits never depend on
+    how many points are priced beside it."""
+    if params.shape[1] != 1:
+        return np.matmul(rows, params, out=out)
+    wide = np.matmul(rows, np.repeat(params, 2, axis=1))[:, :1]
+    if out is None:
+        return wide
+    out[...] = wide
+    return out
 
 
 def _levelize(pa: List[int], pb: List[int]):
@@ -387,41 +435,46 @@ class ReplayProgram:
             self._stacked = _Layout(self)
         return self._stacked
 
-    def _sweep_levels(self, t, plan, overrides=None) -> None:
-        """The level sweep: fill ``t`` bottom-up, three numpy calls and
-        no allocation per level.  ``overrides`` (the adaptive engine's)
-        holds per level ``None`` or ``(nodes, values)`` to splice over
-        the level's max-plus result."""
+    def _sweep_levels(self, t, params, plan, overrides=None) -> None:
+        """The level sweep: fill ``t`` bottom-up from the ``(4, P)``
+        parameter matrix ``params``, chunk by chunk of ``plan``
+        (:meth:`_Layout.schedule`): one matmul prices the chunk's edges,
+        then three numpy calls per level.  ``overrides`` (the adaptive
+        engine's) holds per level ``None`` or ``(nodes, values)`` to
+        splice over the level's max-plus result."""
         t[:int(self.level_starts[1])] = 0.0      # level 0: the root
         # the bound method skips np.take's dispatch: 2.4 -> 0.9 us a call
         take, add, maximum = t.take, np.add, np.maximum
-        if overrides is None:
-            for idx, cost, buf, half_a, half_b, out in plan:
-                take(idx, 0, buf, "clip")
-                add(buf, cost, out=buf)
-                maximum(half_a, half_b, out=out)
-        else:
-            for (idx, cost, buf, half_a, half_b, out), over in zip(
-                    plan, overrides):
-                take(idx, 0, buf, "clip")
-                add(buf, cost, out=buf)
-                maximum(half_a, half_b, out=out)
-                if over is not None:
-                    t[over[0]] = over[1]
+        over = iter(overrides or ())
+        for edge, cost, levels in plan:
+            _priced(edge, params, cost)
+            if overrides is None:
+                for idx, c, buf, half_a, half_b, out in levels:
+                    take(idx, 0, buf, "clip")
+                    add(buf, c, out=buf)
+                    maximum(half_a, half_b, out=out)
+            else:
+                for (idx, c, buf, half_a, half_b, out), ov in zip(levels,
+                                                                  over):
+                    take(idx, 0, buf, "clip")
+                    add(buf, c, out=buf)
+                    maximum(half_a, half_b, out=out)
+                    if ov is not None:
+                        t[ov[0]] = ov[1]
 
     def _sweep(self, inv_bw, wlat, eloss):
         """Runtime at each of P points (all args shape ``(P,)``)."""
-        # Price every edge at every point with one matmul: rows of the
-        # parameter matrix are (1, 1/wide_bw, wide_lat, E_loss).
+        # Rows of the parameter matrix are (1, 1/wide_bw, wide_lat,
+        # E_loss): an edge's cost is its row's dot product with a column.
         params = np.stack([np.ones_like(inv_bw), inv_bw, wlat, eloss])
         lay = self._layout()
         n, points = self.num_nodes, params.shape[1]
-        t, cost_ab, arena = _WORKSPACE.carve(
-            (n, points, np.float64), (2 * n, points, np.float64),
+        t, cost, arena = _WORKSPACE.carve(
+            (n, points, np.float64),
+            (lay.cost_rows(points), points, np.float64),
             (2 * lay.max_width, points, np.float64))
-        np.matmul(lay.edge_ab, params, out=cost_ab)
-        self._sweep_levels(t, lay.views(t, cost_ab, arena))
-        finals = t[self.fin_node] + self.fin_edge @ params
+        self._sweep_levels(t, params, lay.schedule(t, cost, arena))
+        finals = t[self.fin_node] + _priced(self.fin_edge, params)
         return finals.max(axis=0)
 
     # ------------------------------------------------------------------

@@ -381,6 +381,17 @@ def blocks(monkeypatch):
     return seen
 
 
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 40],
+                         ids=["level-per-chunk", "one-chunk"])
+def test_chunk_size_changes_no_bit(fft_program, monkeypatch, chunk_bytes):
+    """Each sweep of the fixed point prices its edge costs chunk by
+    chunk; a chunk per level or one chunk changes no bit of the grid."""
+    monkeypatch.setattr(program_module, "CHUNK_BYTES", chunk_bytes)
+    result = fft_program.price_grid_adaptive(grids.BANDWIDTHS_MBYTE_S,
+                                             grids.LATENCIES_MS)
+    assert result_digest(result) == FFT_GRID_PIN
+
+
 def test_paper_grid_keeps_the_workspace_within_the_plan_budget(
         fft_program, monkeypatch):
     monkeypatch.setattr(program_module._WORKSPACE, "buf", None)
@@ -403,9 +414,11 @@ def flat_digest(results):
             changes)
 
 
-def one_call_per_point(prog, points, loss_rate):
-    return flat_digest([prog.price_points_adaptive([point], loss_rate)
-                        for point in points])
+def one_call_per_point(prog, points):
+    """:func:`flat_digest` of one call per ``(bandwidth, latency, loss
+    rate)`` point."""
+    return flat_digest([prog.price_points_adaptive([(bw, lat)], rate)
+                        for bw, lat, rate in points])
 
 
 def test_blocked_grids_match_one_call_per_point(fft_program, monkeypatch,
@@ -416,25 +429,16 @@ def test_blocked_grids_match_one_call_per_point(fft_program, monkeypatch,
     bws, lats = (6.3, 0.95, 0.1), (0.5, 10.0, 300.0)
     grid = prog.price_grid_adaptive(bws, lats)
     assert blocks == [3, 3, 3]
-    points = [(bw, lat) for lat in lats for bw in bws]
-    assert flat_digest([grid]) == one_call_per_point(prog, points, 0.0)
+    points = [(bw, lat, 0.0) for lat in lats for bw in bws]
+    assert flat_digest([grid]) == one_call_per_point(prog, points)
 
     rates = (0.0, 0.01, 0.05, 0.2)
     blocks.clear()
     lossy = prog.price_grid_adaptive(bws[:2], lats[:2], loss_rates=rates)
     assert lossy.runtimes.shape == (4, 2, 2) and blocks == [4, 4, 4, 4]
-    solo = [one_call_per_point(prog, points[:2] + points[3:5], rate)
-            for rate in rates]
-    got = flat_digest([lossy])
-    assert got[:3] == tuple(sum((s[i] for s in solo), []) for i in range(3))
-    # Under loss a one-column matmul (numpy's matrix-vector path) rounds
-    # some arrival costs differently from a wider one: the fixed point
-    # does not move, but the order changes seen on the way can, so the
-    # tally is compared with one unblocked call instead.
-    monkeypatch.setattr(adaptive_module, "PLAN_BYTES", 1 << 40)
-    blocks.clear()
-    whole = prog.price_grid_adaptive(bws[:2], lats[:2], loss_rates=rates)
-    assert blocks == [16] and flat_digest([whole]) == got
+    points = [(bw, lat, rate) for rate in rates
+              for lat in lats[:2] for bw in bws[:2]]
+    assert flat_digest([lossy]) == one_call_per_point(prog, points)
 
 
 def test_empty_axes_price_to_empty_arrays(fft_program):

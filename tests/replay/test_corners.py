@@ -92,15 +92,17 @@ def test_corner_repr_equality_timing_dependent(app, variant, seed,
 
 
 @pytest.mark.parametrize("app,variant,rung", [
-    ("asp", "optimized", "replay"), ("water", "optimized", "predict")])
-def test_speedup_at_reads_the_grid_at_the_corners(app, variant, rung,
-                                                  shared_cache):
-    """Figure 4 and ``clusters`` read ``speedup_at``: at a validated
-    corner it must be the grid's simulated point, not the rung's price."""
+    ("asp", "optimized", "replay"),
+    ("fft", "unoptimized", "vectorized-adaptive"),
+    ("water", "optimized", "predict")])
+def test_speedup_at_reads_the_grid_everywhere(app, variant, rung,
+                                              shared_cache):
+    """Figure 4 and ``clusters`` read ``speedup_at``: at every paper
+    point it must be the grid's point to the last bit of the repr — the
+    simulated runtime at a validated corner, elsewhere the rung's price,
+    which does not depend on how many points are priced with it."""
     sweeper = Sweeper(backend="replay", cache=shared_cache)
     grid = sweeper.speedup_grid(app, variant)
-    assert grid.backend == rung
-    for bw in CORNER_BWS:
-        for lat in CORNER_LATS:
-            assert repr(sweeper.speedup_at(app, variant, bw, lat)) == \
-                repr(grid.points[bw, lat])
+    assert grid.backend == rung and len(grid.points) == 42
+    for (bw, lat), point in grid.points.items():
+        assert repr(sweeper.speedup_at(app, variant, bw, lat)) == repr(point)

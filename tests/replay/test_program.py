@@ -2,8 +2,9 @@
 
 These run entirely analytically (no ground-truth simulation beyond one
 recording per module), so they are cheap enough to check real
-invariants: grid pricing must agree with per-point pricing to within a
-ULP (BLAS batches sum in different orders), serialization must
+invariants: grid pricing must agree with per-point pricing bit for bit
+(a column's price does not depend on how many points are priced beside
+it, nor on how the sweep chunks its edge costs), serialization must
 round-trip to identical arrays, and the loss model must be monotone
 with a hard guard at the divergence point.
 """
@@ -34,16 +35,15 @@ def test_grid_matches_pointwise_pricing(program):
                           len(grids.BANDWIDTHS_MBYTE_S))
     for i, lat in enumerate(grids.LATENCIES_MS):
         for j, bw in enumerate(grids.BANDWIDTHS_MBYTE_S):
-            assert float(grid[i][j]) == pytest.approx(
-                program.price(grids.multi_cluster(bw, lat)), rel=1e-12)
+            assert float(grid[i][j]) == \
+                program.price(grids.multi_cluster(bw, lat))
 
 
 def test_price_points_matches_grid(program):
     points = [(6.3, 0.5), (0.03, 300.0), (0.95, 3.3)]
     priced = program.price_points(points)
     for (bw, lat), value in zip(points, priced):
-        assert float(value) == pytest.approx(
-            program.price(grids.multi_cluster(bw, lat)), rel=1e-12)
+        assert float(value) == program.price(grids.multi_cluster(bw, lat))
 
 
 def test_runtime_monotone_in_each_axis(program):
@@ -230,6 +230,42 @@ def test_frozen_prices_are_bitwise_pinned(app, variant):
     assert frozen_digests(app, variant) == FROZEN_PINS[f"{app}/{variant}"]
 
 
+@pytest.mark.parametrize("app,variant", COMPILABLE)
+def test_one_point_prices_read_the_grid_bitwise(app, variant):
+    """``price`` at every paper point is its grid value to the bit, at no
+    loss and at 1 % loss.  A one-column product would take numpy's
+    matrix-vector path, which rounds some edge costs differently from a
+    wider one; no product against the parameter matrix takes it."""
+    prog = compile_recording(record_app(app, variant))
+    bws, lats = grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS
+    for loss in (0.0, 0.01):
+        grid = prog.price_grid(bws, lats, loss_rates=[loss])[0]
+        for i, lat in enumerate(lats):
+            for j, bw in enumerate(bws):
+                one = prog.price(grids.multi_cluster(bw, lat), loss)
+                assert one.hex() == float(grid[i, j]).hex(), (bw, lat, loss)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 40],
+                         ids=["level-per-chunk", "one-chunk"])
+def test_chunk_size_changes_no_bit(monkeypatch, chunk_bytes):
+    """The sweep prices each chunk of levels just before it sweeps them;
+    with a chunk per level or one chunk for the whole program, every
+    frozen pin holds."""
+    monkeypatch.setattr(program_module, "CHUNK_BYTES", chunk_bytes)
+    for app, variant in COMPILABLE:
+        assert frozen_digests(app, variant) == FROZEN_PINS[f"{app}/{variant}"]
+    products = []
+    priced = program_module._priced
+    monkeypatch.setattr(program_module, "_priced",
+                        lambda *args: products.append(args) or priced(*args))
+    prog = compile_recording(record_app("asp", "optimized"))
+    prog.price_grid(grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS)
+    # one product per chunk, then the finish rows'
+    chunks = len(products) - 1
+    assert chunks == (prog.num_levels - 1 if chunk_bytes == 1 else 1)
+
+
 # ----------------------------------------------------------------------
 # Input validation: one refusal, in the shared axis -> terms helper
 # ----------------------------------------------------------------------
@@ -337,6 +373,21 @@ def test_programs_keep_no_point_sized_array_and_the_workspace_is_bounded():
     retained = program_module._WORKSPACE.buf
     assert retained.dtype == np.float64
     assert 0 < retained.nbytes <= program_module.WORKSPACE_BYTES
+
+
+def test_dense_grid_keeps_no_edge_cost_matrix(monkeypatch):
+    """A 16 x 16 grid leaves ``t``, one chunk of edge costs and the
+    gather arena in the workspace: no (2N x P) cost matrix, and under
+    40 % of the 3N + 2 * max_width rows a full cost matrix needs."""
+    monkeypatch.setattr(program_module._WORKSPACE, "buf", None)
+    prog = compile_recording(record_app("asp", "unoptimized"))
+    assert sha1(prog.price_grid(*dense_axes())) == \
+        FROZEN_PINS["asp/unoptimized"]["dense"]
+    lay, points = prog._layout(), DENSE_AXIS * DENSE_AXIS
+    n, width = prog.num_nodes, 2 * lay.max_width
+    kept = program_module._WORKSPACE.buf.nbytes
+    assert kept <= 8 * points * (n + lay.chunk_rows(points) + width)
+    assert kept < 0.4 * 8 * points * (3 * n + width)
 
 
 def test_request_over_the_bound_is_served_without_being_kept(monkeypatch):
