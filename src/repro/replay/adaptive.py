@@ -68,7 +68,7 @@ import numpy as np
 
 from ..network.topology import Topology
 from .program import (_WORKSPACE, PROGRAM_FORMAT, ReplayProgram, _below,
-                      _decode_fields, _encode, _levelize, _priced)
+                      _decode_fields, _encode, _Layout, _levelize, _priced)
 
 #: Bump when the group-array layout or the iteration semantics change;
 #: part of the adaptive cache key (alongside the base PROGRAM_FORMAT).
@@ -279,6 +279,14 @@ class AdaptiveProgram(ReplayProgram):
         return stats
 
     # ------------------------------------------------------------------
+    def _layout(self) -> _Layout:
+        """The stacked levels with row = node: the fixed point reads
+        any node of the previous iterate, so no row is ever reused."""
+        if self._stacked is None:
+            rows = np.arange(self.num_nodes, dtype=np.intp)
+            self._stacked = _Layout(self, rows)
+        return self._stacked
+
     def _static_layout(self) -> dict:
         """Point-count-independent queue layout, built once.
 

@@ -19,7 +19,10 @@ gather, one add, one maximum: :meth:`ReplayProgram._sweep_levels`, the
 one sweep the order-adaptive engine runs too) into buffers a per-thread
 workspace keeps between calls.  The edge costs are priced one chunk of
 levels at a time, just before the sweep reaches them, so no (edges x
-points) cost matrix is ever held.
+points) cost matrix is ever held; and the node values live in *rows*
+that are handed back once a node's last reader has swept, so the
+(rows x points) value matrix holds the live set, not every node
+(:meth:`_Layout.live_rows`).
 
 The loss-rate axis is an expected-value model of the reliable transport
 (:mod:`repro.runtime.transport`): each WAN traversal of a lossy link
@@ -61,11 +64,12 @@ PROGRAM_FORMAT = 1
 _TRANSPORT = TransportConfig()
 
 #: Most bytes of sweep scratch one thread keeps between pricing calls.
-#: 128 MiB holds every shipped program on a 16 x 16 grid (the largest,
-#: water/unoptimized, asks for 34 MB; asp/unoptimized 28 MB); an
-#: adaptive plan asks for at most :data:`~repro.replay.adaptive.
-#: PLAN_BYTES`, whatever the grid.  A larger request is allocated for
-#: that call only.
+#: A frozen sweep asks for its live rows, not one row per node, so
+#: 128 MiB holds every shipped program on a 64 x 64 grid (the largest,
+#: fft, asks for 104 MB, 6.8 MB on 16 x 16; asp/unoptimized 8.0 and
+#: 0.9 MB); an adaptive plan asks for at most :data:`~repro.replay.
+#: adaptive.PLAN_BYTES`, whatever the grid.  A larger request is
+#: allocated for that call only.
 WORKSPACE_BYTES = 128 << 20
 
 #: Bytes of edge costs one sweep chunk prices at a time, rounded to
@@ -123,27 +127,91 @@ class _Layout:
     Level ``l`` (nodes ``[lo, hi)``) owns rows ``[2*lo, 2*hi)`` of
     ``idx_ab`` / ``edge_ab``: its ``pred_a`` / ``edge_a`` rows, then its
     ``pred_b`` / ``edge_b`` rows — so one gather, one add and one
-    maximum over the two halves update the whole level.
+    maximum over the two halves update the whole level.  ``row`` maps
+    every node to its row of the value matrix ``t``; a level's rows are
+    one contiguous run from ``firsts[l - 1]``, ``idx_ab`` holds the rows
+    of the operands, and ``rows`` is the height ``t`` needs.
     """
 
-    __slots__ = ("idx_ab", "edge_ab", "idx_lv", "spans", "max_width")
+    __slots__ = ("idx_ab", "edge_ab", "idx_lv", "spans", "firsts",
+                 "max_width", "row", "rows")
 
-    def __init__(self, program: "ReplayProgram") -> None:
+    def __init__(self, program: "ReplayProgram", row) -> None:
         ls = program.level_starts.astype(np.intp)
         widths = np.diff(ls)
         node = np.arange(program.num_nodes, dtype=np.intp)
-        row_a = node + np.repeat(ls[:-1], widths)    # 2*lo + (i - lo)
-        row_b = node + np.repeat(ls[1:], widths)     # 2*lo + m + (i - lo)
+        at_a = node + np.repeat(ls[:-1], widths)     # 2*lo + (i - lo)
+        at_b = node + np.repeat(ls[1:], widths)      # 2*lo + m + (i - lo)
+        pred = np.empty(2 * len(node), dtype=np.intp)
+        pred[at_a], pred[at_b] = program.pred_a, program.pred_b
+        pred[:2 * ls[1]] = 0                         # level 0 reads nothing
         # intp: np.take would otherwise convert the indices every call
-        self.idx_ab = idx_ab = np.empty(2 * len(node), dtype=np.intp)
+        self.idx_ab = row[pred]
         self.edge_ab = edge_ab = np.empty((2 * len(node), 4))
-        idx_ab[row_a], idx_ab[row_b] = program.pred_a, program.pred_b
-        edge_ab[row_a], edge_ab[row_b] = program.edge_a, program.edge_b
+        edge_ab[at_a], edge_ab[at_b] = program.edge_a, program.edge_b
+        self.row = row
+        self.rows = int(row.max()) + 1 if len(row) else 0
         bounds = ls.tolist()
-        #: (lo, hi) node range of every level above the root's
+        #: (lo, hi) node range of every level above the root's, and the
+        #: level's first row
         self.spans = list(zip(bounds[1:-1], bounds[2:]))
-        self.idx_lv = [idx_ab[2 * lo:2 * hi] for lo, hi in self.spans]
+        self.firsts = [int(row[lo]) if hi > lo else 0
+                       for lo, hi in self.spans]
+        self.idx_lv = [self.idx_ab[2 * lo:2 * hi] for lo, hi in self.spans]
         self.max_width = int(widths[1:].max()) if len(widths) > 1 else 0
+
+    @staticmethod
+    def live_rows(program: "ReplayProgram"):
+        """Each node's row of ``t`` when a row is reused once its value
+        is dead: the levels in order each take one contiguous run of
+        free rows (first fit), and a node's row is free again after the
+        last level that reads it; finish-stamp nodes keep theirs to the
+        end.  Level 0 comes first, so it sits at row 0."""
+        ls = program.level_starts.astype(np.intp)
+        n, n_lv = program.num_nodes, len(ls) - 1
+        widths = np.diff(ls)
+        level = np.repeat(np.arange(n_lv), widths)
+        first = int(ls[1])
+        # the last level that reads each node: its own if none does
+        last = level.copy()
+        np.maximum.at(last, program.pred_a[first:], level[first:])
+        np.maximum.at(last, program.pred_b[first:], level[first:])
+        last[program.fin_node] = n_lv                # never freed
+        # what each level frees, as runs of consecutive nodes of one level
+        dead = np.flatnonzero(last < n_lv)
+        dead = dead[np.argsort(last[dead], kind="stable")]
+        head = np.ones(len(dead), dtype=bool)
+        head[1:] = ((np.diff(dead) != 1) | (np.diff(last[dead]) != 0)
+                    | (np.diff(level[dead]) != 0))
+        heads = np.flatnonzero(head)
+        run_len = np.diff(np.append(heads, len(dead))).tolist()
+        node = dead[heads]
+        run_when, run_level = last[node].tolist(), level[node].tolist()
+        run_off = (node - ls[level[node]]).tolist()      # within its level
+        width = widths.tolist()
+        base = [0] * n_lv
+        # bit r of ``free`` is set while row r (below ``top``) is free;
+        # rows from ``top`` up are all free
+        free = top = 0
+        j, runs = 0, len(run_len)
+        for lv in range(n_lv):
+            m = width[lv]
+            # bit r of ``fit``: rows [r, r + m) are free, by folding the
+            # mask onto itself (one spare row keeps an empty level fed)
+            fit, span = free | ((2 << m) - 1) << top, 1
+            while span < m:
+                step = min(span, m - span)
+                fit &= fit >> step
+                span += step
+            base[lv] = row0 = (fit & -fit).bit_length() - 1
+            free &= ~(((1 << m) - 1) << row0)
+            top = max(top, row0 + m)
+            while j < runs and run_when[j] == lv:
+                row0 = base[run_level[j]] + run_off[j]
+                free |= ((1 << run_len[j]) - 1) << row0
+                j += 1
+        return np.repeat(np.array(base, dtype=np.intp) - ls[:-1],
+                         widths) + np.arange(n, dtype=np.intp)
 
     def chunk_rows(self, points: int) -> int:
         """Most edge-cost rows one chunk groups at ``points`` points:
@@ -167,7 +235,7 @@ class _Layout:
         room = self.chunk_rows(t.shape[1])
         halves: Dict[int, tuple] = {}
         chunks, first, levels = [], 0, []     # chunks: (rows, levels)
-        for idx, (lo, hi) in zip(self.idx_lv, self.spans):
+        for idx, (lo, hi), row0 in zip(self.idx_lv, self.spans, self.firsts):
             if levels and 2 * hi - first > room:
                 chunks.append((slice(first, 2 * lo), levels))
                 levels = []
@@ -179,7 +247,7 @@ class _Layout:
                 buf = arena[:2 * m]
                 bufs = halves[m] = (buf, buf[:m], buf[m:])
             levels.append((idx, cost[2 * lo - first:2 * hi - first], *bufs,
-                           t[lo:hi]))
+                           t[row0:row0 + m]))
         if levels:
             chunks.append((slice(first, 2 * self.spans[-1][1]), levels))
         return [(self.edge_ab[rows], cost[:rows.stop - rows.start], levels)
@@ -432,7 +500,7 @@ class ReplayProgram:
     # ------------------------------------------------------------------
     def _layout(self) -> _Layout:
         if self._stacked is None:
-            self._stacked = _Layout(self)
+            self._stacked = _Layout(self, _Layout.live_rows(self))
         return self._stacked
 
     def _sweep_levels(self, t, params, plan, overrides=None) -> None:
@@ -468,13 +536,13 @@ class ReplayProgram:
         # E_loss): an edge's cost is its row's dot product with a column.
         params = np.stack([np.ones_like(inv_bw), inv_bw, wlat, eloss])
         lay = self._layout()
-        n, points = self.num_nodes, params.shape[1]
+        points = params.shape[1]
         t, cost, arena = _WORKSPACE.carve(
-            (n, points, np.float64),
+            (lay.rows, points, np.float64),
             (lay.cost_rows(points), points, np.float64),
             (2 * lay.max_width, points, np.float64))
         self._sweep_levels(t, params, lay.schedule(t, cost, arena))
-        finals = t[self.fin_node] + _priced(self.fin_edge, params)
+        finals = t[lay.row[self.fin_node]] + _priced(self.fin_edge, params)
         return finals.max(axis=0)
 
     # ------------------------------------------------------------------

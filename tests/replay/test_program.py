@@ -15,6 +15,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.experiments import grids
 from repro.replay import program as program_module
@@ -22,6 +23,8 @@ from repro.replay.compile import compile_dag, compile_recording
 from repro.replay.program import PROGRAM_FORMAT, ReplayProgram
 from repro.whatif.record import record_app
 from repro.whatif.validate import corner_points
+
+from .test_adaptive import circuits
 
 
 @pytest.fixture(scope="module")
@@ -376,9 +379,10 @@ def test_programs_keep_no_point_sized_array_and_the_workspace_is_bounded():
 
 
 def test_dense_grid_keeps_no_edge_cost_matrix(monkeypatch):
-    """A 16 x 16 grid leaves ``t``, one chunk of edge costs and the
-    gather arena in the workspace: no (2N x P) cost matrix, and under
-    40 % of the 3N + 2 * max_width rows a full cost matrix needs."""
+    """A 16 x 16 grid leaves ``t`` (the layout's rows, not one per
+    node), one chunk of edge costs and the gather arena in the
+    workspace: no (2N x P) cost matrix, and under 40 % of the
+    3N + 2 * max_width rows a full cost matrix needs."""
     monkeypatch.setattr(program_module._WORKSPACE, "buf", None)
     prog = compile_recording(record_app("asp", "unoptimized"))
     assert sha1(prog.price_grid(*dense_axes())) == \
@@ -386,8 +390,70 @@ def test_dense_grid_keeps_no_edge_cost_matrix(monkeypatch):
     lay, points = prog._layout(), DENSE_AXIS * DENSE_AXIS
     n, width = prog.num_nodes, 2 * lay.max_width
     kept = program_module._WORKSPACE.buf.nbytes
-    assert kept <= 8 * points * (n + lay.chunk_rows(points) + width)
+    assert kept <= 8 * points * (lay.rows + lay.chunk_rows(points) + width)
     assert kept < 0.4 * 8 * points * (3 * n + width)
+
+
+def test_a_64_by_64_grid_sweeps_in_live_rows(monkeypatch):
+    """asp/unoptimized at 64 x 64 points: ``t`` holds the live rows
+    (under 2 % of the nodes), so the workspace stays within 16 MiB
+    where one row per node needs 421 MiB, and every sampled column is
+    its point's own price to the bit."""
+    monkeypatch.setattr(program_module._WORKSPACE, "buf", None)
+    prog = compile_recording(record_app("asp", "unoptimized"))
+    bws, lats = dense_axes(seed=DENSE_SEED + 1, n=64)
+    grid = prog.price_grid(bws, lats)
+    assert program_module._WORKSPACE.buf.nbytes <= 16 << 20
+    lay = prog._layout()
+    assert lay.rows < 0.02 * prog.num_nodes
+    assert reuse_conflicts(prog, lay.row) == []
+    rng = random.Random(DENSE_SEED)
+    cells = [(rng.randrange(64), rng.randrange(64)) for _ in range(4)]
+    priced = prog.price_points([(bws[j], lats[i]) for i, j in cells])
+    assert [grid[i, j] for i, j in cells] == list(priced)
+
+
+def reuse_conflicts(prog, row):
+    """The ``(row, holder, node)`` triples where ``row`` hands a node's
+    row to a later ``node`` while the holder's value is still wanted: by
+    a reader at or after ``node``'s level, or as a finish stamp.  Also
+    refused: level 0 off rows ``[0, width)``, where the sweep writes it."""
+    starts = prog.level_starts.tolist()
+    level = np.repeat(np.arange(len(starts) - 1), np.diff(starts)).tolist()
+    last = list(level)                       # its own level when unread
+    for i in range(starts[1], prog.num_nodes):
+        for p in (int(prog.pred_a[i]), int(prog.pred_b[i])):
+            last[p] = max(last[p], level[i])
+    for f in prog.fin_node.tolist():
+        last[f] = float("inf")
+    conflicts = [(int(row[i]), None, i) for i in range(starts[1])
+                 if row[i] != i]
+    holder = {}
+    for i in range(prog.num_nodes):          # in level order
+        r = int(row[i])
+        if r in holder and (level[holder[r]] == level[i]
+                            or last[holder[r]] >= level[i]):
+            conflicts.append((r, holder[r], i))
+        holder[r] = i
+    return conflicts
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(circuit=circuits())
+def test_rows_are_reused_only_once_their_readers_have_swept(circuit):
+    """Over random circuits, the frozen program's row map gives no row
+    away early, and pricing through it equals, bitwise, the same
+    program swept with one row per node."""
+    pa, pb, ea, eb, finish, _ = circuit
+    prog = ReplayProgram.from_circuit(pa, pb, ea, eb, finish, {})
+    assert reuse_conflicts(prog, prog._layout().row) == []
+    bws, lats = [0.03, 0.25, 1.0, 6.3], [0.5, 3.3, 30.0, 300.0]
+    live = prog.price_grid(bws, lats)
+    every = ReplayProgram.from_circuit(pa, pb, ea, eb, finish, {})
+    every._stacked = program_module._Layout(
+        every, np.arange(every.num_nodes, dtype=np.intp))
+    assert every._layout().rows == every.num_nodes
+    assert live.tobytes() == every.price_grid(bws, lats).tobytes()
 
 
 def test_request_over_the_bound_is_served_without_being_kept(monkeypatch):
