@@ -152,6 +152,23 @@ def _exchange_direct(ctx: Context, cfg: AwariConfig, stage: int,
     return received
 
 
+class _StageState:
+    """One stage's bookkeeping in a relay daemon (:func:`_relay_service`)."""
+
+    __slots__ = ("jumbo", "deliver", "local_done", "remote_done", "delivered")
+
+    def __init__(self, ctx: Context, cfg: AwariConfig, stage: int,
+                 remote_leaders: List[int]) -> None:
+        #: pending jumbo items per remote relay rank
+        self.jumbo: Dict[int, List[Any]] = {r: [] for r in remote_leaders}
+        #: per-final-destination combining of arriving remote updates
+        self.deliver = CombiningBuffer(ctx, (UPDATE_TAG, stage),
+                                       flush_count=cfg.combine_count)
+        self.local_done = 0
+        self.remote_done = 0
+        self.delivered = False  # RELAY_DONE already broadcast
+
+
 def _relay_service(ctx: Context, cfg: AwariConfig) -> Generator:
     """Cluster relay daemon: second-level message combining (optimized).
 
@@ -168,25 +185,12 @@ def _relay_service(ctx: Context, cfg: AwariConfig) -> Generator:
     relay_of = [topo.cluster_leader(topo.cluster_of(r)) for r in topo.ranks()]
     update_bytes = cfg.update_bytes
 
-    class StageState:
-        __slots__ = ("jumbo", "deliver", "local_done", "remote_done", "delivered")
+    stages: Dict[int, _StageState] = {}
 
-        def __init__(self, stage: int) -> None:
-            #: pending jumbo items per remote relay rank
-            self.jumbo: Dict[int, List[Any]] = {r: [] for r in remote_leaders}
-            #: per-final-destination combining of arriving remote updates
-            self.deliver = CombiningBuffer(ctx, (UPDATE_TAG, stage),
-                                           flush_count=cfg.combine_count)
-            self.local_done = 0
-            self.remote_done = 0
-            self.delivered = False  # RELAY_DONE already broadcast
-
-    stages: Dict[int, StageState] = {}
-
-    def state_for(stage: int) -> StageState:
+    def state_for(stage: int) -> _StageState:
         st = stages.get(stage)
         if st is None:
-            st = StageState(stage)
+            st = _StageState(ctx, cfg, stage, remote_leaders)
             stages[stage] = st
         return st
 
@@ -194,7 +198,7 @@ def _relay_service(ctx: Context, cfg: AwariConfig) -> Generator:
         size = cfg.update_bytes * len(items)
         yield ctx.send(relay, size, RELAY_TAG, ("jumbo", stage, items))
 
-    def finish_delivery(st: "StageState") -> Generator:
+    def finish_delivery(st: _StageState) -> Generator:
         """All remote-cluster data for the stage is in: release the members."""
         st.delivered = True
         for r in members:

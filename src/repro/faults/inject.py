@@ -208,6 +208,11 @@ class FaultInjector:
                 when, link_name, reason, msg.src, msg.dst, msg.size, msg.tag,
                 msg.send_time))
 
+    def detach(self) -> None:
+        """Drop the machine once the run is over (:meth:`Machine.seal
+        <repro.runtime.machine.Machine.seal>`); the counters stay."""
+        self.machine = None
+
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, object]:
         """Injection accounting for reports and the chaos CLI."""

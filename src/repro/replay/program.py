@@ -127,14 +127,15 @@ class _Layout:
     Level ``l`` (nodes ``[lo, hi)``) owns rows ``[2*lo, 2*hi)`` of
     ``idx_ab`` / ``edge_ab``: its ``pred_a`` / ``edge_a`` rows, then its
     ``pred_b`` / ``edge_b`` rows — so one gather, one add and one
-    maximum over the two halves update the whole level.  ``row`` maps
-    every node to its row of the value matrix ``t``; a level's rows are
-    one contiguous run from ``firsts[l - 1]``, ``idx_ab`` holds the rows
-    of the operands, and ``rows`` is the height ``t`` needs.
+    maximum over the two halves update the whole level.  ``row`` (the
+    constructor's) maps every node to its row of the value matrix ``t``;
+    a level's rows are one contiguous run from ``firsts[l - 1]``,
+    ``idx_ab`` holds the rows of the operands, ``fin_rows`` those of the
+    finish stamps, and ``rows`` is the height ``t`` needs.
     """
 
     __slots__ = ("idx_ab", "edge_ab", "idx_lv", "spans", "firsts",
-                 "max_width", "row", "rows")
+                 "max_width", "fin_rows", "rows")
 
     def __init__(self, program: "ReplayProgram", row) -> None:
         ls = program.level_starts.astype(np.intp)
@@ -149,7 +150,7 @@ class _Layout:
         self.idx_ab = row[pred]
         self.edge_ab = edge_ab = np.empty((2 * len(node), 4))
         edge_ab[at_a], edge_ab[at_b] = program.edge_a, program.edge_b
-        self.row = row
+        self.fin_rows = row[program.fin_node]
         self.rows = int(row.max()) + 1 if len(row) else 0
         bounds = ls.tolist()
         #: (lo, hi) node range of every level above the root's, and the
@@ -542,7 +543,7 @@ class ReplayProgram:
             (lay.cost_rows(points), points, np.float64),
             (2 * lay.max_width, points, np.float64))
         self._sweep_levels(t, params, lay.schedule(t, cost, arena))
-        finals = t[lay.row[self.fin_node]] + _priced(self.fin_edge, params)
+        finals = t[lay.fin_rows] + _priced(self.fin_edge, params)
         return finals.max(axis=0)
 
     # ------------------------------------------------------------------

@@ -133,6 +133,8 @@ class Machine:
         self.rank_stats: List[RankStats] = [RankStats() for _ in topology.ranks()]
         self._main_procs: List[Process] = []
         self._daemon_procs: List[Process] = []
+        #: every spawned process's Context, for :meth:`seal` to reach
+        self._contexts: List["Context"] = []
         self._live_main = 0
         #: compiled :class:`~repro.faults.inject.FaultInjector` and
         #: :class:`~repro.runtime.transport.ReliableTransport`, or None.
@@ -173,6 +175,7 @@ class Machine:
         pname = name or f"rank{rank}"
         proc = Process(self.engine, body_factory(ctx), name=pname, daemon=daemon)
         ctx.process = proc
+        self._contexts.append(ctx)
         if daemon:
             self._daemon_procs.append(proc)
         else:
@@ -319,6 +322,42 @@ class Machine:
         if self.sanitizer is not None and self._live_main == 0:
             self.sanitizer.finish(self, drained=(eng.pending == 0))
         return eng.now
+
+    def seal(self) -> None:
+        """Cut the reference cycles that only a live run needs.
+
+        While a run is live the hot path keeps self-references for
+        speed: each process schedules its own bound ``trampoline``, each
+        context refills five cached syscalls that point back at it, a
+        blocked ``_Recv`` parks a bound method of itself in a mailbox,
+        queued events hold the engine, and the fault injector and the
+        reliable transport hold the machine.  Every one is a cycle, so a
+        finished machine would wait for a gen-2 collection.
+        :func:`~repro.runtime.run.run_spmd` calls this once :meth:`run`
+        has returned; the machine is then an acyclic, read-only record
+        that reference counting frees when its last holder lets go.
+        ``runtime()``, ``results()``, the stats, the engine's counters,
+        the sanitizer's findings, ``transport.buffered()`` and the
+        injector's counters stay readable.  The machine cannot run
+        again, and daemons still blocked are closed.
+        """
+        for ctx in self._contexts:
+            ctx._recv._receiver = None
+            ctx._compute = ctx._send = ctx._recv = None
+            ctx._recv_nowait = ctx._sleep = None
+        self._contexts = []
+        for proc in self._main_procs + self._daemon_procs:
+            proc.trampoline = None
+            if not proc.finished:
+                proc._body = None        # a daemon still parked
+        for endpoint in self.endpoints:
+            for box in endpoint._boxes.values():
+                box.drop_waiters()
+        self.engine.seal()
+        if self.transport is not None:
+            self.transport.detach()
+        if self.fault_injector is not None:
+            self.fault_injector.detach()
 
     @property
     def now(self) -> float:

@@ -82,6 +82,7 @@ def run_spmd(
     wall_start = time.perf_counter()  # lint: ignore[wall-clock]
     machine.run(until=until, max_events=max_events)
     wall = time.perf_counter() - wall_start  # lint: ignore[wall-clock]
+    machine.seal()
     result = RunResult(runtime=machine.runtime(), results=machine.results(),
                        machine=machine, wall_time=wall)
     reporter = active_reporter()

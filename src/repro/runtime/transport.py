@@ -206,6 +206,13 @@ class ReliableTransport:
     # ------------------------------------------------------------------
     # End-of-run introspection (sanitizer + reports)
     # ------------------------------------------------------------------
+    def detach(self) -> None:
+        """Drop the machine and this transport's two bound methods once
+        the run is over (:meth:`Machine.seal <repro.runtime.machine.
+        Machine.seal>`); the flow state, so :meth:`unacked` and
+        :meth:`buffered`, stays."""
+        self.machine = self._on_data_cb = self._on_ack_cb = None
+
     def unacked(self) -> int:
         """Sends still awaiting an ack (in flight when the run stopped)."""
         return len(self._pending)

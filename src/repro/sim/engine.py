@@ -186,6 +186,14 @@ class Engine:
             self._events_processed += n
             self._running = False
 
+    def seal(self) -> None:
+        """Drop the pending callbacks, keeping each entry's time and
+        sequence number, so :attr:`pending` and :meth:`peek` still read
+        the stopped run while nothing it scheduled is held any more.
+        The engine cannot run again."""
+        self._queue = [entry[:2] + (None,) for entry in self._queue]
+        self._ready = deque(entry[:2] + (None,) for entry in self._ready)
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

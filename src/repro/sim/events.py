@@ -115,6 +115,14 @@ class Mailbox:
             return self._items.popleft()
         return None
 
+    def drop_waiters(self) -> None:
+        """Forget the receivers still parked here and a drained item
+        queue (the run is over: nothing will ``put`` again).  Queued
+        items stay, so ``len`` and :meth:`peek_all` still read them."""
+        self._waiters = None
+        if not self._items:
+            self._items = None
+
     def peek_all(self) -> List[Any]:
         """Snapshot of queued items (receive order), without consuming."""
         return list(self._items or ())

@@ -406,7 +406,7 @@ def test_a_64_by_64_grid_sweeps_in_live_rows(monkeypatch):
     assert program_module._WORKSPACE.buf.nbytes <= 16 << 20
     lay = prog._layout()
     assert lay.rows < 0.02 * prog.num_nodes
-    assert reuse_conflicts(prog, lay.row) == []
+    assert reuse_conflicts(prog, program_module._Layout.live_rows(prog)) == []
     rng = random.Random(DENSE_SEED)
     cells = [(rng.randrange(64), rng.randrange(64)) for _ in range(4)]
     priced = prog.price_points([(bws[j], lats[i]) for i, j in cells])
@@ -446,7 +446,7 @@ def test_rows_are_reused_only_once_their_readers_have_swept(circuit):
     program swept with one row per node."""
     pa, pb, ea, eb, finish, _ = circuit
     prog = ReplayProgram.from_circuit(pa, pb, ea, eb, finish, {})
-    assert reuse_conflicts(prog, prog._layout().row) == []
+    assert reuse_conflicts(prog, program_module._Layout.live_rows(prog)) == []
     bws, lats = [0.03, 0.25, 1.0, 6.3], [0.5, 3.3, 30.0, 300.0]
     live = prog.price_grid(bws, lats)
     every = ReplayProgram.from_circuit(pa, pb, ea, eb, finish, {})

@@ -1,10 +1,20 @@
-"""Unit tests for Machine: spawning, transport, CPU clocks, deadlock."""
+"""Unit tests for Machine and run_spmd: spawning, transport, CPU clocks,
+deadlock, and the run lifetime (a finished run leaves nothing for the
+collector)."""
+
+import gc
+from functools import partial
 
 import pytest
 
+from repro.apps import app_names, run_app
+from repro.apps.base import VARIANTS
+from repro.experiments import grids
+from repro.faults import FaultPlan, GatewayCrash, Outage, PacketLoss
 from repro.network import das_topology, single_cluster
-from repro.runtime import DeadlockError, Machine
+from repro.runtime import DeadlockError, Machine, run_spmd
 from repro.runtime.machine import CpuClock
+from repro.whatif.record import record_app
 
 
 class TestCpuClock:
@@ -170,3 +180,84 @@ def test_services_share_rank_cpu():
     # The service reserved 2.0 s of the rank-0 CPU first, so the main
     # process's 1.0 s of work completes at ~3.0 s.
     assert finish["main"] == pytest.approx(3.0, abs=1e-6)
+
+
+class TestRunHelpers:
+    def test_run_spmd_collects_results_in_rank_order(self):
+        def main(ctx):
+            yield ctx.compute(1e-6 * (ctx.rank + 1))
+            return ctx.rank * 2
+
+        result = run_spmd(single_cluster(5), main)
+        assert result.results == [0, 2, 4, 6, 8]
+        assert result.traffic_summary()["inter_messages"] == 0
+
+    def test_run_spmd_until_raises_on_overrun(self):
+        def main(ctx):
+            yield ctx.compute(10.0)
+
+        with pytest.raises(TimeoutError):
+            run_spmd(single_cluster(2), main, until=0.5)
+
+
+# ----------------------------------------------------------------------
+# Run lifetime: run_spmd seals the machine, so dropping a result frees
+# the whole run by reference counting, with no collection needed.
+# ----------------------------------------------------------------------
+#: Figure 3's middle grid point (0.95 MByte/s, 10 ms)
+MID_POINT = grids.multi_cluster(0.95, 10.0)
+
+
+def run_summary(result):
+    return (result.runtime, result.machine.engine.events_processed,
+            result.results)
+
+
+def left_for_the_collector(run, summarize):
+    """``summarize(run())`` with the collector off, and the number of
+    objects a collection finds unreachable once the result is dropped."""
+    gc.collect()
+    gc.disable()
+    try:
+        result = run()
+        summary = summarize(result)
+        del result
+        return summary, gc.collect()
+    finally:
+        gc.enable()
+
+
+def assert_frees_itself(run, summarize):
+    want = summarize(run())      # collector on; pays lazy imports first
+    got, garbage = left_for_the_collector(run, summarize)
+    assert garbage == 0
+    assert got == want
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("app", app_names())
+def test_a_finished_run_frees_itself(app, variant):
+    assert_frees_itself(partial(run_app, app, variant, MID_POINT),
+                        run_summary)
+
+
+def test_a_recording_frees_itself():
+    assert_frees_itself(partial(record_app, "asp", "unoptimized"),
+                        lambda rec: (rec.runtime, len(rec.dag.procs)))
+
+
+def test_a_fault_plan_run_frees_itself_and_stays_readable():
+    """Loss, an outage and a gateway crash under the reliable transport:
+    the transport's and the injector's counters outlive the seal."""
+    plan = FaultPlan(loss=(PacketLoss(probability=0.05),),
+                     outages=(Outage(start=0.01, duration=0.05),),
+                     crashes=(GatewayCrash(1, start=0.02, duration=0.05),))
+
+    def summarize(result):
+        machine = result.machine
+        return run_summary(result) + (
+            machine.transport.buffered(), machine.transport.unacked(),
+            machine.fault_injector.summary())
+
+    assert_frees_itself(partial(run_app, "asp", "unoptimized", MID_POINT,
+                                faults=plan), summarize)

@@ -1,5 +1,5 @@
-"""Coverage for the smaller public surfaces: registry, scales, run
-helpers, engine guards."""
+"""Coverage for the smaller public surfaces: registry, scales, engine
+guards."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.apps import app_names, default_config, get_builder, run_app
 from repro.apps.base import register_app
 from repro.costmodel import BENCH, PAPER, get_scale
 from repro.network import single_cluster
-from repro.runtime import run_spmd
 from repro.sim import Engine, Process, SimulationError, Sleep
 
 
@@ -55,24 +54,6 @@ class TestScales:
         assert BENCH.water_iterations < PAPER.water_iterations
         assert BENCH.water_molecules == PAPER.water_molecules
         assert BENCH.fft_points == PAPER.fft_points
-
-
-class TestRunHelpers:
-    def test_run_spmd_collects_results_in_rank_order(self):
-        def main(ctx):
-            yield ctx.compute(1e-6 * (ctx.rank + 1))
-            return ctx.rank * 2
-
-        result = run_spmd(single_cluster(5), main)
-        assert result.results == [0, 2, 4, 6, 8]
-        assert result.traffic_summary()["inter_messages"] == 0
-
-    def test_run_spmd_until_raises_on_overrun(self):
-        def main(ctx):
-            yield ctx.compute(10.0)
-
-        with pytest.raises(TimeoutError):
-            run_spmd(single_cluster(2), main, until=0.5)
 
 
 class TestEngineGuards:
