@@ -35,6 +35,7 @@ def time_collective(impl_name: str, name: str, topo: Topology,
     for r in topo.ranks():
         machine.spawn(r, body)
     machine.run()
+    machine.seal()          # the run is over: cut its cycles, as run_spmd
     return machine.runtime() / repeats
 
 

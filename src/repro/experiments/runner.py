@@ -242,7 +242,8 @@ class Sweeper:
         self.faults = faults
         self._baseline_cache: Dict[Tuple[str, str, int], float] = {}
         #: (app, variant, clusters, cluster_size, wan_shape) -> memoized
-        #: :class:`repro.replay.ladder.Decision`
+        #: :class:`repro.replay.ladder.Decision` (``figure4`` asks for
+        #: one panel point by point, so a panel walks once)
         self._decisions: Dict[tuple, object] = {}
 
     @property
@@ -321,9 +322,12 @@ class Sweeper:
         """The fallback ladder's verdict for (app, variant, shape).
 
         A :class:`repro.replay.ladder.Decision` — rung, evidence
-        reports, ground-truth validation report, backend, pricer —
-        walked once and memoized; ``None`` for ``backend="simulate"``,
-        which never consults the ladder.
+        reports, ground-truth validation report, pricer, downgrade
+        evaluator and the walk's facts — walked once and memoized;
+        ``None`` for ``backend="simulate"``, which never consults the
+        ladder.  The memo keeps only what the rung prices with: the
+        recording, and every program the rung does not price with, are
+        freed once the walk returns.
         """
         if self.backend == "simulate":
             return None

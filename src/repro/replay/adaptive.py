@@ -68,7 +68,8 @@ import numpy as np
 
 from ..network.topology import Topology
 from .program import (_WORKSPACE, PROGRAM_FORMAT, ReplayProgram, _below,
-                      _decode_fields, _encode, _Layout, _levelize, _priced)
+                      _decode_fields, _encode, _Layout, _levelize, _priced,
+                      _Workspace)
 
 #: Bump when the group-array layout or the iteration semantics change;
 #: part of the adaptive cache key (alongside the base PROGRAM_FORMAT).
@@ -99,12 +100,12 @@ DEFAULT_ORDER_TOL = 1e-9
 #: Most bytes of workspace one fixed-point plan may take; more points
 #: are iterated in balanced blocks.  Blocks are sized by the one-point
 #: plan, 1.5 MB on fft (its edge-cost chunk is the whole program); a
-#: wider plan costs 1.3 MB a point, and the thread's workspace keeps the
-#: largest plan it carved: 53 MB for the 42-point paper grid in one
-#: block.  16 MiB holds 11 points, so that grid runs in four blocks and
-#: leaves 14.2 MB.  Chosen on that grid (2 vCPUs, CPU time against one
-#: block compacted at half, bandwidth-major): 8 MiB +10 %, 16 MiB -8 %,
-#: 32 MiB -11 % but a 31 MB plan kept.
+#: wider plan costs 1.3 MB a point: 53 MB for the 42-point paper grid in
+#: one block.  16 MiB holds 11 points, so that grid runs in four blocks
+#: carved in turn from one 14.2 MB buffer, lent for the call: the thread
+#: keeps none of it afterwards.  Chosen on that grid (2 vCPUs, CPU time
+#: against one block compacted at half, bandwidth-major): 8 MiB +10 %,
+#: 16 MiB -8 %, 32 MiB -11 % but a 31 MB plan carved.
 PLAN_BYTES = 16 << 20
 
 
@@ -164,10 +165,11 @@ class AdaptiveResult:
 class _Plan:
     """One call's buffers and per-level views for ``P`` live points.
 
-    Everything here is storage carved out of the calling thread's
-    workspace (:data:`~repro.replay.program._WORKSPACE`), not values:
-    a plan lives for one :meth:`AdaptiveProgram._iterate` and is
-    re-carved in place when the iteration compacts to the survivors.
+    Everything here is storage carved out of the workspace lent to one
+    :meth:`AdaptiveProgram._adaptive` call
+    (:meth:`~repro.replay.program._ThreadWorkspace.lend`), not values: a
+    plan lives for one :meth:`AdaptiveProgram._iterate` and is re-carved
+    in place when the iteration compacts to the survivors.
     """
 
     __slots__ = ("P", "t", "t_prev", "levels", "overrides",
@@ -345,20 +347,20 @@ class AdaptiveProgram(ReplayProgram):
     def _block_points(self) -> int:
         """Most points one plan may hold within :data:`PLAN_BYTES`
         (at least one)."""
-        per_point = 8 * sum(_WORKSPACE.words(self._plan_specs(1)))
+        per_point = 8 * sum(_Workspace.words(self._plan_specs(1)))
         return max(1, PLAN_BYTES // per_point)
 
-    def _carve_plan(self, params, s_prev) -> _Plan:
+    def _carve_plan(self, workspace: _Workspace, params, s_prev) -> _Plan:
         """A plan for the ``P`` points (columns) of ``params`` out of
-        the thread's workspace, its queue rows priced there and seeded
-        with the serve orders ``s_prev`` (broadcast over the points)."""
+        ``workspace``, its queue rows priced there and seeded with the
+        serve orders ``s_prev`` (broadcast over the points)."""
         lay, st = self._layout(), self._static_layout()
         plan = _Plan()
         plan.P = params.shape[1]
         (plan.t, plan.t_prev, cost, arena, plan.seed_cost,
          plan.served_lv, plan.arr_costg, plan.costg, plan.arrg, plan.served,
          plan.a_s, plan.c_s, plan.s_excl, plan.s_prev, plan.s_new,
-         plan.flat, plan.ok_rows) = _WORKSPACE.carve(
+         plan.flat, plan.ok_rows) = workspace.carve(
             *self._plan_specs(plan.P))
         plan.levels = lay.schedule(plan.t, cost, arena)
         plan.overrides = [ov and (ov[2], plan.served_lv[ov[0]:ov[1]])
@@ -450,12 +452,14 @@ class AdaptiveProgram(ReplayProgram):
         return resorted
 
     # ------------------------------------------------------------------
-    def _iterate(self, params, max_iters: int, order_tol: float):
+    def _iterate(self, params, max_iters: int, order_tol: float,
+                 workspace: _Workspace):
         """The fixed-point loop over one block of points; returns flat
         per-point result arrays.
 
         ``params`` is the ``(4, P)`` parameter matrix of
-        :meth:`ReplayProgram._sweep`, C-contiguous.
+        :meth:`ReplayProgram._sweep`, C-contiguous; the plan is carved
+        from ``workspace``.
         """
         P0 = params.shape[1]
         st = self._static_layout()
@@ -468,7 +472,7 @@ class AdaptiveProgram(ReplayProgram):
         order_changes: Dict[str, int] = {}
 
         # Serve orders seed from the compiler's reference order.
-        plan = self._carve_plan(params, st["local_slot"])
+        plan = self._carve_plan(workspace, params, st["local_slot"])
         live = np.arange(P0)           # global column of each plan column
         active = np.ones(P0, dtype=bool)
 
@@ -521,7 +525,7 @@ class AdaptiveProgram(ReplayProgram):
                 t_keep = plan.t[:, cols].copy()
                 s_keep = plan.s_prev[:, cols].copy()
                 scale = scale[cols].copy()
-                plan = self._carve_plan(params, s_keep)
+                plan = self._carve_plan(workspace, params, s_keep)
                 plan.t[:] = t_keep
                 active = np.ones(nlive, dtype=bool)
 
@@ -540,7 +544,9 @@ class AdaptiveProgram(ReplayProgram):
         :data:`PLAN_BYTES`.  Every column of the fixed point is
         independent, so blocking changes no bit of the pinned grids
         (``tests/replay/test_adaptive.py``), down to a block of one
-        point.
+        point.  The blocks' plans are carved in turn from one workspace
+        lent for this call, so the thread's workspace keeps only what
+        frozen sweeps ask for.
         """
         P = inv_bw.shape[0]
         if self.num_group_ops == 0 or max_iters < 1:
@@ -557,8 +563,10 @@ class AdaptiveProgram(ReplayProgram):
         # the blocks take the points bandwidth-major.
         order = np.lexsort((eloss, wlat, inv_bw))
         blocks = -(-P // self._block_points()) or 1
-        parts = [self._iterate(params[:, cols], max_iters, order_tol)
-                 for cols in np.array_split(order, blocks)]
+        with _WORKSPACE.lend() as workspace:
+            parts = [self._iterate(params[:, cols], max_iters, order_tol,
+                                   workspace)
+                     for cols in np.array_split(order, blocks)]
         order_changes: Counter = Counter()
         for *_, flips in parts:
             order_changes.update(flips)

@@ -23,12 +23,11 @@
    variant (:func:`compile_dag` with ``adaptive=True``) and run the
    :class:`~repro.replay.adaptive.AdaptiveProgram` fixed-point engine at
    the same corners.
-5. **Price** whole grids in one vectorized pass, including the
-   loss-rate axis the interpreted paths do not offer.
-
-This class only measures; which rung a verdict admits, and where a
-refusal lands, is :mod:`repro.replay.ladder`'s decision (the table is in
-``docs/replay.md``).
+This class only measures; which rung a verdict admits, where a refusal
+lands, and what a decided panel keeps to price its grid (whole grids in
+one vectorized pass, the loss-rate axis included) is
+:mod:`repro.replay.ladder`'s decision (the table is in
+``docs/replay.md``).  A backend lives for one walk.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..experiments import grids
 from ..experiments.cache import SimCache
@@ -89,6 +88,15 @@ def _check_evidence(program: ReplayProgram) -> None:
         ok = False
     if not ok:
         raise ValueError("malformed corner evidence in the program meta")
+
+
+@contextmanager
+def timed(timings: Dict[str, float], name: str) -> Iterator[None]:
+    """Time one pipeline stage into ``timings[name]`` (host seconds;
+    left unset when the stage raises)."""
+    t0 = time.perf_counter()  # lint: ignore[wall-clock]
+    yield
+    timings[name] = time.perf_counter() - t0  # lint: ignore[wall-clock]
 
 
 @dataclass
@@ -265,15 +273,6 @@ class ReplayBackend:
         return f"{self.cache_key()}-a{ADAPTIVE_FORMAT}"
 
     # ------------------------------------------------------------------
-    @contextmanager
-    def _stage(self, name: str) -> Iterator[None]:
-        """Time one pipeline stage into ``timings[name]`` (host seconds;
-        left unset when the stage raises)."""
-        t0 = time.perf_counter()  # lint: ignore[wall-clock]
-        yield
-        self.timings[name] = \
-            time.perf_counter() - t0  # lint: ignore[wall-clock]
-
     def _dag_digest(self) -> str:
         """The recording's :meth:`~repro.whatif.record.CommDag.digest`
         (memoized): what a program's evidence is bound to."""
@@ -293,7 +292,7 @@ class ReplayBackend:
         prefix = "adaptive_" if adaptive else ""
         if self.cache is not None:
             program = None
-            with self._stage(prefix + "load_s"):
+            with timed(self.timings, prefix + "load_s"):
                 entry = self.cache.lookup(key)
                 if entry is not None:
                     try:
@@ -311,7 +310,7 @@ class ReplayBackend:
             if program is not None:
                 return program, True
             del self.timings[prefix + "load_s"]   # a miss is not a load
-        with self._stage(prefix + "compile_s"):
+        with timed(self.timings, prefix + "compile_s"):
             # Compiling is a walk of the evaluator the probe prices
             # with: hand it over rather than build one per program.
             program = compile_walk(lambda: self.evaluator, rec.dag,
@@ -407,7 +406,7 @@ class ReplayBackend:
         if evidence is not None:
             return evidence
         adaptive = isinstance(program, AdaptiveProgram)
-        with self._stage("convergence_s" if adaptive else "probe_s"):
+        with timed(self.timings, "convergence_s" if adaptive else "probe_s"):
             points, evaluated = self._corners()
             evidence = {"dag": self._dag_digest(),
                         "points": [list(p) for p in points],
@@ -448,25 +447,3 @@ class ReplayBackend:
                 PROBE_REL_TOL, _points_from(evidence),
                 evidence["max_iters"])
         return self._convergence
-
-    # ------------------------------------------------------------------
-    def price_grid(self, bandwidths: Sequence[float] = grids.BANDWIDTHS_MBYTE_S,
-                   latencies: Sequence[float] = grids.LATENCIES_MS,
-                   loss_rates: Optional[Sequence[float]] = None):
-        """Vectorized runtimes for a whole grid; see
-        :meth:`~repro.replay.program.ReplayProgram.price_grid`."""
-        program = self.prepare()
-        with self._stage("price_s"):
-            return program.price_grid(bandwidths, latencies, loss_rates)
-
-    def price_grid_adaptive(
-            self, bandwidths: Sequence[float] = grids.BANDWIDTHS_MBYTE_S,
-            latencies: Sequence[float] = grids.LATENCIES_MS,
-            loss_rates: Optional[Sequence[float]] = None):
-        """Adaptive runtimes + convergence flags for a whole grid; see
-        :meth:`~repro.replay.adaptive.AdaptiveProgram.
-        price_grid_adaptive`."""
-        program = self.prepare_adaptive()
-        with self._stage("adaptive_price_s"):
-            return program.price_grid_adaptive(bandwidths, latencies,
-                                               loss_rates)

@@ -108,17 +108,15 @@ def main(argv: Optional[list] = None, entry: str = "replay") -> int:
              for p in decision.validation.points],
             title="Validation at grid corners (relative speedup)") + "\n")
 
-    backend = decision.backend      # never None: this sweep has no faults
-    for label, program, cached in (
-            ("program", backend.program, backend.from_cache),
-            ("adaptive program", backend.adaptive_program,
-             backend.adaptive_from_cache)):
+    facts = decision.facts
+    for label, program in (("program", facts.program),
+                           ("adaptive program", facts.adaptive)):
         if program is not None:
-            stats = ", ".join(f"{k}={v}" for k, v in program.stats().items())
+            stats = ", ".join(f"{k}={v}" for k, v in program.stats.items())
             print(f"[{tag}] {label}: {stats}"
-                  + (" (loaded from cache)" if cached else ""))
+                  + (" (loaded from cache)" if program.from_cache else ""))
     stages = ", ".join(f"{name[:-2]} {secs * 1e3:.1f}ms"
-                       for name, secs in sorted(backend.timings.items()))
+                       for name, secs in sorted(facts.timings.items()))
     print(f"[{tag}] stages: {stages}")
 
     if args.loss is not None:

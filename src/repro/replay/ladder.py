@@ -9,6 +9,12 @@ rung but the only landing spot: active faults, timing-sensitive
 recordings, :class:`~repro.replay.compile.CompileError` and a failed
 corner validation all end there.  Rung order and acceptance policy live
 here and nowhere else; ``docs/replay.md`` has the table in prose.
+
+A walk returns a :class:`Decision` that keeps only the query side of
+what it measured: the one program (or evaluator) its rung prices with,
+and the walk's facts as plain data.  The recording, the
+:class:`~repro.replay.backend.ReplayBackend` and every program the rung
+does not price with are freed when the walk returns.
 """
 
 from __future__ import annotations
@@ -20,11 +26,12 @@ import numpy as np
 
 from ..experiments import grids
 from ..network.topology import Topology
-from ..whatif.evaluate import EvaluationError
+from ..whatif.evaluate import EvaluationError, Evaluator
+from ..whatif.record import CommDag
 from ..whatif.validate import (DEFAULT_TOLERANCE_PP, ValidationReport,
                                corner_points, validate)
 from .adaptive import DEFAULT_MAX_ITERS
-from .backend import ReplayBackend
+from .backend import ReplayBackend, timed
 from .compile import CompileError
 
 
@@ -38,7 +45,9 @@ class Pricer:
     unconverged price.  ``grid(bandwidths, latencies, loss_rates=None)``
     returns ``[lat][bw]`` rows (``[loss][lat][bw]`` with a loss axis)
     holding ``None`` where the rung has no trustworthy price and the
-    point must downgrade to the interpreted evaluator.
+    point must downgrade to the interpreted evaluator.  Both close over
+    the one program or evaluator the rung prices with, never the
+    backend.
     """
 
     evaluate: Callable[[Topology], float]
@@ -46,7 +55,7 @@ class Pricer:
 
 
 def _frozen(backend: ReplayBackend, topology_for) -> Pricer:
-    program = backend.prepare()
+    program, timings = backend.prepare(), backend.timings
 
     def evaluate(topology: Topology) -> float:
         try:
@@ -54,11 +63,15 @@ def _frozen(backend: ReplayBackend, topology_for) -> Pricer:
         except ValueError as err:
             raise EvaluationError(str(err)) from err
 
-    return Pricer(evaluate, backend.price_grid)
+    def grid(bandwidths, latencies, loss_rates=None):
+        with timed(timings, "price_s"):
+            return program.price_grid(bandwidths, latencies, loss_rates)
+
+    return Pricer(evaluate, grid)
 
 
 def _adaptive(backend: ReplayBackend, topology_for) -> Pricer:
-    program = backend.prepare_adaptive()
+    program, timings = backend.prepare_adaptive(), backend.timings
 
     def evaluate(topology: Topology) -> float:
         try:
@@ -72,8 +85,9 @@ def _adaptive(backend: ReplayBackend, topology_for) -> Pricer:
         return runtime
 
     def grid(bandwidths, latencies, loss_rates=None):
-        result = backend.price_grid_adaptive(bandwidths, latencies,
-                                             loss_rates)
+        with timed(timings, "adaptive_price_s"):
+            result = program.price_grid_adaptive(bandwidths, latencies,
+                                                 loss_rates)
         return np.where(result.converged, result.runtimes, None)
 
     return Pricer(evaluate, grid)
@@ -92,44 +106,108 @@ def _interpreted(backend: ReplayBackend, topology_for) -> Pricer:
     return Pricer(evaluate, grid)
 
 
+class DeferredEvaluator:
+    """The interpreted evaluator of one recorded DAG, built on its first
+    :meth:`evaluate`: the downgrade target of a rung that rarely
+    downgrades, so a warm walk that never needs it builds none."""
+
+    __slots__ = ("dag", "_evaluator")
+
+    def __init__(self, dag: CommDag) -> None:
+        self.dag = dag
+        self._evaluator: Optional[Evaluator] = None
+
+    def evaluate(self, topology: Topology) -> float:
+        if self._evaluator is None:
+            self._evaluator = Evaluator(self.dag)
+        return self._evaluator.evaluate(topology)
+
+
 @dataclass(frozen=True)
 class Rung:
     """One analytic rung: ``check(backend)`` measures the evidence
     report filed under ``evidence``, whose ``verdict`` attribute admits
     the rung (no check: admits unconditionally); ``pricer(backend,
-    topology_for)`` builds its :class:`Pricer`."""
+    topology_for)`` builds its :class:`Pricer`; ``downgrade(backend)``
+    (None: none) the evaluator a point the rung cannot price is
+    re-priced by."""
 
     name: str
     pricer: Callable[[ReplayBackend, Callable], Pricer]
     evidence: Optional[str] = None
     check: Optional[Callable[[ReplayBackend], Any]] = None
     verdict: Optional[str] = None
+    downgrade: Optional[Callable[[ReplayBackend], Any]] = None
 
 
 #: top to bottom; ``Sweeper(backend=...)`` names the rung a walk starts at
 LADDER = (
     Rung("replay", _frozen, "probe", ReplayBackend.probe, "stable"),
     Rung("vectorized-adaptive", _adaptive, "convergence",
-         ReplayBackend.convergence_check, "converged"),
-    Rung("predict", _interpreted),
+         ReplayBackend.convergence_check, "converged",
+         downgrade=lambda backend: DeferredEvaluator(backend.recording.dag)),
+    Rung("predict", _interpreted,
+         downgrade=lambda backend: backend.evaluator),
 )
+
+
+@dataclass(frozen=True)
+class Compiled:
+    """One program a walk loaded or compiled, as plain data: its
+    :class:`~repro.experiments.cache.SimCache` ``key``, whether it was
+    ``from_cache`` and its ``stats()``."""
+
+    key: str
+    from_cache: bool
+    stats: Dict[str, Any]
+
+
+@dataclass
+class Facts:
+    """What a walk did, as plain data: the frozen ``program`` and the
+    ``adaptive`` one it prepared (None: not prepared) and the host
+    seconds of each pipeline stage in ``timings`` (``record_s``,
+    ``compile_s``, ``probe_s`` …, to which pricing a grid adds
+    ``price_s`` or ``adaptive_price_s``)."""
+
+    program: Optional[Compiled] = None
+    adaptive: Optional[Compiled] = None
+    timings: Dict[str, float] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, backend: ReplayBackend) -> "Facts":
+        """``backend``'s facts; ``timings`` is its own dict, so the
+        stages its pricer times after the walk land there too."""
+        def compiled(program, key, from_cache) -> Optional[Compiled]:
+            return None if program is None else \
+                Compiled(key(), from_cache, program.stats())
+
+        return cls(
+            compiled(backend.program, backend.cache_key,
+                     backend.from_cache),
+            compiled(backend.adaptive_program, backend.adaptive_cache_key,
+                     backend.adaptive_from_cache),
+            backend.timings)
 
 
 @dataclass
 class Decision:
     """Outcome of one walk: the ``rung`` that prices the grid (or
-    ``"simulate"``), its ``pricer`` (None on ``"simulate"``), the
+    ``"simulate"``), the ground-truth ``validation`` report, the
     ``evidence`` reports measured on the way down (``"probe"``,
-    ``"convergence"``), the ground-truth ``validation`` report, the
-    :class:`ReplayBackend` (None when faults refused before recording)
-    and the ``topology_for(bw, lat)`` the pricer was validated on."""
+    ``"convergence"``), the rung's ``pricer`` (None on ``"simulate"``),
+    the ``topology_for(bw, lat)`` it was validated on, the ``evaluator``
+    a point it cannot price downgrades to (None: the frozen rung, which
+    refuses instead; and ``"simulate"``) and the walk's :class:`Facts`
+    (empty when faults refused before recording)."""
 
     rung: str
     validation: ValidationReport
-    backend: Optional[ReplayBackend] = None
     evidence: Dict[str, Any] = field(default_factory=dict)
     pricer: Optional[Pricer] = None
     topology_for: Callable[[float, float], Topology] = grids.multi_cluster
+    evaluator: Optional[Any] = None
+    facts: Facts = field(default_factory=Facts)
 
     def _simulated(self) -> Dict[tuple, float]:
         """``{(bw, lat): runtime}`` of the validated corners: they were
@@ -141,7 +219,9 @@ class Decision:
     def price_point(self, bandwidth: float, latency_ms: float) -> float:
         """The rung's runtime at one point: the simulated runtime at a
         validated corner; where the rung has no trustworthy price (an
-        unconverged adaptive point) the evaluator's."""
+        unconverged adaptive point) the evaluator's.  Without an
+        evaluator (the frozen rung) the rung's refusal is raised: the
+        program refuses only a non-finite axis value."""
         simulated = self._simulated().get((bandwidth, latency_ms))
         if simulated is not None:
             return simulated
@@ -149,7 +229,9 @@ class Decision:
         try:
             return self.pricer.evaluate(topology)
         except EvaluationError:
-            return self.backend.evaluator.evaluate(topology)
+            if self.evaluator is None:
+                raise
+            return self.evaluator.evaluate(topology)
 
     def price_grid(self, bandwidths: Sequence[float],
                    latencies: Sequence[float],
@@ -169,7 +251,7 @@ class Decision:
             for bw, runtime in zip(bandwidths, row):
                 if runtime is None and not losses:
                     downgraded.append((bw, lat))
-                    runtime = self.backend.evaluator.evaluate(
+                    runtime = self.evaluator.evaluate(
                         self.topology_for(bw, lat))
                 runtimes[bw, lat] = simulated.get(
                     (bw, lat), runtime if runtime is None else float(runtime))
@@ -198,10 +280,11 @@ def walk(entry: str, app: str, variant: str, *, scale: str, seed: int,
     """
     evidence: Dict[str, Any] = {}
 
-    def refuse(reason: str, backend=None) -> Decision:
+    def refuse(reason: str, facts: Optional[Facts] = None) -> Decision:
         return Decision("simulate", ValidationReport(
             app=app, variant=variant, tolerance_pp=DEFAULT_TOLERANCE_PP,
-            fallback=True, reason=reason), backend, evidence)
+            fallback=True, reason=reason), evidence,
+            facts=facts or Facts())
 
     if faulty:
         return refuse("fault injection active: recorded DAGs and compiled "
@@ -222,7 +305,8 @@ def walk(entry: str, app: str, variant: str, *, scale: str, seed: int,
                 accepted, pricer = rung, rung.pricer(backend, topology_for)
                 break
         except CompileError as err:
-            return refuse(f"replay compilation failed: {err}", backend)
+            return refuse(f"replay compilation failed: {err}",
+                          Facts.of(backend))
     # The one ground-truth arbitration every rung shares.  It also words
     # the timing-sensitive refusal, before touching the (absent) pricer.
     # A rung that fails here does not retry the next one down: every
@@ -233,9 +317,12 @@ def walk(entry: str, app: str, variant: str, *, scale: str, seed: int,
         tolerance_pp=DEFAULT_TOLERANCE_PP, evaluator=pricer,
         topology_for=topology_for)
     if report.fallback:
-        return Decision("simulate", report, backend, evidence)
-    return Decision(accepted.name, report, backend, evidence, pricer,
-                    topology_for)
+        return Decision("simulate", report, evidence,
+                        facts=Facts.of(backend))
+    evaluator = None if accepted.downgrade is None \
+        else accepted.downgrade(backend)
+    return Decision(accepted.name, report, evidence, pricer, topology_for,
+                    evaluator, Facts.of(backend))
 
 
 def replay_record(decision: Decision, app: str, variant: str, scale: str,
@@ -243,13 +330,12 @@ def replay_record(decision: Decision, app: str, variant: str, scale: str,
                   meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """One ``replay`` report record (JSON-lines, obs substrate) for a
     walked ladder; ``replay.mode`` is the rung that produced the grid."""
-    backend = decision.backend
-    program = getattr(backend, "program", None)
+    program = decision.facts.program
     replay: Dict[str, Any] = dict(
         decision.summary(),
-        from_cache=backend.from_cache if backend is not None else False,
-        program=program.stats() if program is not None else {},
-        timings=dict(backend.timings) if backend is not None else {})
+        from_cache=program is not None and program.from_cache,
+        program=dict(program.stats) if program is not None else {},
+        timings=dict(decision.facts.timings))
     return {"kind": "replay", "meta": dict(meta or {}), "app": app,
             "variant": variant, "scale": scale, "seed": seed,
             "replay": replay}

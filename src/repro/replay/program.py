@@ -46,7 +46,9 @@ from __future__ import annotations
 
 import base64
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import weakref
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,9 +69,10 @@ _TRANSPORT = TransportConfig()
 #: A frozen sweep asks for its live rows, not one row per node, so
 #: 128 MiB holds every shipped program on a 64 x 64 grid (the largest,
 #: fft, asks for 104 MB, 6.8 MB on 16 x 16; asp/unoptimized 8.0 and
-#: 0.9 MB); an adaptive plan asks for at most :data:`~repro.replay.
-#: adaptive.PLAN_BYTES`, whatever the grid.  A larger request is
-#: allocated for that call only.
+#: 0.9 MB).  An adaptive plan is carved from a workspace lent for its
+#: one call (:meth:`_ThreadWorkspace.lend`), so what the thread keeps
+#: is what frozen sweeps ask for.  A larger request is allocated for
+#: that call only.
 WORKSPACE_BYTES = 128 << 20
 
 #: Bytes of edge costs one sweep chunk prices at a time, rounded to
@@ -79,10 +82,10 @@ WORKSPACE_BYTES = 128 << 20
 CHUNK_BYTES = 512 << 10
 
 
-class _Workspace(threading.local):
-    """One reusable scratch buffer per thread, carved afresh per call.
+class _Workspace:
+    """One reusable scratch buffer, carved afresh per request.
 
-    Pricing needs (nodes x points) matrices whose *values* never outlive
+    Pricing needs (rows x points) matrices whose *values* never outlive
     the call; mapping and first-touching them each time used to cost as
     much as the sweep.  The buffer grows to the largest request seen, up
     to :data:`WORKSPACE_BYTES`.
@@ -97,6 +100,10 @@ class _Workspace(threading.local):
         return [-(-rows * cols * np.dtype(dtype).itemsize // 8)
                 for rows, cols, dtype in specs]
 
+    def release(self) -> None:
+        """Let go of the buffer, before a larger one is allocated."""
+        self.buf = None
+
     def carve(self, *specs):
         """One uninitialised C-contiguous ``(rows, cols)`` array of
         ``dtype`` per ``(rows, cols, dtype)`` spec, 8-byte aligned."""
@@ -106,7 +113,8 @@ class _Workspace(threading.local):
         if buf is None or buf.size < need:
             keep = 8 * need <= WORKSPACE_BYTES     # else: this call only
             if keep:
-                self.buf = buf = None              # release, then regrow
+                buf = None
+                self.release()                     # release, then regrow
             buf = np.empty(need)
             if keep:
                 self.buf = buf
@@ -118,7 +126,64 @@ class _Workspace(threading.local):
         return out
 
 
-_WORKSPACE = _Workspace()
+class _ThreadWorkspace(_Workspace, threading.local):
+    """The calling thread's workspace, for frozen sweeps: it also keeps
+    the level schedule of its last sweep (:meth:`sweep`)."""
+
+    def __init__(self) -> None:
+        #: at most one entry, layout -> ``((points, chunk rows), t,
+        #: schedule)``: a layout that dies takes it along
+        self.schedules = weakref.WeakKeyDictionary()
+
+    def release(self) -> None:
+        """Let go of the buffer and of the schedule over it, so no kept
+        schedule pins a buffer that was outgrown."""
+        self.schedules.clear()
+        super().release()
+
+    @contextmanager
+    def lend(self) -> Iterator[_Workspace]:
+        """A workspace for one call, started on this thread's buffer:
+        the call's scratch and a frozen sweep's are never held at once.
+        When the call ends the thread gets back a buffer of the size it
+        lent (the same one unless the call outgrew it), so nothing the
+        call carved beyond what frozen sweeps asked for is kept."""
+        call = _Workspace()
+        call.buf, size = self.buf, None if self.buf is None else \
+            self.buf.size
+        self.release()
+        try:
+            yield call
+        finally:
+            if size is not None:
+                buf, call.buf = call.buf, None
+                self.buf = buf if buf is not None and buf.size == size \
+                    else np.empty(size)
+
+    def sweep(self, lay: "_Layout", points: int):
+        """``(t, schedule)`` of a frozen sweep of ``lay`` at ``points``
+        points: the value matrix and :meth:`_Layout.schedule` over this
+        workspace's buffer.  The last sweep's schedule is reused while
+        its layout, point count, chunk size and buffer are unchanged (a
+        grid after a grid of one program); any other sweep drops it
+        before building its own, so one schedule at a time is kept."""
+        shape = (points, lay.chunk_rows(points))
+        kept = self.schedules.get(lay)
+        if kept is not None and kept[0] == shape and \
+                kept[1].base is self.buf:
+            return kept[1], kept[2]
+        self.schedules.clear()
+        t, cost, arena = self.carve(
+            (lay.rows, points, np.float64),
+            (lay.cost_rows(points), points, np.float64),
+            (2 * lay.max_width, points, np.float64))
+        schedule = lay.schedule(t, cost, arena)
+        if t.base is self.buf:             # not a this-call-only buffer
+            self.schedules[lay] = (shape, t, schedule)
+        return t, schedule
+
+
+_WORKSPACE = _ThreadWorkspace()
 
 
 class _Layout:
@@ -135,7 +200,7 @@ class _Layout:
     """
 
     __slots__ = ("idx_ab", "edge_ab", "idx_lv", "spans", "firsts",
-                 "max_width", "fin_rows", "rows")
+                 "max_width", "fin_rows", "rows", "__weakref__")
 
     def __init__(self, program: "ReplayProgram", row) -> None:
         ls = program.level_starts.astype(np.intp)
@@ -227,8 +292,10 @@ class _Layout:
                    max(self.chunk_rows(points), 2 * self.max_width))
 
     def schedule(self, t, cost, arena) -> list:
-        """The operands of :meth:`ReplayProgram._sweep_levels` over one
-        call's buffers, in chunks of whole levels: per chunk ``(edge
+        """The operands of :meth:`ReplayProgram._sweep_levels` over the
+        buffers ``t``, ``cost`` and ``arena``, in chunks of whole levels
+        (a frozen sweep keeps it for the next call on the same buffers:
+        :meth:`_ThreadWorkspace.sweep`): per chunk ``(edge
         rows, their costs, levels)``, per level ``(gather index, costs,
         gather buffer, its a half, its b half, output)``.  Chunks take
         turns in ``cost`` (:meth:`cost_rows` rows), and levels in one
@@ -537,12 +604,8 @@ class ReplayProgram:
         # E_loss): an edge's cost is its row's dot product with a column.
         params = np.stack([np.ones_like(inv_bw), inv_bw, wlat, eloss])
         lay = self._layout()
-        points = params.shape[1]
-        t, cost, arena = _WORKSPACE.carve(
-            (lay.rows, points, np.float64),
-            (lay.cost_rows(points), points, np.float64),
-            (2 * lay.max_width, points, np.float64))
-        self._sweep_levels(t, params, lay.schedule(t, cost, arena))
+        t, schedule = _WORKSPACE.sweep(lay, params.shape[1])
+        self._sweep_levels(t, params, schedule)
         finals = t[lay.fin_rows] + _priced(self.fin_edge, params)
         return finals.max(axis=0)
 

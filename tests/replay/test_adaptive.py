@@ -394,11 +394,24 @@ def test_chunk_size_changes_no_bit(fft_program, monkeypatch, chunk_bytes):
 
 def test_paper_grid_keeps_the_workspace_within_the_plan_budget(
         fft_program, monkeypatch):
+    """The plans are carved from a workspace of the call's own: once the
+    paper grid is priced the thread's workspace holds no plan, and no
+    plan the call carved exceeds PLAN_BYTES."""
+    carved = []
+    carve = program_module._Workspace.carve
+
+    def counting(workspace, *specs):
+        carved.append((workspace, 8 * sum(workspace.words(specs))))
+        return carve(workspace, *specs)
+    monkeypatch.setattr(program_module._Workspace, "carve", counting)
     monkeypatch.setattr(program_module._WORKSPACE, "buf", None)
     result = fft_program.price_grid_adaptive(grids.BANDWIDTHS_MBYTE_S,
                                              grids.LATENCIES_MS)
     assert result_digest(result) == FFT_GRID_PIN
-    assert program_module._WORKSPACE.buf.nbytes <= adaptive_module.PLAN_BYTES
+    assert program_module._WORKSPACE.buf is None
+    assert carved and all(workspace is not program_module._WORKSPACE
+                          for workspace, _ in carved)
+    assert max(size for _, size in carved) <= adaptive_module.PLAN_BYTES
 
 
 def flat_digest(results):

@@ -96,11 +96,10 @@ BWS, LATS = (6.3, 0.95, 0.03), (0.5, 30.0)
 HOLE = (0.95, 30.0)             # the point the stub rung cannot price
 
 
-class StubBackend:
-    class evaluator:
-        @staticmethod
-        def evaluate(topology):
-            return 1000.0 + topology[0]
+class StubEvaluator:
+    @staticmethod
+    def evaluate(topology):
+        return 1000.0 + topology[0]
 
 
 def stub_decision():
@@ -117,8 +116,8 @@ def stub_decision():
     return Decision(
         "vectorized-adaptive",
         ValidationReport(app="stub", variant="optimized", tolerance_pp=5.0),
-        StubBackend(), {}, Pricer(point, grid),
-        topology_for=lambda bw, lat: (bw, lat))
+        {}, Pricer(point, grid), topology_for=lambda bw, lat: (bw, lat),
+        evaluator=StubEvaluator())
 
 
 def test_price_grid_downgrades_only_the_unpriced_point():

@@ -95,8 +95,8 @@ def test_warm_walk_lands_where_the_cold_one_did(app, variant, seed,
     cache = SimCache(str(tmp_path / "c"))
     cold = walk(cache, app, variant, seed)
     warm = walk(cache, app, variant, seed)
-    assert not cold.decision.backend.from_cache
-    assert warm.decision.backend.from_cache
+    assert not cold.decision.facts.program.from_cache
+    assert warm.decision.facts.program.from_cache
     assert warm.backend == cold.backend
     assert warm.decision.summary() == cold.decision.summary()
     assert warm.decision.evidence == cold.decision.evidence   # every float
@@ -261,8 +261,8 @@ def test_corrupt_program_entry_is_counted_and_recompiled(case, tmp_path):
         ("barnes", "optimized")
     cache = SimCache(str(tmp_path / "c"))
     clean = walk(cache, app, variant)
-    backend = clean.decision.backend
-    key = backend.adaptive_cache_key() if adaptive else backend.cache_key()
+    facts = clean.decision.facts
+    key = facts.adaptive.key if adaptive else facts.program.key
     entry = cache.lookup(key)
     if damage is None:
         entry["program"] = ["not", "a", "program"]
@@ -276,4 +276,5 @@ def test_corrupt_program_entry_is_counted_and_recompiled(case, tmp_path):
     assert repr(grid.points) == repr(clean.points)
     cls = AdaptiveProgram if adaptive else ReplayProgram
     healed = cls.from_record(cache.lookup(key)["program"])
-    assert healed.meta["evidence"]["dag"] == backend.recording.dag.digest()
+    assert healed.meta["evidence"]["dag"] == \
+        record_app(app, variant).dag.digest()

@@ -14,11 +14,17 @@ Both outcomes are pinned here — water converging would be as much a
 behavior change as fft regressing to predict.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.experiments.cache import SimCache
 from repro.experiments.runner import Sweeper
 from repro.faults import FaultPlan, PacketLoss
+from repro.replay import ladder
+from repro.replay.backend import ReplayBackend
+from repro.whatif.evaluate import EvaluationError, Evaluator
 
 #: small axes: fallback rungs are decided before any pricing, so the
 #: grids here only need enough points to prove the decision stuck
@@ -152,3 +158,88 @@ def test_predict_entry_is_the_replay_ladders_tail(sweepers):
 def test_predict_kwarg_is_retired():
     with pytest.raises(TypeError):
         Sweeper(predict=True)
+
+
+# ----------------------------------------------------------------------
+# Panel lifetime: a decision keeps only what its rung prices with
+# ----------------------------------------------------------------------
+@pytest.fixture
+def walked(monkeypatch):
+    """Weak references to the backend, the recording and each program
+    (``"program"``, ``"adaptive"``) of the next walk."""
+    refs = {}
+    for_app = ReplayBackend.for_app.__func__
+
+    def recorded(cls, *args, **kwargs):
+        backend = for_app(cls, *args, **kwargs)
+        refs.update(backend=weakref.ref(backend),
+                    recording=weakref.ref(backend.recording))
+        return backend
+
+    load = ReplayBackend._load_or_compile
+
+    def loaded(self, key, cls, adaptive):
+        program, from_cache = load(self, key, cls, adaptive)
+        refs["adaptive" if adaptive else "program"] = weakref.ref(program)
+        return program, from_cache
+
+    monkeypatch.setattr(ReplayBackend, "for_app", classmethod(recorded))
+    monkeypatch.setattr(ReplayBackend, "_load_or_compile", loaded)
+    return refs
+
+
+@pytest.mark.parametrize("app,variant,rung,kept", [
+    ("barnes", "optimized", "replay", {"program"}),
+    ("fft", "unoptimized", "vectorized-adaptive", {"adaptive"}),
+    ("water", "optimized", "predict", set())])
+def test_a_decision_keeps_only_what_its_rung_prices_with(
+        walked, app, variant, rung, kept):
+    """With the collector off: once the grid is priced, the recording,
+    the backend and every program the rung does not price with are
+    freed; the one it prices with is alive.  Only a rung that can
+    downgrade keeps an evaluator."""
+    sweeper = Sweeper(backend="replay")
+    gc.collect()
+    gc.disable()
+    try:
+        grid = sweeper.speedup_grid(app, variant, bandwidths=BWS,
+                                    latencies=LATS)
+        alive = {name for name, ref in walked.items() if ref() is not None}
+    finally:
+        gc.enable()
+    assert grid.backend == rung
+    assert alive == kept
+    assert {"backend", "recording", "program"} <= walked.keys()
+    evaluator = grid.decision.evaluator
+    if rung == "replay":
+        assert evaluator is None
+    elif rung == "predict":
+        assert isinstance(evaluator, Evaluator)
+    else:
+        assert isinstance(evaluator, ladder.DeferredEvaluator)
+
+
+def test_speedup_at_after_speedup_grid_walks_once(monkeypatch):
+    walks = []
+    walk = ladder.walk
+
+    def counting(entry, app, variant, **kwargs):
+        walks.append((entry, app, variant))
+        return walk(entry, app, variant, **kwargs)
+    monkeypatch.setattr(ladder, "walk", counting)
+    sweeper = Sweeper(backend="replay")
+    grid = sweeper.speedup_grid("asp", "optimized", bandwidths=BWS,
+                                latencies=LATS)
+    point = sweeper.speedup_at("asp", "optimized", 2.6, 1.3)
+    assert walks == [("replay", "asp", "optimized")]
+    assert repr(point) == repr(grid.points[2.6, 1.3])
+
+
+def test_the_replay_rung_refuses_an_infinite_bandwidth():
+    """The frozen rung keeps no evaluator to ask: a non-finite axis
+    value, the one input a link admits and the program refuses, raises
+    the program's refusal."""
+    sweeper = Sweeper(backend="replay")
+    assert sweeper.decision("asp", "optimized").rung == "replay"
+    with pytest.raises(EvaluationError, match="bandwidth inf"):
+        sweeper.speedup_at("asp", "optimized", float("inf"), 10.0)

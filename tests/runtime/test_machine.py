@@ -10,6 +10,9 @@ import pytest
 from repro.apps import app_names, run_app
 from repro.apps.base import VARIANTS
 from repro.experiments import grids
+from repro.experiments.algselect import _time as algselect_time
+from repro.experiments.algselect import bcast_candidates
+from repro.experiments.magpie_bench import time_collective
 from repro.faults import FaultPlan, GatewayCrash, Outage, PacketLoss
 from repro.network import das_topology, single_cluster
 from repro.runtime import DeadlockError, Machine, run_spmd
@@ -261,3 +264,19 @@ def test_a_fault_plan_run_frees_itself_and_stays_readable():
 
     assert_frees_itself(partial(run_app, "asp", "unoptimized", MID_POINT,
                                 faults=plan), summarize)
+
+
+def test_an_algorithm_selection_timing_frees_itself():
+    """``algselect._time`` builds its own machine: sealed, it leaves the
+    collector nothing, and the time it reports is unchanged."""
+    topo = grids.multi_cluster(0.95, 10.0)
+    candidate = bcast_candidates(1024)["MagPIe"]
+    assert_frees_itself(partial(algselect_time, topo, candidate),
+                        lambda runtime: runtime)
+
+
+def test_a_magpie_collective_timing_frees_itself():
+    """As above, for ``magpie_bench.time_collective``."""
+    topo = grids.multi_cluster(0.95, 10.0)
+    assert_frees_itself(partial(time_collective, "magpie", "allreduce", topo),
+                        lambda runtime: runtime)
